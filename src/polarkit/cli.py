@@ -129,19 +129,20 @@ def _random_shard(task: tuple[int, int, int, int, str]) -> "object":
 def _cmd_random(args: argparse.Namespace) -> int:
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
-    if args.jobs <= 1:
+    # one worker per shard; a shard holds at least one trial
+    shards = max(1, min(args.jobs, args.iters))
+    if shards == 1:
         stats = random_agent_search(
             args.ell, target_profile(args.ell), args.iters, args.seed, policy=args.reuse
         )
     else:
-        base, extra = divmod(args.iters, args.jobs)
+        base, extra = divmod(args.iters, shards)
         tasks, offset = [], 0
-        for j in range(args.jobs):
+        for j in range(shards):
             span = base + (1 if j < extra else 0)
-            if span:
-                tasks.append((args.ell, span, args.seed, offset, args.reuse.value))
-                offset += span
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            tasks.append((args.ell, span, args.seed, offset, args.reuse.value))
+            offset += span
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             stats = merge_stats(list(pool.map(_random_shard, tasks)))
     _write_or_print(args.out, stats.to_json() + "\n")
     if args.hist_out is not None:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from polarkit.complexity import SectionNode, build_section_tree, extend_kernel
-from polarkit.gf2 import BitMatrix, interval_mask, span_iter
+from polarkit.gf2 import BitMatrix, eliminate, interval_mask, span_iter
 
 
 @dataclass(frozen=True)
@@ -110,43 +110,6 @@ def kernel_phase_metric_exhaustive(
     return best[0] - best[1]
 
 
-class _Coords:
-    """Coset coordinates inside one section: express a punctured word as
-    (v-representative combination, shortened part) and return the
-    combination bits."""
-
-    def __init__(self, v_projs: list[int], s_rows: list[int]):
-        self.nv = len(v_projs)
-        self.basis: list[tuple[int, int]] = []  # (vector, v-coefficient mask)
-        for idx, r in enumerate(v_projs):
-            self._insert(r, 1 << idx)
-        for r in s_rows:
-            self._insert(r, 0)
-
-    def _insert(self, vec: int, coeff: int) -> None:
-        vec, coeff = self._reduce(vec, coeff)
-        if vec:
-            self.basis.append((vec, coeff))
-
-    def _reduce(self, vec: int, coeff: int) -> tuple[int, int]:
-        # basis rows are not kept mutually reduced, so sweep to a fixpoint
-        changed = True
-        while changed and vec:
-            changed = False
-            for b, c in self.basis:
-                if (vec ^ b) < vec:
-                    vec ^= b
-                    coeff ^= c
-                    changed = True
-        return vec, coeff
-
-    def coords(self, vec: int) -> int:
-        rem, coeff = self._reduce(vec, 0)
-        if rem:
-            raise ValueError("word outside the punctured code")
-        return coeff
-
-
 @dataclass(frozen=True)
 class _LeafPlan:
     column: int
@@ -167,32 +130,25 @@ def _build_plan(node: SectionNode, ncols: int) -> "_NodePlan | _LeafPlan":
     if node.is_leaf:
         return _LeafPlan(node.x, node.v, node.k_s)
     plans = tuple(_build_plan(c, ncols) for c in node.children)
-    child_coords = []
+    # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
+    words = [0]
+    for g in node.w_reps + node.v_reps:
+        words += [word ^ g for word in words]
+    # Coset coordinates in a child: eliminate on its ncols columns, with
+    # v-representative k carrying coefficient bit ncols + k above them, so a
+    # word's residual holds its v-coordinates once its columns cancel.
+    low = (1 << ncols) - 1
+    links = []
     for child in node.children:
-        c_inside = interval_mask(ncols, child.x, child.y)
-        child_coords.append(
-            _Coords(
-                [r & c_inside for r in child.v_reps],
-                [r & c_inside for r in child.s_basis],
-            )
-        )
-    left_inside = interval_mask(ncols, node.children[0].x, node.children[0].y)
-    right_inside = interval_mask(ncols, node.children[1].x, node.children[1].y)
-    link_a = np.zeros((1 << node.v, 1 << node.w), dtype=np.int64)
-    link_b = np.zeros_like(link_a)
-    for alpha in range(1 << node.v):
-        word_v = 0
-        for k in range(node.v):
-            if (alpha >> k) & 1:
-                word_v ^= node.v_reps[k]
-        for beta in range(1 << node.w):
-            word = word_v
-            for k in range(node.w):
-                if (beta >> k) & 1:
-                    word ^= node.w_reps[k]
-            link_a[alpha, beta] = child_coords[0].coords(word & left_inside)
-            link_b[alpha, beta] = child_coords[1].coords(word & right_inside)
-    return _NodePlan(node.v, node.w, link_a, link_b, plans)
+        inside = interval_mask(ncols, child.x, child.y)
+        seeds = [(1 << (ncols + k)) | (r & inside) for k, r in enumerate(child.v_reps)]
+        seeds += child.s_basis
+        residuals = eliminate({}, seeds + [word & inside for word in words], low)[len(seeds):]
+        if any(r & low for r in residuals):
+            raise ValueError("word outside the punctured code")
+        links.append(np.array([r >> ncols for r in residuals], dtype=np.int64))
+    shape = (1 << node.v, 1 << node.w)
+    return _NodePlan(node.v, node.w, links[0].reshape(shape), links[1].reshape(shape), plans)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from polarkit.gf2 import (
     BitMatrix,
+    eliminate,
     interval_mask,
     is_subcode,
     punctured_dimension,
@@ -27,7 +28,6 @@ from polarkit.gf2 import (
     reduced_basis,
     row_basis,
     shortened_basis,
-    span_contains,
 )
 from polarkit.pdp import SingularKernelError
 
@@ -129,14 +129,13 @@ def split_point(x: int, y: int) -> int:
     return x + (y - x) // 2
 
 
-def build_section_tree(extended: BitMatrix, section_width: int | None = None) -> SectionNode:
+def build_section_tree(extended: BitMatrix) -> SectionNode:
     """Full binary section tree over the non-appended columns.
 
     The appended column always counts as "outside" every section, so it
     participates in shortening but never in puncturing.
     """
     ncols = extended.ncols
-    width = ncols - 1 if section_width is None else section_width
     full_mask = (1 << ncols) - 1
     code_basis = row_basis(extended.rows)
 
@@ -146,20 +145,16 @@ def build_section_tree(extended: BitMatrix, section_width: int | None = None) ->
         # w-block: shortened codewords outside the span of the child
         # shortened codes; v-block: full-width codewords whose section
         # projection extends the shortened projection to the punctured code.
-        w_reps: list[int] = []
-        span = list(child_span)
-        for r in s_b:
-            if not span_contains(r, span):
-                w_reps.append(r)
-                span.append(r)
-        v_reps: list[int] = []
-        inside_span = list(s_b)  # shortened rows are supported inside
-        for r in code_basis:
-            proj = r & inside
-            if proj and not span_contains(proj, inside_span):
-                v_reps.append(r)
-                inside_span.append(proj)
-        return tuple(w_reps), tuple(v_reps)
+        # A row is kept when its residual is nonzero, i.e. when it lies
+        # outside the span of the seed and the rows kept before it.
+        pivots: dict[int, int] = {}
+        eliminate(pivots, child_span)
+        w_reps = tuple(r for r, res in zip(s_b, eliminate(pivots, s_b)) if res)
+        # s_b is reduced echelon and supported inside the section
+        pivots = {r.bit_length() - 1: r for r in s_b}
+        residuals = eliminate(pivots, [r & inside for r in code_basis])
+        v_reps = tuple(r for r, res in zip(code_basis, residuals) if res)
+        return w_reps, v_reps
 
     def node(x: int, y: int) -> SectionNode:
         inside = interval_mask(ncols, x, y)
@@ -184,14 +179,7 @@ def build_section_tree(extended: BitMatrix, section_width: int | None = None) ->
             s_b, reduced_basis(w_r + v_r), left.s_basis, right.s_basis, w_r, v_r,
         )
 
-    return node(0, width)
-
-
-def phase_cost(tree: SectionNode) -> int:
-    """Post-order sum of combination costs; leaves are free."""
-    if tree.is_leaf:
-        return 0
-    return phase_cost(tree.children[0]) + phase_cost(tree.children[1]) + tree.comb_cost
+    return node(0, ncols - 1)
 
 
 def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:

@@ -5,6 +5,12 @@ column 0 is the most significant bit and a row reads left-to-right like its
 binary literal: the 12-column row 0x800 has a single 1 in column 0.
 All widths are <= 17 (16-column kernels plus one appended column), which
 keeps every span enumerable.
+
+``eliminate`` is the one Gaussian elimination; bases, subcode tests,
+shortened codes, the complexity model's w/v representatives and the
+decoder's coset coordinates are all built on it.  A caller may carry
+coefficient bits above the 17 columns and keep them out of the pivot
+search with a mask.
 """
 
 from __future__ import annotations
@@ -13,10 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_COLS = 17
-
-
-def weight(x: int) -> int:
-    return x.bit_count()
 
 
 def pack_row(bits: Sequence[int]) -> int:
@@ -47,16 +49,6 @@ class BitMatrix:
                 raise ValueError(f"row {r:#x} does not fit in {self.ncols} columns")
 
     @classmethod
-    def from_bits(cls, bit_rows: Iterable[Sequence[int]]) -> "BitMatrix":
-        materialized = [list(r) for r in bit_rows]
-        if not materialized:
-            raise ValueError("cannot infer width of an empty matrix; use BitMatrix(ncols, ())")
-        ncols = len(materialized[0])
-        if any(len(r) != ncols for r in materialized):
-            raise ValueError("all rows must share the same width")
-        return cls(ncols, tuple(pack_row(r) for r in materialized))
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
 
@@ -71,26 +63,39 @@ class BitMatrix:
         return [unpack_row(r, self.ncols) for r in self.rows]
 
 
+def eliminate(pivots: dict[int, int], rows: Iterable[int], mask: int = -1) -> list[int]:
+    """Reduce each row, in order, by the pivot rows and return every row's
+    residual.
+
+    ``pivots`` maps a leading bit inside ``mask`` to the row that owns it,
+    and grows: a residual with a bit left inside ``mask`` becomes the pivot
+    of its leading bit there.  Bits outside ``mask`` are carried, never
+    searched: a row whose residual is zero inside ``mask`` equals there the
+    XOR of the pivots that reduced it, and its residual's other bits are
+    its own XORed with those pivots' other bits.
+    """
+    residuals = []
+    for r in rows:
+        while m := r & mask:
+            p = m.bit_length() - 1
+            pivot = pivots.get(p)
+            if pivot is None:
+                pivots[p] = r
+                break
+            r ^= pivot
+        residuals.append(r)
+    return residuals
+
+
 def row_basis(rows: Iterable[int]) -> list[int]:
     """Row-echelon basis (by leading bit); input rows are not mutated."""
     pivots: dict[int, int] = {}
-    for r in rows:
-        while r:
-            p = r.bit_length() - 1
-            if p in pivots:
-                r ^= pivots[p]
-            else:
-                pivots[p] = r
-                break
+    eliminate(pivots, rows)
     return [pivots[p] for p in sorted(pivots, reverse=True)]
 
 
 def rank(rows: Iterable[int]) -> int:
     return len(row_basis(rows))
-
-
-def rank_matrix(m: BitMatrix) -> int:
-    return rank(m.rows)
 
 
 def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
@@ -102,20 +107,6 @@ def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
             if j != i and (basis[j] >> p) & 1:
                 basis[j] ^= r
     return tuple(sorted(basis, reverse=True))
-
-
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    while v:
-        p = v.bit_length() - 1
-        if p not in pivots:
-            return v
-        v ^= pivots[p]
-    return 0
-
-
-def span_contains(v: int, rows: Iterable[int]) -> bool:
-    pivots = {b.bit_length() - 1: b for b in row_basis(rows)}
-    return _reduce(v, pivots) == 0
 
 
 def span_iter(basis: Sequence[int]) -> Iterator[int]:
@@ -149,25 +140,12 @@ def coset_min_distance(v: int, generators: Iterable[int], stop_below: int | None
     return best
 
 
-def coset_min_distance_matrix(v: int, v_len: int, generators: BitMatrix) -> int:
-    if v_len != generators.ncols:
-        raise ValueError("vector length must match generator width")
-    if generators.nrows > 16:
-        raise ValueError("at most 16 generators supported")
-    return coset_min_distance(v, generators.rows)
-
-
 def is_subcode(a_rows: Iterable[int], b_rows: Iterable[int]) -> bool:
     """True iff rowspace(A) is contained in rowspace(B)."""
-    b_basis = row_basis(b_rows)
-    pivots = {b.bit_length() - 1: b for b in b_basis}
-    return all(_reduce(r, pivots) == 0 for r in a_rows)
-
-
-def is_subcode_matrix(a: BitMatrix, b: BitMatrix) -> bool:
-    if a.ncols != b.ncols:
-        raise ValueError("column counts must match")
-    return is_subcode(a.rows, b.rows)
+    pivots: dict[int, int] = {}
+    eliminate(pivots, b_rows)
+    # a row of A outside the span already decides; one inside adds no pivot
+    return not any(eliminate(pivots, a_rows))
 
 
 def interval_mask(ncols: int, x: int, y: int) -> int:
@@ -183,34 +161,14 @@ def punctured_dimension(m: BitMatrix, x: int, y: int) -> int:
     return rank(r & mask for r in m.rows)
 
 
-def shortened_dimension(m: BitMatrix, x: int, y: int) -> int:
-    """Dimension of the subcode supported entirely inside columns [x, y)."""
-    mask = interval_mask(m.ncols, x, y)
-    outside = ((1 << m.ncols) - 1) ^ mask
-    return rank(m.rows) - rank(r & outside for r in m.rows)
-
-
 def shortened_basis(rows: Iterable[int], outside_mask: int) -> list[int]:
     """Basis of the subcode whose outside-mask part is zero.
 
     Gaussian elimination with pivots restricted to the outside columns;
-    rows whose outside part cancels span exactly the shortened subcode.
+    residuals whose outside part cancels span exactly the shortened subcode.
     """
-    pivots: dict[int, int] = {}
-    inside_rows: list[int] = []
-    for r in rows:
-        cur = r
-        while cur & outside_mask:
-            p = (cur & outside_mask).bit_length() - 1
-            if p in pivots:
-                cur ^= pivots[p]
-            else:
-                pivots[p] = cur
-                cur = -1
-                break
-        if cur >= 0:
-            inside_rows.append(cur)
-    return row_basis(inside_rows)
+    residuals = eliminate({}, rows, outside_mask)
+    return row_basis(r for r in residuals if not r & outside_mask)
 
 
 def weight_vectors(length: int, w: int) -> Iterator[int]:

@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from polarkit import cli
 from polarkit.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 from polarkit.kernelio import read_kernel, write_kernel
 from polarkit.pdp import compute_pdp, target_profile
@@ -136,6 +137,27 @@ def test_random_jobs_shard_equivalence(capsys):
     _, single = _run(capsys, base)
     _, sharded = _run(capsys, base + ["--jobs", "3"])
     assert json.loads(single) == json.loads(sharded)
+
+
+def test_random_jobs_capped_at_shard_count(capsys, monkeypatch):
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    _run(capsys, ["random", "--ell", "4", "--iters", "2", "--seed", "1", "--jobs", "4"])
+    assert asked == [2]
 
 
 def test_random_hist_out(capsys, tmp_path):

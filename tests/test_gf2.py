@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polarkit.gf2 import (
     BitMatrix,
     coset_min_distance,
+    eliminate,
     interval_mask,
     is_subcode,
     pack_row,
@@ -18,13 +19,11 @@ from polarkit.gf2 import (
     reduced_basis,
     row_basis,
     shortened_basis,
-    shortened_dimension,
-    span_contains,
     span_iter,
     unpack_row,
     weight_vectors,
 )
-from tests.conftest import naive_coset_min_distance, naive_rank, random_kernel
+from tests.conftest import naive_coset_min_distance, naive_rank, naive_span, random_kernel
 
 rows_strategy = st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(
@@ -100,10 +99,54 @@ def test_span_iter_enumerates_whole_span():
 @settings(max_examples=100)
 def test_span_contains_agrees_with_enumeration(data):
     n, rows = data
-    basis = row_basis(rows)
-    span = set(span_iter(basis))
+    bit_rows = [unpack_row(r, n) for r in rows]
+    span = {pack_row(word) for word in naive_span(bit_rows)}
+    pivots: dict[int, int] = {}
+    eliminate(pivots, rows)
+    assert len(pivots) == naive_rank(bit_rows)
     for v in range(min(1 << n, 64)):
-        assert span_contains(v, rows) == (v in span)
+        assert (eliminate(dict(pivots), [v]) == [0]) == (v in span)
+        assert is_subcode([v], rows) == (v in span)
+
+
+def test_eliminate_restricted_mask_keeps_shortened_residuals(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 11))
+        rows = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(0, n + 1)))]
+        x = int(rng.integers(0, n))
+        y = int(rng.integers(x + 1, n + 1))
+        outside = ((1 << n) - 1) ^ interval_mask(n, x, y)
+        pivots: dict[int, int] = {}
+        residuals = eliminate(pivots, rows, outside)
+        assert len(pivots) == naive_rank([unpack_row(r & outside, n) for r in rows])
+        kept = [r for r in residuals if r not in pivots.values()]
+        assert all(not r & outside for r in kept)
+        span = {pack_row(word) for word in naive_span([unpack_row(r, n) for r in rows])}
+        kept_span = {pack_row(word) for word in naive_span([unpack_row(r, n) for r in kept])}
+        assert kept_span == {word for word in span if not word & outside}
+
+
+def _xor_of(gens: list[int], coeffs: int, n: int) -> list[int]:
+    """XOR, over lists of bits, of the generators named by coeffs' bits."""
+    word = [0] * n
+    for k, g in enumerate(gens):
+        if (coeffs >> k) & 1:
+            word = [a ^ b for a, b in zip(word, unpack_row(g, n))]
+    return word
+
+
+def test_eliminate_carries_coefficients_above_the_mask(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        low = (1 << n) - 1
+        gens = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(1, 7)))]
+        pivots: dict[int, int] = {}
+        eliminate(pivots, [(1 << (n + k)) | g for k, g in enumerate(gens)], low)
+        for coeffs in rng.integers(0, 1 << len(gens), size=8):
+            word = _xor_of(gens, int(coeffs), n)
+            (residual,) = eliminate(dict(pivots), [pack_row(word)], low)
+            assert not residual & low
+            assert _xor_of(gens, residual >> n, n) == word
 
 
 def test_is_subcode_examples():
@@ -147,7 +190,7 @@ def test_dimension_identity_shortened_plus_outside(rng):
         x = int(rng.integers(0, n))
         y = int(rng.integers(x + 1, n + 1))
         outside = ((1 << n) - 1) ^ interval_mask(n, x, y)
-        assert shortened_dimension(m, x, y) + rank(r & outside for r in m.rows) == rank(
+        assert len(shortened_basis(m.rows, outside)) + rank(r & outside for r in m.rows) == rank(
             m.rows
         )
 
