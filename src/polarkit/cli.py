@@ -6,8 +6,8 @@ searches, `train` runs the self-play loop, `bler` runs the AWGN
 simulation harness.  Every command echoes its resolved configuration
 (including the seed) so runs are reproducible from the output alone.
 
-Exit codes: 0 success, 1 infeasible / step- or trial-limit, 2 usage or
-parse errors.
+Exit codes: 0 success, 1 infeasible / step- or trial-limit, 2 usage, parse
+or file-access errors.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KernelFileError, SingularKernelError, FileNotFoundError, ValueError) as exc:
+    except (KernelFileError, SingularKernelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

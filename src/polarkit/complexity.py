@@ -8,7 +8,7 @@ dimensions (w, v) of the section's coset structure.  Trellis tables of a
 section can be reused in the next phase when the section's code spaces
 only shrink, which zeroes that subtree's cost.  ``ReuseMode`` selects how
 that condition is judged; ``SECTION_TABLES`` judges it on the section's
-own codes (see ``_section_table_reuse``).
+own codes (see ``_reused_sections``).
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from polarkit.gf2 import (
     eliminate,
     interval_mask,
     is_subcode,
-    punctured_dimension,
     rank,
-    reduced_basis,
     row_basis,
     shortened_basis,
 )
@@ -51,28 +49,35 @@ CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 class SectionNode:
     x: int
     y: int
-    z: int | None
-    k_s: int
-    k_p: int
-    w: int
+    w: int  # 0 on leaves
     v: int
-    comb_cost: int
     children: tuple["SectionNode", ...]
-    # canonical row-space fingerprints used by the reuse conditions:
-    # s_basis spans the section's shortened subcode (full-width rows),
-    # wv_basis spans canonical full-width representatives of the w- and
-    # v-blocks of the section decomposition.  w_reps/v_reps keep the raw
-    # per-block representatives for trellis construction.
-    s_basis: tuple[int, ...] = field(repr=False, default=())
-    wv_basis: tuple[int, ...] = field(repr=False, default=())
-    s_left: tuple[int, ...] = field(repr=False, default=())
-    s_right: tuple[int, ...] = field(repr=False, default=())
-    w_reps: tuple[int, ...] = field(repr=False, default=())
-    v_reps: tuple[int, ...] = field(repr=False, default=())
+    # s_basis is the reduced echelon basis (a canonical fingerprint) of the
+    # section's shortened subcode, in full-width rows.  w_reps/v_reps are
+    # the full-width representatives of the w- and v-blocks of the section
+    # decomposition, used by the reuse condition and trellis construction.
+    s_basis: tuple[int, ...] = field(repr=False)
+    w_reps: tuple[int, ...] = field(repr=False)
+    v_reps: tuple[int, ...] = field(repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.y - self.x == 1
+
+    @property
+    def k_s(self) -> int:
+        """Dimension of the shortened code."""
+        return len(self.s_basis)
+
+    @property
+    def k_p(self) -> int:
+        """Dimension of the punctured code: the v-representatives are the
+        code rows whose section projection extends the shortened code."""
+        return self.k_s + self.v
+
+    @property
+    def comb_cost(self) -> int:
+        return 0 if self.is_leaf else comb_cost(self.w, self.v)
 
 
 @dataclass(frozen=True)
@@ -158,26 +163,15 @@ def build_section_tree(extended: BitMatrix) -> SectionNode:
 
     def node(x: int, y: int) -> SectionNode:
         inside = interval_mask(ncols, x, y)
-        outside = full_mask ^ inside
-        k_p = punctured_dimension(extended, x, y)
-        s_b = reduced_basis(shortened_basis(extended.rows, outside))
-        k_s = len(s_b)
-        v = k_p - k_s
+        s_b = shortened_basis(extended.rows, full_mask ^ inside)
         if y - x == 1:
             w_r, v_r = wv_reps(s_b, (), inside)
-            return SectionNode(
-                x, y, None, k_s, k_p, 0, v, 0, (),
-                s_b, reduced_basis(w_r + v_r), (), (), w_r, v_r,
-            )
+            return SectionNode(x, y, 0, len(v_r), (), s_b, w_r, v_r)
         z = split_point(x, y)
         left = node(x, z)
         right = node(z, y)
-        w = k_s - left.k_s - right.k_s
         w_r, v_r = wv_reps(s_b, left.s_basis + right.s_basis, inside)
-        return SectionNode(
-            x, y, z, k_s, k_p, w, v, comb_cost(w, v), (left, right),
-            s_b, reduced_basis(w_r + v_r), left.s_basis, right.s_basis, w_r, v_r,
-        )
+        return SectionNode(x, y, len(w_r), len(v_r), (left, right), s_b, w_r, v_r)
 
     return node(0, ncols - 1)
 
@@ -191,51 +185,34 @@ def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
         raise ValueError("reuse comparison requires matching intervals")
     if prev.is_leaf or nxt.is_leaf:
         return False
-    if prev.s_left != nxt.s_left or prev.s_right != nxt.s_right:
+    if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
         return False
-    return is_subcode(nxt.wv_basis, prev.wv_basis)
+    return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
 
 
-def _reused_intervals(prev: SectionNode, nxt: SectionNode, mode: ReuseMode) -> list[tuple[int, int]]:
-    if mode is ReuseMode.NONE:
-        return []
-    if mode is ReuseMode.TOP_SECTIONS:
-        out = []
-        for pc, nc in zip(prev.children, nxt.children):
-            if not pc.is_leaf and reuse_eligible(pc, nc):
-                out.append((nc.x, nc.y))
-        return out
-    # ALL_CONTIGUOUS: maximal reusable nodes, checked top-down
-    out = []
-
-    def walk(p: SectionNode, n: SectionNode) -> None:
-        if p.is_leaf:
-            return
-        if reuse_eligible(p, n):
-            out.append((n.x, n.y))
-            return
-        for pc, nc in zip(p.children, n.children):
-            walk(pc, nc)
-
-    walk(prev, nxt)
-    return out
-
-
-def _section_table_reuse(
-    prev: SectionNode, prev_reused: set[tuple[int, int]], nxt: SectionNode
+def _reused_sections(
+    prev: SectionNode, nxt: SectionNode, policy: ReuseMode, prev_reused: set[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Maximal sections of the next phase whose table the previous phase
-    already holds, judged on the section's own codes.
+    """Maximal sections of the next phase whose trellis table is taken from
+    the previous phase, found top-down below the root; a reused section's
+    subtree is skipped.  ``prev_reused`` is what the previous phase reused.
 
-    A section's table has one entry per coset of its shortened code S in
-    its punctured code P, both taken on the section's columns only; the
-    appended phase column and the columns outside the section do not
-    enter.  A node costs nothing, and its subtree is skipped, when the
-    previous phase holds a table of the same interval for the same S:
-    every coset the next phase needs is then an entry of that table.  The
-    punctured codes need no test, because the next phase's code (and the
-    known-prefix translate it is decoded in) lies inside the previous
-    phase's, so its cosets are among the held ones.
+    ``NONE`` reuses nothing.  ``TOP_SECTIONS`` and ``ALL_CONTIGUOUS`` apply
+    ``reuse_eligible``, the first to the root's children only.  The root
+    itself never passes it: its v-representative carries the phase column,
+    which the previous phase can form only from its own phase row, and that
+    row lies outside the span of the later rows of a non-singular kernel.
+
+    ``SECTION_TABLES`` judges reuse on the section's own codes.  A section's
+    table has one entry per coset of its shortened code S in its punctured
+    code P, both taken on the section's columns only; the appended phase
+    column and the columns outside the section do not enter.  A node costs
+    nothing, and its subtree is skipped, when the previous phase holds a
+    table of the same interval for the same S: every coset the next phase
+    needs is then an entry of that table.  The punctured codes need no
+    test, because the next phase's code (and the known-prefix translate it
+    is decoded in) lies inside the previous phase's, so its cosets are
+    among the held ones.
 
     What the previous phase holds for an interval:
 
@@ -256,44 +233,43 @@ def _section_table_reuse(
     two values of the phase's own symbol, and its merge is the
     successive-cancellation step that turns the top sections into the
     phase output; the rule is about the section tables below it.  No
-    other policy credits the root either: its w/v representatives carry
-    the phase column, which marks a different row in every phase.
-    Reusing the root's sums would make whole phases free, which changes
-    the decoder's schedule rather than how sections are judged.
+    other policy credits the root either (see above).  Reusing the root's
+    sums would make whole phases free, which changes the decoder's
+    schedule rather than how sections are judged.
 
     The node cost stays ``comb_cost``, the published formula that every
     policy shares; this policy changes only which nodes are charged.
     """
-    held: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-    def hold(node: SectionNode) -> None:
-        if node.is_leaf:
-            return
-        key = (node.x, node.y)
-        if key in prev_reused:
-            held[key] = (node.s_basis,)
-            return
-        held[key] = (node.s_basis, reduced_basis(node.s_left + node.s_right))
-        for child in node.children:
-            hold(child)
-
     out: list[tuple[int, int]] = []
 
-    def walk(node: SectionNode) -> None:
-        if node.is_leaf:
+    def walk(p: SectionNode, n: SectionNode, held: bool) -> None:
+        # held: the previous phase reused no section above p, so it holds
+        # p's table (and p's sums, unless it reused p itself)
+        if n.is_leaf:
             return
-        # shortened rows vanish outside the section, so equal fingerprints
-        # are equal codes on the section's own columns
-        if node.s_basis in held.get((node.x, node.y), ()):
-            out.append((node.x, node.y))
-            return
-        for child in node.children:
-            walk(child)
+        key = (n.x, n.y)
+        if policy is not ReuseMode.SECTION_TABLES:
+            fits = reuse_eligible(p, n)
+        else:
+            # shortened rows vanish outside the section, so equal
+            # fingerprints are equal codes on the section's own columns.
+            # The children's bases have disjoint supports, left above
+            # right, so their concatenation is the reduced basis of the
+            # sum S_left + S_right.
+            left, right = p.children
+            fits = held and (
+                n.s_basis == p.s_basis
+                or (key not in prev_reused and n.s_basis == left.s_basis + right.s_basis)
+            )
+        if fits:
+            out.append(key)
+        elif policy is not ReuseMode.TOP_SECTIONS:
+            for pc, nc in zip(p.children, n.children):
+                walk(pc, nc, held and key not in prev_reused)
 
-    for child in prev.children:
-        hold(child)
-    for child in nxt.children:
-        walk(child)
+    if policy is not ReuseMode.NONE:
+        for pc, nc in zip(prev.children, nxt.children):
+            walk(pc, nc, True)
     return out
 
 
@@ -322,13 +298,10 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
     trees = [build_section_tree(extend_kernel(kernel, i)) for i in range(ell)]
     per_phase = []
     total = 0
+    reused: list[tuple[int, int]] = []
     for i, tree in enumerate(trees):
-        if i == 0:
-            reused: list[tuple[int, int]] = []
-        elif policy is ReuseMode.SECTION_TABLES:
-            reused = _section_table_reuse(trees[i - 1], set(reused), tree)
-        else:
-            reused = _reused_intervals(trees[i - 1], tree, policy)
+        if i:
+            reused = _reused_sections(trees[i - 1], tree, policy, set(reused))
         cost = _cost_with_reuse(tree, set(reused))
         per_phase.append(PhaseCost(i, cost, tuple(sorted(reused))))
         total += cost

@@ -155,20 +155,14 @@ def interval_mask(ncols: int, x: int, y: int) -> int:
     return ((1 << (y - x)) - 1) << (ncols - y)
 
 
-def punctured_dimension(m: BitMatrix, x: int, y: int) -> int:
-    """Dimension of the code projected onto columns [x, y)."""
-    mask = interval_mask(m.ncols, x, y)
-    return rank(r & mask for r in m.rows)
-
-
-def shortened_basis(rows: Iterable[int], outside_mask: int) -> list[int]:
-    """Basis of the subcode whose outside-mask part is zero.
+def shortened_basis(rows: Iterable[int], outside_mask: int) -> tuple[int, ...]:
+    """Reduced echelon basis of the subcode whose outside-mask part is zero.
 
     Gaussian elimination with pivots restricted to the outside columns;
     residuals whose outside part cancels span exactly the shortened subcode.
     """
     residuals = eliminate({}, rows, outside_mask)
-    return row_basis(r for r in residuals if not r & outside_mask)
+    return reduced_basis(r for r in residuals if not r & outside_mask)
 
 
 def weight_vectors(length: int, w: int) -> Iterator[int]:

@@ -94,13 +94,9 @@ def _expand(state: Any, spec: SearchSpec, terminal: bool) -> _Node:
     return _Node(state, False, logits, value, spec.legal(state))
 
 
-def _simulate(node: _Node, spec: SearchSpec, cfg: MctsConfig) -> float:
-    """One descent below the root; returns the backed-up return."""
-    if node.terminal:
-        return 0.0
-    probs = _completed_policy(node, cfg)
-    visits = np.array([node.n.get(a, 0) for a in node.legal])
-    a = node.legal[int(np.argmax(probs - visits / (1.0 + visits.sum())))]
+def _visit(node: _Node, a: int, spec: SearchSpec, cfg: MctsConfig) -> float:
+    """Take action a at node: expand the child on its first visit, descend
+    into it afterwards, and back the return up into node's statistics."""
     if a not in node.children:
         nxt, reward, done = spec.step(node.state, a)
         child = _expand(nxt, spec, done)
@@ -112,6 +108,16 @@ def _simulate(node: _Node, spec: SearchSpec, cfg: MctsConfig) -> float:
     node.n[a] = node.n.get(a, 0) + 1
     node.q_sum[a] = node.q_sum.get(a, 0.0) + ret
     return ret
+
+
+def _simulate(node: _Node, spec: SearchSpec, cfg: MctsConfig) -> float:
+    """One descent below the root; returns the backed-up return."""
+    if node.terminal:
+        return 0.0
+    probs = _completed_policy(node, cfg)
+    visits = np.array([node.n.get(a, 0) for a in node.legal])
+    a = node.legal[int(np.argmax(probs - visits / (1.0 + visits.sum())))]
+    return _visit(node, a, spec, cfg)
 
 
 def mcts_select(
@@ -134,17 +140,6 @@ def mcts_select(
     rounds = max(1, math.ceil(math.log2(m)))
     budget = cfg.simulations
 
-    def root_visit(a: int) -> float:
-        if a not in root.children:
-            nxt, reward, done = spec.step(root.state, a)
-            root.children[a] = _expand(nxt, spec, done)
-            root.rewards[a] = reward
-            ret = reward + root.children[a].value
-        else:
-            ret = root.rewards[a] + _simulate(root.children[a], spec, cfg)
-        root.n[a] = root.n.get(a, 0) + 1
-        root.q_sum[a] = root.q_sum.get(a, 0.0) + ret
-
     def scores(pool: list[int]) -> dict[int, float]:
         norm_q = _normalized_q(root, cfg)
         q_of = dict(zip(legal, norm_q))
@@ -156,12 +151,13 @@ def mcts_select(
         per_action = max(1, budget // (rounds * max(1, len(remaining))))
         for a in remaining:
             for _ in range(per_action):
-                root_visit(a)
+                _visit(root, a, spec, cfg)
         if len(remaining) > 1:
             ranked = scores(remaining)
             remaining = sorted(remaining, key=lambda a: -ranked[a])[
                 : max(1, len(remaining) // 2)
             ]
-    best = max(remaining, key=lambda a: scores(remaining)[a])
+    final = scores(remaining)
+    best = max(remaining, key=final.__getitem__)
     probs = _completed_policy(root, cfg)
     return best, {a: float(p) for a, p in zip(legal, probs)}

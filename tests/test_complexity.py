@@ -19,7 +19,7 @@ from polarkit.complexity import (
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
-from tests.conftest import naive_span, random_kernel
+from tests.conftest import naive_rank, naive_span, random_kernel
 
 
 def _nodes(tree: SectionNode):
@@ -75,6 +75,46 @@ def test_dimension_monotonicity(rng):
                 left, right = node.children
                 assert node.k_s >= left.k_s + right.k_s
                 assert node.w == node.k_s - left.k_s - right.k_s
+
+
+def test_node_dimensions_match_enumeration(rng):
+    """Naive oracle for every node: k_s counts the code words that vanish
+    outside the section, k_p ranks the rows projected onto it, and w and v
+    follow from them by their definitions."""
+    for _ in range(12):
+        ell = int(rng.integers(2, 11))
+        kernel = random_kernel(ell, rng)
+        for phase in range(ell):
+            ext = extend_kernel(kernel, phase)
+            bits = ext.to_bits()
+            words = naive_span(bits)
+            tree = build_section_tree(ext)
+            k_s = {}
+            for node in _nodes(tree):
+                x, y = node.x, node.y
+                shortened = [w for w in words if not any(w[:x]) and not any(w[y:])]
+                k_s[x, y] = len(shortened).bit_length() - 1
+                k_p = naive_rank([row[x:y] for row in bits])
+                assert (node.k_s, node.k_p, node.v) == (k_s[x, y], k_p, k_p - k_s[x, y])
+            for node in _nodes(tree):
+                if node.is_leaf:
+                    assert node.w == 0
+                else:
+                    left, right = node.children
+                    children = k_s[left.x, left.y] + k_s[right.x, right.y]
+                    assert node.w == k_s[node.x, node.y] - children
+
+
+def test_root_never_reuse_eligible(rng):
+    """The root's v-representative carries the phase column, which the
+    previous phase forms only from its own row, so the reuse walk may
+    start below the root."""
+    for _ in range(40):
+        ell = int(rng.integers(2, 13))
+        kernel = random_kernel(ell, rng)
+        roots = [build_section_tree(extend_kernel(kernel, i)) for i in range(ell)]
+        for prev, nxt in zip(roots, roots[1:]):
+            assert not reuse_eligible(prev, nxt)
 
 
 def test_last_phase_w_zero_everywhere(rng):
@@ -136,6 +176,8 @@ def test_reference_totals_under_shipped_policy():
     assert total_complexity(BEST16, CALIBRATED_MODE).total == 2300
     assert total_complexity(BEST12, ReuseMode.NONE).total == 1354
     assert total_complexity(BEST16, ReuseMode.NONE).total == 2434
+    assert total_complexity(BEST12, ReuseMode.TOP_SECTIONS).total == 1292
+    assert total_complexity(BEST16, ReuseMode.TOP_SECTIONS).total == 2434
     assert total_complexity(BEST12, ReuseMode.SECTION_TABLES).total == 860
     assert total_complexity(BEST16, ReuseMode.SECTION_TABLES).total == 1332
 
