@@ -47,24 +47,13 @@ EXIT_OK = 0
 EXIT_LIMIT = 1
 EXIT_USAGE = 2
 
-# accepted spellings for --reuse, including dashed aliases
-_REUSE_ALIASES = {
-    "none": ReuseMode.NONE,
-    "top_sections": ReuseMode.TOP_SECTIONS,
-    "top-sections": ReuseMode.TOP_SECTIONS,
-    "all_contiguous": ReuseMode.ALL_CONTIGUOUS,
-    "all-contiguous": ReuseMode.ALL_CONTIGUOUS,
-    "section_tables": ReuseMode.SECTION_TABLES,
-    "section-tables": ReuseMode.SECTION_TABLES,
-}
-
-
 def _reuse_mode(text: str) -> ReuseMode:
     try:
-        return _REUSE_ALIASES[text.lower()]
-    except KeyError:
+        return ReuseMode(text.lower().replace("-", "_"))
+    except ValueError:
+        spellings = ", ".join(mode.value.replace("_", "-") for mode in ReuseMode)
         raise argparse.ArgumentTypeError(
-            f"unknown reuse mode {text!r}; choose from {sorted(set(_REUSE_ALIASES))}"
+            f"unknown reuse mode {text!r}; choose from {spellings} (dashes or underscores)"
         ) from None
 
 

@@ -1,11 +1,15 @@
 """Polar encoding and successive-cancellation decoding with arbitrary
 kernels.
 
+The transform x = u * K^(x)m is computed as m butterfly levels of one
+kernel-multiply step over the ell axis (Arikan, "Channel polarization",
+IEEE Trans. IT 2009); the encoder and the decoder's re-encoding share it.
+
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
-decisions and the ell channel LLRs) come from two interchangeable paths:
-an exhaustive max-marginalization oracle, and a trellis built from the
-section trees of the complexity model.  Both use max-approximation
-correlation metrics, so they agree to floating-point error.
+decisions and the ell channel LLRs) come from a trellis built from the
+section trees of the complexity model, with max-approximation
+correlation metrics.  The tests check it against exhaustive
+max-marginalization.
 
 The trellis tables of a section node are indexed by the cosets of the
 shortened code inside the punctured code (2^v entries); a parent entry is
@@ -22,8 +26,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from polarkit.complexity import SectionNode, build_section_tree, extend_kernel
-from polarkit.gf2 import BitMatrix, eliminate, interval_mask, span_iter
+from polarkit.complexity import SectionNode, section_trees
+from polarkit.gf2 import BitMatrix, eliminate, interval_mask
+
+
+def _code_length(ell: int, m: int, kernel: BitMatrix) -> int:
+    """n = ell^m, once the code fits the decoder and the kernel is ell x ell."""
+    n = ell**m
+    if n > 4096:
+        raise ValueError("ell^m must not exceed 4096")
+    if kernel.ncols != ell or kernel.nrows != ell:
+        raise ValueError("kernel shape must match ell")
+    return n
 
 
 @dataclass(frozen=True)
@@ -35,11 +49,7 @@ class PolarCodeSpec:
     frozen: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if n > 4096:
-            raise ValueError("ell^m must not exceed 4096")
-        if self.kernel.ncols != self.ell or self.kernel.nrows != self.ell:
-            raise ValueError("kernel shape must match ell")
+        n = _code_length(self.ell, self.m, self.kernel)
         if not self.frozen <= set(range(n)) or len(self.frozen) != n - self.k:
             raise ValueError("frozen set must contain exactly n-k indices in [0, n)")
 
@@ -48,18 +58,18 @@ class PolarCodeSpec:
         return self.ell**self.m
 
 
-def kernel_array(kernel: BitMatrix) -> np.ndarray:
-    return np.array(kernel.to_bits(), dtype=np.uint8)
-
-
 @lru_cache(maxsize=64)
-def kronecker_power(kernel: BitMatrix, m: int) -> np.ndarray:
-    if m == 0:
-        return np.ones((1, 1), dtype=np.uint8)
-    g = kernel_array(kernel)
-    for _ in range(m - 1):
-        g = np.kron(g, kernel_array(kernel)) % 2
-    return g
+def _kernel_bits(kernel: BitMatrix) -> np.ndarray:
+    """The kernel as a read-only (ell, ell) uint8 bit array, built once."""
+    bits = np.array(kernel.to_bits(), dtype=np.uint8)
+    bits.flags.writeable = False
+    return bits
+
+
+def _kernel_step(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One butterfly level: y[..., j, r] = sum_i x[..., i, r] K[i, j] over
+    GF(2), for x of shape (..., ell, r)."""
+    return (bits.T @ x) % 2
 
 
 def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
@@ -69,45 +79,16 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
         raise ValueError("message length must be n")
     if any(np.any(u[..., i]) for i in spec.frozen):
         raise ValueError("frozen positions must be zero")
-    return (u @ kronecker_power(spec.kernel, spec.m)) % 2
+    bits = _kernel_bits(spec.kernel)
+    # level t multiplies index digit t (base ell, most significant first)
+    x = u % 2
+    for t in range(spec.m):
+        x = _kernel_step(bits, x.reshape(*u.shape[:-1], spec.ell**t, spec.ell, -1))
+    return x.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
 # Phase metrics
-
-
-def _row_offset(kernel: BitMatrix, prior_bits: np.ndarray) -> np.ndarray:
-    """Batched codeword offset of the known prefix: (batch, i) bits times
-    the first i kernel rows, as a (batch, ell) bit array."""
-    i = prior_bits.shape[-1]
-    rows = kernel_array(kernel)[:i]
-    return (prior_bits.astype(np.uint8) @ rows) % 2
-
-
-def kernel_phase_metric_exhaustive(
-    kernel: BitMatrix, phase: int, prior_bits: tuple[int, ...], llrs: np.ndarray
-) -> float:
-    """metric(u_phase = 0) - metric(u_phase = 1), maximizing the half-sum
-    correlation metric over all completions by enumeration."""
-    ell = kernel.ncols
-    if len(prior_bits) != phase:
-        raise ValueError("need exactly `phase` prior bits")
-    llrs = np.asarray(llrs, dtype=np.float64)
-    offset = 0
-    for b, row in zip(prior_bits, kernel.rows[:phase]):
-        if b:
-            offset ^= row
-    tail = kernel.rows[phase + 1 :]
-    best = [-math.inf, -math.inf]
-    col_bit = np.array([1 << (ell - 1 - j) for j in range(ell)], dtype=np.int64)
-    for b in (0, 1):
-        base = offset ^ (kernel.rows[phase] if b else 0)
-        for s in span_iter(list(tail)):
-            bits = ((base ^ s) & col_bit) != 0
-            metric = 0.5 * float(np.sum(np.where(bits, -llrs, llrs)))
-            if metric > best[b]:
-                best[b] = metric
-    return best[0] - best[1]
 
 
 @dataclass(frozen=True)
@@ -161,13 +142,8 @@ class KernelTrellis:
 
 @lru_cache(maxsize=64)
 def build_link_tables(kernel: BitMatrix) -> KernelTrellis:
-    ell = kernel.ncols
-    plans = []
-    for phase in range(ell):
-        extended = extend_kernel(kernel, phase)
-        tree = build_section_tree(extended)
-        plans.append(_build_plan(tree, extended.ncols))
-    return KernelTrellis(kernel, tuple(plans))
+    ncols = kernel.ncols + 1  # the extended matrix's appended phase column
+    return KernelTrellis(kernel, tuple(_build_plan(tree, ncols) for tree in section_trees(kernel)))
 
 
 def _eval_plan(plan: "_NodePlan | _LeafPlan", half_llrs: np.ndarray) -> np.ndarray:
@@ -190,18 +166,12 @@ def phase_llrs_trellis(
 ) -> np.ndarray:
     """Batched phase LLRs: prior_bits (batch, phase), llrs (batch, ell)."""
     llrs = np.asarray(llrs, dtype=np.float64)
-    signs = 1.0 - 2.0 * _row_offset(trellis.kernel, np.atleast_2d(prior_bits))
+    prior = np.atleast_2d(np.asarray(prior_bits, dtype=np.uint8))
+    # the known prefix's codeword offset flips the signs of its 1-columns
+    signs = 1.0 - 2.0 * ((prior @ _kernel_bits(trellis.kernel)[:phase]) % 2)
     table = _eval_plan(trellis.plans[phase], 0.5 * signs * llrs)
     assert table.shape[1] == 2
     return table[:, 0] - table[:, 1]
-
-
-def kernel_phase_metric_trellis(
-    kernel: BitMatrix, phase: int, prior_bits: tuple[int, ...], llrs: np.ndarray
-) -> float:
-    trellis = build_link_tables(kernel)
-    prior = np.array([prior_bits], dtype=np.uint8).reshape(1, len(prior_bits))
-    return float(phase_llrs_trellis(trellis, phase, prior, np.atleast_2d(llrs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +179,8 @@ def kernel_phase_metric_trellis(
 
 
 def _sc_decode_rec(
-    spec: PolarCodeSpec,
     trellis: KernelTrellis,
+    frozen: frozenset[int],
     llrs: np.ndarray,
     base: int,
     genie_errors: np.ndarray | None,
@@ -222,40 +192,35 @@ def _sc_decode_rec(
         if genie_errors is not None:
             genie_errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
             u = np.zeros((batch, 1), dtype=np.uint8)
-        elif base in spec.frozen:
+        elif base in frozen:
             u = np.zeros((batch, 1), dtype=np.uint8)
         else:
             u = (llrs < 0).astype(np.uint8)
         return u, u.copy()
-    ell = spec.ell
+    ell = trellis.kernel.ncols
     sub = length // ell
     lam = llrs.reshape(batch, ell, sub).transpose(0, 2, 1)  # (batch, sub, ell)
     flat = lam.reshape(batch * sub, ell)
-    v_prev = np.zeros((batch * sub, 0), dtype=np.uint8)
+    # column a holds the re-encoded sub-block of phase a, row b * sub + s
+    v = np.zeros((batch * sub, ell), dtype=np.uint8)
     u_blocks = []
     for a in range(ell):
-        phase_llr = phase_llrs_trellis(trellis, a, v_prev, flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(spec, trellis, phase_llr, base + a * sub, genie_errors)
+        phase_llr = phase_llrs_trellis(trellis, a, v[:, :a], flat).reshape(batch, sub)
+        u_a, v_a = _sc_decode_rec(trellis, frozen, phase_llr, base + a * sub, genie_errors)
         u_blocks.append(u_a)
-        v_prev = np.concatenate([v_prev, v_a.reshape(batch * sub, 1)], axis=1)
+        v[:, a] = v_a.reshape(batch * sub)
     u = np.concatenate(u_blocks, axis=1)
-    v = (v_prev @ kernel_array(spec.kernel)) % 2  # (batch*sub, ell)
-    codeword = v.T.reshape(ell, batch, sub).transpose(1, 0, 2).reshape(batch, length)
+    blocks = v.reshape(batch, sub, ell).transpose(0, 2, 1)  # (batch, ell, sub)
+    codeword = _kernel_step(_kernel_bits(trellis.kernel), blocks).reshape(batch, length)
     return u, codeword
 
 
 def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded messages and the codewords obtained by re-encoding them."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    trellis = build_link_tables(spec.kernel)
-    return _sc_decode_rec(spec, trellis, llrs, 0, None)
-
-
-def sc_decode(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded message and the codeword obtained by re-encoding it."""
-    u, c = sc_decode_batch(spec, llrs)
-    return u[0], c[0]
+    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +246,7 @@ def select_frozen_set(
     the smaller index)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = ell**m
-    spec = PolarCodeSpec(ell, m, n, kernel, frozenset())  # frozen unused in genie mode
+    n = _code_length(ell, m, kernel)
     trellis = build_link_tables(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
@@ -292,7 +256,7 @@ def select_frozen_set(
         b = min(batch, trials - done)
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
-        _sc_decode_rec(spec, trellis, llrs, 0, errors)
+        _sc_decode_rec(trellis, frozenset(), llrs, 0, errors)
         done += b
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])

@@ -113,8 +113,6 @@ def extend_kernel(kernel: BitMatrix, phase: int) -> BitMatrix:
     """Rows phase..ell-1, each widened by an appended column; the appended
     column is 1 only on the phase row itself."""
     ell = kernel.ncols
-    if kernel.nrows != ell or rank(kernel.rows) != ell:
-        raise SingularKernelError("kernel must be square and non-singular")
     if not 0 <= phase < ell:
         raise ValueError(f"phase {phase} out of range for ell={ell}")
     rows = [kernel.rows[r] << 1 for r in range(phase, ell)]
@@ -174,6 +172,14 @@ def build_section_tree(extended: BitMatrix) -> SectionNode:
         return SectionNode(x, y, len(w_r), len(v_r), (left, right), s_b, w_r, v_r)
 
     return node(0, ncols - 1)
+
+
+def section_trees(kernel: BitMatrix) -> list[SectionNode]:
+    """The section trees of all ell phases of a square, non-singular kernel."""
+    ell = kernel.ncols
+    if kernel.nrows != ell or rank(kernel.rows) != ell:
+        raise SingularKernelError("kernel must be square and non-singular")
+    return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(ell)]
 
 
 def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
@@ -295,7 +301,7 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
     ell = kernel.ncols
     if not 2 <= ell <= 16:
         raise ValueError(f"kernel size {ell} outside supported range [2, 16]")
-    trees = [build_section_tree(extend_kernel(kernel, i)) for i in range(ell)]
+    trees = section_trees(kernel)
     per_phase = []
     total = 0
     reused: list[tuple[int, int]] = []

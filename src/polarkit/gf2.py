@@ -109,15 +109,6 @@ def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-def span_iter(basis: Sequence[int]) -> Iterator[int]:
-    """Yield all 2^len(basis) span elements (Gray-code order, starts at 0)."""
-    value = 0
-    yield value
-    for i in range(1, 1 << len(basis)):
-        value ^= basis[(i & -i).bit_length() - 1]
-        yield value
-
-
 def coset_min_distance(v: int, generators: Iterable[int], stop_below: int | None = None) -> int:
     """Min Hamming distance from v to the span of the generators.
 

@@ -55,6 +55,44 @@ def naive_coset_min_distance(v_bits: list[int], bit_rows: list[list[int]]) -> in
     )
 
 
+def _kernel_bit_rows(kernel: BitMatrix) -> list[list[int]]:
+    ell = kernel.ncols
+    return [[(row >> (ell - 1 - j)) & 1 for j in range(ell)] for row in kernel.rows]
+
+
+def naive_kronecker_power(kernel: BitMatrix, m: int) -> np.ndarray:
+    """The dense generator matrix K^(x)m, by repeated np.kron."""
+    k = np.array(_kernel_bit_rows(kernel), dtype=np.int64)
+    g = np.ones((1, 1), dtype=np.int64)
+    for _ in range(m):
+        g = np.kron(g, k) % 2
+    return g
+
+
+def kernel_phase_metric_exhaustive(
+    kernel: BitMatrix, phase: int, prior_bits: tuple[int, ...], llrs
+) -> float:
+    """metric(u_phase = 0) - metric(u_phase = 1): the half-sum correlation
+    metric maximized over every completion, enumerated by naive_span."""
+    rows = _kernel_bit_rows(kernel)
+    ell = kernel.ncols
+    offset = [0] * ell
+    for b, row in zip(prior_bits, rows[:phase], strict=True):
+        if b:
+            offset = [a ^ c for a, c in zip(offset, row)]
+    tail = rows[phase + 1 :]
+    completions = naive_span(tail) if tail else [(0,) * ell]
+
+    def best(u_phase: int) -> float:
+        base = [a ^ (c & u_phase) for a, c in zip(offset, rows[phase])]
+        return max(
+            0.5 * sum(-llr if a ^ c else llr for a, c, llr in zip(base, word, llrs))
+            for word in completions
+        )
+
+    return best(0) - best(1)
+
+
 def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:
     """Uniform random non-singular ell x ell kernel (rejection sampling)."""
     while True:

@@ -27,8 +27,8 @@ import pytest
 
 from polarkit.codec import (
     PolarCodeSpec,
-    kernel_phase_metric_exhaustive,
-    kernel_phase_metric_trellis,
+    build_link_tables,
+    phase_llrs_trellis,
     select_frozen_set,
     simulate_bler,
 )
@@ -45,7 +45,7 @@ from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16
 from polarkit.search import BruteConfig, KernelRecord, brute_force_search, random_agent_search
 from polarkit.zero.env import default_reward_config, trans_reward
 from polarkit.zero.train import TrainConfig, train_loop
-from tests.conftest import random_kernel
+from tests.conftest import kernel_phase_metric_exhaustive, random_kernel
 from tests.test_env import _random_episode
 
 
@@ -98,10 +98,12 @@ def test_criterion_3_decoder_oracle_equivalence():
     for ell in (2, 4, 8):
         for _ in range(15):
             kernel = random_kernel(ell, rng)
+            trellis = build_link_tables(kernel)
             for phase in range(ell):
                 prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
                 llrs = rng.normal(size=ell)
-                got = kernel_phase_metric_trellis(kernel, phase, prior, llrs)
+                prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
+                got = float(phase_llrs_trellis(trellis, phase, prior_bits, llrs[None])[0])
                 want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
                 assert abs(got - want) <= 1e-9
                 cases += 1

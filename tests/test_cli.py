@@ -216,3 +216,18 @@ def test_bler_command(capsys, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "snr_db,trials,errors,bler"
     assert lines[1].startswith("2.0,500,")
+
+
+def test_bler_code_too_long_exit_2(capsys, tmp_path):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", "13", "--k", "4096",
+            "--snr", "2.0", "--trials", "1", "--select-trials", "1",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "error: ell^m must not exceed 4096" in err
+    assert "Traceback" not in err

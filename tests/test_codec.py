@@ -1,7 +1,9 @@
-"""Encoder/decoder: linearity, trellis-vs-exhaustive oracle, inversion,
-and Monte-Carlo sanity of the AWGN harness."""
+"""Encoder/decoder: Kronecker and exhaustive oracles, linearity,
+inversion, and Monte-Carlo sanity of the AWGN harness."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +11,16 @@ import pytest
 from polarkit.codec import (
     PolarCodeSpec,
     bler_csv,
+    build_link_tables,
     encode,
-    kernel_phase_metric_exhaustive,
-    kernel_phase_metric_trellis,
-    kronecker_power,
     noise_sigma,
-    sc_decode,
+    phase_llrs_trellis,
     sc_decode_batch,
     select_frozen_set,
     simulate_bler,
 )
 from polarkit.reference import ARIKAN, BEST16
-from tests.conftest import random_kernel
+from tests.conftest import kernel_phase_metric_exhaustive, naive_kronecker_power, random_kernel
 
 
 def _spec(ell, m, kernel, k=None):
@@ -30,13 +30,46 @@ def _spec(ell, m, kernel, k=None):
     return PolarCodeSpec(ell, m, k, kernel, frozen)
 
 
-def test_kronecker_power_arikan():
-    g2 = kronecker_power(ARIKAN, 2)
-    assert g2.shape == (4, 4)
-    expected = np.array(
-        [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=np.uint8
+def _phase_metric(kernel, phase, prior, llrs) -> float:
+    trellis = build_link_tables(kernel)
+    prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
+    return float(phase_llrs_trellis(trellis, phase, prior_bits, np.atleast_2d(llrs))[0])
+
+
+def test_encode_matches_kronecker_oracle(rng):
+    """The butterfly encoder equals u times the dense Kronecker power, on
+    single messages and batches."""
+    np.testing.assert_array_equal(
+        naive_kronecker_power(ARIKAN, 2),
+        [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]],
     )
-    np.testing.assert_array_equal(g2, expected)
+    cases = [(2, m) for m in range(1, 9)] + [(3, 3), (4, 3), (16, 2)]
+    for ell, m in cases:
+        kernel = random_kernel(ell, rng)
+        spec = _spec(ell, m, kernel)
+        g = naive_kronecker_power(kernel, m)
+        u = rng.integers(0, 2, size=(5, spec.n)).astype(np.uint8)
+        want = (u.astype(np.int64) @ g) % 2
+        got = encode(spec, u)
+        assert got.dtype == np.uint8 and got.shape == u.shape
+        np.testing.assert_array_equal(got, want)
+        single = encode(spec, u[0])
+        assert single.dtype == np.uint8 and single.shape == (spec.n,)
+        np.testing.assert_array_equal(single, want[0])
+
+
+def test_encode_memory_is_linear_in_n():
+    """Encoding one n=4096 message allocates no n x n generator matrix
+    (16.8 MB as uint8)."""
+    spec = _spec(2, 12, ARIKAN)
+    u = np.ones(spec.n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        encode(spec, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_encode_linearity(rng):
@@ -59,13 +92,13 @@ def test_arikan_phase_metric_closed_form(rng):
     """For the 2x2 kernel the phase-0 LLR difference equals the min-sum
     box-plus up to the exact max-correlation form."""
     llrs = rng.normal(size=2)
-    diff = kernel_phase_metric_trellis(ARIKAN, 0, (), llrs)
+    diff = _phase_metric(ARIKAN, 0, (), llrs)
     a, b = llrs
     expected = 0.5 * (abs(a + b) - abs(a - b))
     assert diff == pytest.approx(expected, abs=1e-12)
     # phase 1 given u0: LLR combining g = b + (1-2u0) a
     for u0 in (0, 1):
-        diff1 = kernel_phase_metric_trellis(ARIKAN, 1, (u0,), llrs)
+        diff1 = _phase_metric(ARIKAN, 1, (u0,), llrs)
         assert diff1 == pytest.approx(b + (1 - 2 * u0) * a, abs=1e-12)
 
 
@@ -79,7 +112,7 @@ def test_trellis_matches_exhaustive_oracle(rng):
             for phase in range(ell):
                 prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
                 llrs = rng.normal(size=ell)
-                got = kernel_phase_metric_trellis(kernel, phase, prior, llrs)
+                got = _phase_metric(kernel, phase, prior, llrs)
                 want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
                 worst = max(worst, abs(got - want))
                 cases += 1
@@ -97,9 +130,9 @@ def test_noiseless_decode_inverts_encode(rng):
         u[info] = rng.integers(0, 2, size=len(info))
         c = encode(spec, u)
         llrs = 10.0 * (1.0 - 2.0 * c.astype(np.float64))
-        decoded, recoded = sc_decode(spec, llrs)
-        np.testing.assert_array_equal(decoded, u)
-        np.testing.assert_array_equal(recoded, c)
+        decoded, recoded = sc_decode_batch(spec, llrs)
+        np.testing.assert_array_equal(decoded[0], u)
+        np.testing.assert_array_equal(recoded[0], c)
 
 
 def test_batch_decode_matches_single(rng):
@@ -107,9 +140,9 @@ def test_batch_decode_matches_single(rng):
     llrs = rng.normal(size=(5, 8))
     batch_u, batch_c = sc_decode_batch(spec, llrs)
     for i in range(5):
-        u, c = sc_decode(spec, llrs[i])
-        np.testing.assert_array_equal(u, batch_u[i])
-        np.testing.assert_array_equal(c, batch_c[i])
+        u, c = sc_decode_batch(spec, llrs[i])
+        np.testing.assert_array_equal(u[0], batch_u[i])
+        np.testing.assert_array_equal(c[0], batch_c[i])
 
 
 def test_noise_sigma_formula():
@@ -175,5 +208,5 @@ def test_best16_one_level_noiseless(rng):
     u = rng.integers(0, 2, size=16).astype(np.uint8)
     c = encode(spec, u)
     llrs = 8.0 * (1.0 - 2.0 * c.astype(np.float64))
-    decoded, _ = sc_decode(spec, llrs)
-    np.testing.assert_array_equal(decoded, u)
+    decoded, _ = sc_decode_batch(spec, llrs)
+    np.testing.assert_array_equal(decoded[0], u)

@@ -12,6 +12,7 @@ from polarkit.complexity import (
     comb_cost,
     extend_kernel,
     reuse_eligible,
+    section_trees,
     split_point,
     total_complexity,
     total_complexity_cached,
@@ -36,9 +37,9 @@ def test_extend_kernel_shape_and_flag():
     assert ext.rows == (0b111,)
 
 
-def test_extend_kernel_rejects_singular():
+def test_section_trees_rejects_singular():
     with pytest.raises(SingularKernelError):
-        extend_kernel(BitMatrix(2, (0b11, 0b11)), 0)
+        section_trees(BitMatrix(2, (0b11, 0b11)))
 
 
 def test_comb_cost_formula():
