@@ -3,8 +3,9 @@
 Rows are python ints.  Column j of a width-n row sits at bit (n-1-j), so
 column 0 is the most significant bit and a row reads left-to-right like its
 binary literal: the 12-column row 0x800 has a single 1 in column 0.
-All widths are <= 17 (16-column kernels plus one appended column), which
-keeps every span enumerable.
+All widths are <= 17 (16-column kernels plus one appended column); a
+coset-distance table holds 2^ell bytes and the cache keeps at most 64 of
+them (4 MiB at ell=16).
 
 ``eliminate`` is the one Gaussian elimination; bases, subcode tests,
 shortened codes, the complexity model's w/v representatives and the
@@ -16,7 +17,10 @@ search with a mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 MAX_COLS = 17
 
@@ -109,26 +113,20 @@ def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-def coset_min_distance(v: int, generators: Iterable[int], stop_below: int | None = None) -> int:
-    """Min Hamming distance from v to the span of the generators.
-
-    The zero word is always in the span, so the result is <= weight(v).
-    If stop_below is given, returns early with the first distance found
-    strictly below it (enough for equality checks against a target).
-    """
-    basis = row_basis(generators)
-    best = v.bit_count()
-    if stop_below is not None and best < stop_below:
-        return best
-    value = 0
-    for i in range(1, 1 << len(basis)):
-        value ^= basis[(i & -i).bit_length() - 1]
-        d = (v ^ value).bit_count()
-        if d < best:
-            best = d
-            if stop_below is not None and best < stop_below:
-                return best
-    return best
+@lru_cache(maxsize=64)
+def coset_distances(ncols: int, rows: tuple[int, ...] = ()) -> np.ndarray:
+    """Read-only uint8 table whose entry x is the Hamming distance from x
+    to span(rows): each word's weight for ``()``, else the table of
+    ``rows[:-1]`` where x may also reach the span through x ^ rows[-1]."""
+    if rows:
+        prev = coset_distances(ncols, rows[:-1])
+        table = np.minimum(prev, prev[np.arange(1 << ncols) ^ rows[-1]])
+    else:
+        table = np.zeros(1 << ncols, dtype=np.uint8)
+        for b in range(ncols):
+            table[1 << b : 2 << b] = table[: 1 << b] + 1
+    table.flags.writeable = False
+    return table
 
 
 def is_subcode(a_rows: Iterable[int], b_rows: Iterable[int]) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from polarkit.gf2 import BitMatrix, coset_min_distance, rank
+from polarkit.gf2 import BitMatrix, coset_distances
 
 
 class SingularKernelError(ValueError):
@@ -55,16 +55,16 @@ _TARGETS: dict[int, tuple[tuple[int, ...], float]] = {
 
 
 def compute_pdp(kernel: BitMatrix) -> PartialDistanceProfile:
-    """Distance from each row to the span of the rows below it."""
+    """Distance from each row to the span of the rows below it; a square
+    kernel is singular exactly when one of them is 0."""
     ell = kernel.ncols
     if kernel.nrows != ell:
         raise SingularKernelError("kernel must be square")
-    if rank(kernel.rows) != ell:
+    below = [kernel.rows[:i:-1] for i in range(ell)]  # bottom first, as the searches key them
+    distances = tuple(int(coset_distances(ell, b)[r]) for b, r in zip(below, kernel.rows))
+    if 0 in distances:
         raise SingularKernelError("kernel must be non-singular")
-    distances = []
-    for i in range(ell):
-        distances.append(coset_min_distance(kernel.rows[i], kernel.rows[i + 1:]))
-    return PartialDistanceProfile(ell, tuple(distances))
+    return PartialDistanceProfile(ell, distances)
 
 
 def error_exponent(pdp: PartialDistanceProfile) -> float:

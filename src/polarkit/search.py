@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
-from polarkit.gf2 import BitMatrix, coset_min_distance, weight_vectors
+from polarkit.gf2 import BitMatrix, coset_distances, weight_vectors
 from polarkit.pdp import (
     KernelRecord,
     PartialDistanceProfile,
     compute_pdp,
     kernel_record,
-    meets_target,
 )
 
 
@@ -122,17 +121,17 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
         steps = 0
         capped = False
         while iters and not capped:
-            level = len(iters) - 1  # filling kernel row ell-1-level
+            want = target[ell - len(iters)]  # filling kernel row ell - len(iters)
+            table = coset_distances(ell, tuple(rows))
             advanced = False
             for cand in iters[-1]:
                 steps += 1
-                d = coset_min_distance(cand, rows, stop_below=target[ell - 1 - level])
-                if d == target[ell - 1 - level]:
+                if table[cand] == want:
                     rows.append(cand)
                     if len(rows) == ell:
-                        kernel = BitMatrix(ell, tuple(reversed(rows)))
-                        assert meets_target(kernel, cfg.target)
-                        return kernel_record(kernel)
+                        record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
+                        assert record.pdp == cfg.target
+                        return record
                     iters.append(candidates(len(rows)))
                     advanced = True
                 if advanced or steps >= budget:
@@ -165,23 +164,21 @@ def random_trial(
     """
     cap = 50 * ell if step_cap is None else step_cap
     dist = target.distances
-    rows: list[int] = []
+    rows: tuple[int, ...] = ()  # bottom row first
     placements = 0
-    level = 0
     row = 0
-    while level < ell:
-        want = dist[ell - 1 - level]
+    while len(rows) < ell:
+        want = dist[ell - 1 - len(rows)]
         while row.bit_count() < want:
             if placements >= cap:
                 return None
             free = [j for j in range(ell) if not (row >> j) & 1]
             row |= 1 << free[int(rng.integers(len(free)))]
             placements += 1
-        if coset_min_distance(row, rows, stop_below=want) == want:
-            rows.append(row)
-            level += 1
+        if coset_distances(ell, rows)[row] == want:
+            rows += (row,)
         row = 0
-    return BitMatrix(ell, tuple(reversed(rows)))
+    return BitMatrix(ell, rows[::-1])
 
 
 def random_agent_search(

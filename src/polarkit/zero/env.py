@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
-from polarkit.gf2 import BitMatrix, coset_min_distance
+from polarkit.gf2 import BitMatrix, coset_distances
 from polarkit.pdp import PartialDistanceProfile
 from polarkit.reference import RANDOM_SEARCH_REFERENCE
 
@@ -149,7 +149,7 @@ def step_env(
     reward = -cfg.step_penalty
     done = False
     if row.bit_count() == state.targets[i]:
-        if coset_min_distance(row, rows[:i], stop_below=state.targets[i]) == state.targets[i]:
+        if coset_distances(state.ell, state.rows[:i])[row] == state.targets[i]:
             reward = cfg.row_reward
             i += 1
             if i == state.ell:

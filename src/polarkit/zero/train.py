@@ -52,6 +52,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("update_interval", "batch_size", "checkpoint_interval"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         if self.update_interval > self.total_episodes:
             raise ValueError("update_interval must not exceed total_episodes")
 

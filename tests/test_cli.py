@@ -195,6 +195,17 @@ def test_train_smoke(capsys, tmp_path):
     assert (out_dir / "training_log.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["update_interval", "batch_size", "checkpoint_interval"])
+def test_train_config_below_one_exit_2(capsys, tmp_path, key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"ell=4\ntotal_episodes=10\nupdate_interval=5\n{key}=0\n")
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_train_requires_ell_or_config(capsys):
     code, _ = _run(capsys, ["train"])
     assert code == EXIT_USAGE

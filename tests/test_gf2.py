@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polarkit.gf2 import (
     BitMatrix,
-    coset_min_distance,
+    coset_distances,
     eliminate,
     interval_mask,
     is_subcode,
@@ -61,30 +61,44 @@ def test_rank_permutation_invariant(data, pyrandom):
     assert rank(rows) == rank(shuffled)
 
 
-@given(rows_strategy, st.integers(0, (1 << 10) - 1))
-@settings(max_examples=100)
-def test_coset_min_distance_matches_naive(data, v):
-    n, rows = data
-    v &= (1 << n) - 1
-    expected = naive_coset_min_distance(
-        unpack_row(v, n), [unpack_row(r, n) for r in rows]
+small_rows_strategy = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=0, max_size=5),
     )
-    assert coset_min_distance(v, rows) == expected
+)
 
 
-def test_coset_min_distance_examples():
-    assert coset_min_distance(0b10, [0b11]) == 1
-    assert coset_min_distance((1 << 16) - 1, []) == 16
+@given(small_rows_strategy)
+@settings(max_examples=60, deadline=None)  # each example walks 2^n naive spans
+def test_coset_distances_matches_naive(data):
+    n, rows = data
+    table = coset_distances(n, tuple(rows))
+    assert table.shape == (1 << n,)
+    bit_rows = [unpack_row(r, n) for r in rows]
+    for v in range(1 << n):
+        assert table[v] == naive_coset_min_distance(unpack_row(v, n), bit_rows)
 
 
-def test_coset_min_distance_stop_below_is_exact_when_at_target(rng):
+def test_coset_distances_examples():
+    assert coset_distances(2, (0b11,))[0b10] == 1
+    assert coset_distances(16)[(1 << 16) - 1] == 16
+
+
+def test_coset_distances_table_is_read_only():
+    table = coset_distances(4, (0b0110,))
+    with pytest.raises(ValueError):
+        table[0] = 3
+    assert table[0] == 0
+
+
+def test_coset_distances_depend_only_on_the_span(rng):
     for _ in range(50):
         n = int(rng.integers(2, 11))
-        rows = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(0, 5)))]
-        v = int(rng.integers(0, 1 << n))
-        exact = coset_min_distance(v, rows)
-        capped = coset_min_distance(v, rows, stop_below=exact)
-        assert capped == exact  # may only differ when the result is below the cap
+        rows = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(1, 6)))]
+        other = list(rows) + [rows[0] ^ rows[-1]]
+        rng.shuffle(other)
+        assert np.array_equal(coset_distances(n, tuple(rows)), coset_distances(n, tuple(other)))
 
 
 @given(rows_strategy)

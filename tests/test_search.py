@@ -109,6 +109,74 @@ def test_invalid_configs():
         random_agent_search(4, target_profile(4), 0, seed=0)
 
 
+# Seeded outputs are pinned across implementations, not only compared
+# between two runs in one process: a faster distance check must make the
+# same decisions and draw the same random numbers.
+PINNED_RANDOM = {
+    (6, 200, 3): {
+        "ell": 6, "iterations": 200, "feasible_count": 200,
+        "min_complexity": 116, "max_complexity": 196,
+        "best_kernel_rows": ["0x2", "0xa", "0x5", "0x18", "0x1b", "0x35"],
+        "histogram": {
+            "116": 1, "120": 2, "122": 2, "124": 1, "126": 2, "134": 3, "136": 5,
+            "138": 4, "140": 2, "142": 2, "144": 10, "146": 2, "148": 7, "150": 5,
+            "152": 4, "154": 11, "156": 4, "158": 4, "160": 13, "162": 3, "164": 6,
+            "166": 5, "168": 17, "170": 7, "172": 1, "174": 4, "176": 4, "178": 7,
+            "180": 2, "182": 5, "184": 5, "186": 2, "188": 15, "190": 2, "192": 5,
+            "194": 4, "196": 22,
+        },
+    },
+    (12, 40, 7): {
+        "ell": 12, "iterations": 40, "feasible_count": 24,
+        "min_complexity": 1298, "max_complexity": 2004,
+        "best_kernel_rows": [
+            "0x10", "0x204", "0x44", "0x404", "0x11", "0x982",
+            "0x254", "0x1d", "0x4c8", "0x378", "0x4f2", "0xfff",
+        ],
+        "histogram": {
+            "1298": 1, "1318": 1, "1444": 1, "1452": 1, "1458": 1, "1462": 1,
+            "1464": 1, "1530": 2, "1584": 1, "1634": 1, "1660": 1, "1666": 1,
+            "1680": 1, "1698": 1, "1736": 1, "1744": 1, "1750": 1, "1844": 1,
+            "1868": 1, "1888": 1, "1914": 1, "1954": 1, "2004": 1,
+        },
+    },
+}
+
+PINNED_BRUTE_ROWS = {
+    2: (0x2, 0x3),
+    3: (0x2, 0x5, 0x3),
+    4: (0x4, 0xC, 0x6, 0xF),
+    5: (0x10, 0x14, 0x5, 0xC, 0xF),
+    6: (0x8, 0x18, 0x12, 0x3, 0x1E, 0x39),
+    7: (0x10, 0x5, 0x6, 0x48, 0x6A, 0x39, 0x36),
+    8: (0x20, 0x3, 0x5, 0x28, 0x53, 0x74, 0x3A, 0xFF),
+    9: (0x4, 0x110, 0xC0, 0x41, 0x22, 0x66, 0x161, 0x15D, 0x1EA),
+    10: (0x40, 0x120, 0x88, 0x280, 0x220, 0xE1, 0x381, 0x312, 0x175, 0x3DE),
+}
+
+
+@pytest.mark.parametrize("ell, iterations, seed", sorted(PINNED_RANDOM))
+def test_random_seeded_output_pinned(ell, iterations, seed):
+    stats = random_agent_search(ell, target_profile(ell), iterations, seed=seed)
+    assert stats.to_json_dict() == PINNED_RANDOM[(ell, iterations, seed)]
+
+
+def test_brute_seeded_output_pinned():
+    for ell, rows in PINNED_BRUTE_ROWS.items():
+        result = brute_force_search(BruteConfig(ell, target_profile(ell)))
+        assert isinstance(result, KernelRecord), ell
+        assert result.matrix.rows == rows, ell
+
+
+def test_brute_step_counts_pinned():
+    # ell=14 exhausts every restart's budget share without a kernel
+    result = brute_force_search(BruteConfig(14, target_profile(14), step_limit=20_000))
+    assert result == StepLimitExceeded(20_000)
+    # a full enumeration of an infeasible profile counts every distance test
+    result = brute_force_search(BruteConfig(4, PartialDistanceProfile(4, (2, 2, 2, 4))))
+    assert result == Infeasible(187)
+
+
 @pytest.mark.slow
 def test_brute_complete_on_known_feasible_targets():
     """Criterion 4 core: every shipped target in [5, 16] is reachable."""
