@@ -116,6 +116,8 @@ def _random_shard(task: tuple[int, int, int, int, str]) -> "object":
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
     # one worker per shard; a shard holds at least one trial

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,25 +153,3 @@ def shortened_basis(rows: Iterable[int], outside_mask: int) -> tuple[int, ...]:
     residuals = eliminate({}, rows, outside_mask)
     return reduced_basis(r for r in residuals if not r & outside_mask)
 
-
-def weight_vectors(length: int, w: int) -> Iterator[int]:
-    """All weight-w vectors of the given length, ascending as integers.
-
-    Under the column-0-is-MSB convention this is a fixed lexicographic-style
-    total order; enumeration completeness is all the search needs.
-    """
-    if not 0 <= length <= 16:
-        raise ValueError("length must be in [0, 16]")
-    if w > length or w < 0:
-        raise ValueError(f"weight {w} invalid for length {length}")
-    if w == 0:
-        yield 0
-        return
-    v = (1 << w) - 1
-    limit = 1 << length
-    while v < limit:
-        yield v
-        # Gosper's hack: next larger int with the same popcount
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
-from polarkit.gf2 import BitMatrix, coset_distances, weight_vectors
+from polarkit.gf2 import BitMatrix, coset_distances
 from polarkit.pdp import (
     KernelRecord,
     PartialDistanceProfile,
@@ -26,25 +26,27 @@ from polarkit.pdp import (
 )
 
 
+#: Candidates within a row are visited in a deterministic seeded
+#: shuffle, and the step budget is split across `RESTARTS` attempts
+#: with different shuffles.  Plain ascending order walks into
+#: prefixes with no completion at some widths (ell=14 exceeds 10^7
+#: steps); restarting with a fresh order escapes those traps while
+#: keeping the search reproducible.
+ORDER_SEED = 1234
+RESTARTS = 10
+#: A random trial fails after this many bit placements per column.
+PLACEMENTS_PER_COLUMN = 50
+
+
 @dataclass(frozen=True)
 class BruteConfig:
     ell: int
     target: PartialDistanceProfile
     step_limit: int = 10**7
-    #: Candidates within a row are visited in a deterministic seeded
-    #: shuffle, and the step budget is split across `restarts` attempts
-    #: with different shuffles.  Plain ascending order walks into
-    #: prefixes with no completion at some widths (ell=14 exceeds 10^7
-    #: steps); restarting with a fresh order escapes those traps while
-    #: keeping the search reproducible.
-    order_seed: int = 1234
-    restarts: int = 10
 
     def __post_init__(self) -> None:
         if self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
-        if self.restarts <= 0:
-            raise ValueError("restarts must be positive")
         if self.target.ell != self.ell:
             raise ValueError("target profile size must match ell")
 
@@ -107,13 +109,14 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
     ell = cfg.ell
     target = cfg.target.distances
     total_steps = 0
-    per_attempt = max(1, cfg.step_limit // cfg.restarts)
-    for a in range(cfg.restarts):
+    per_attempt = max(1, cfg.step_limit // RESTARTS)
+    for a in range(RESTARTS):
         budget = min(per_attempt, cfg.step_limit - total_steps)
 
         def candidates(level: int):
-            vs = list(weight_vectors(ell, target[ell - 1 - level]))
-            np.random.default_rng([cfg.order_seed, a, level]).shuffle(vs)
+            # every word of weight D_i, ascending, then shuffled
+            vs = np.flatnonzero(coset_distances(ell) == target[ell - 1 - level]).tolist()
+            np.random.default_rng([ORDER_SEED, a, level]).shuffle(vs)
             return iter(vs)
 
         rows: list[int] = []  # rows[0] is the bottom row (ell-1), built upward
@@ -154,7 +157,6 @@ def random_trial(
     ell: int,
     target: PartialDistanceProfile,
     rng: np.random.Generator,
-    step_cap: int | None = None,
 ) -> BitMatrix | None:
     """One uniform-sampling construction attempt.
 
@@ -162,7 +164,7 @@ def random_trial(
     row that reaches its target weight at the wrong distance is cleared
     and retried.  The trial fails once the placement cap is hit.
     """
-    cap = 50 * ell if step_cap is None else step_cap
+    cap = PLACEMENTS_PER_COLUMN * ell
     dist = target.distances
     rows: tuple[int, ...] = ()  # bottom row first
     placements = 0
@@ -187,7 +189,6 @@ def random_agent_search(
     iterations: int,
     seed: int,
     policy: ReuseMode = CALIBRATED_MODE,
-    step_cap: int | None = None,
     trial_offset: int = 0,
 ) -> RandomSearchStats:
     """Monte-Carlo statistics of decoding complexity over random feasible
@@ -201,7 +202,7 @@ def random_agent_search(
     worst: int | None = None
     for t in range(trial_offset, trial_offset + iterations):
         rng = np.random.default_rng([seed, t])
-        kernel = random_trial(ell, target, rng, step_cap)
+        kernel = random_trial(ell, target, rng)
         if kernel is None:
             continue
         assert compute_pdp(kernel).distances == target.distances

@@ -14,7 +14,7 @@ callables bundled in `SearchSpec`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -42,34 +42,28 @@ class SearchSpec:
     evaluate: Callable[[Any], tuple[np.ndarray, float]]
 
 
-@dataclass
 class _Node:
-    state: Any
-    terminal: bool
-    logits: np.ndarray
-    value: float
-    legal: list[int]
-    n: dict[int, int] = field(default_factory=dict)
-    q_sum: dict[int, float] = field(default_factory=dict)
-    rewards: dict[int, float] = field(default_factory=dict)
-    children: dict[int, "_Node"] = field(default_factory=dict)
+    """An expanded state; its statistics are arrays over positions in `legal`."""
 
-    def q(self, a: int) -> float:
-        return self.q_sum[a] / self.n[a]
+    def __init__(self, state: Any, logits: np.ndarray, value: float, legal: list[int],
+                 terminal: bool = False) -> None:
+        self.state, self.value, self.legal, self.terminal = state, value, legal, terminal
+        self.logits = logits[legal]
+        self.n = np.zeros(len(legal), dtype=np.int64)
+        self.q_sum = np.zeros(len(legal))
+        self.rewards = np.zeros(len(legal))
+        self.children: list[_Node | None] = [None] * len(legal)
 
 
-def _sigma(q: np.ndarray, max_visits: int, cfg: MctsConfig) -> np.ndarray:
-    return (cfg.c_visit + max_visits) * cfg.c_scale * q
-
-
-def _normalized_q(node: _Node, cfg: MctsConfig) -> np.ndarray:
+def _normalized_q(node: _Node) -> np.ndarray:
     """Completed Q over node.legal, min-max normalized to [0, 1] so the
     transformed values stay commensurate with policy logits regardless
     of the reward scale."""
-    legal = node.legal
-    visited_q = [node.q(a) for a in legal if node.n.get(a, 0)]
-    v_mix = (node.value + sum(visited_q)) / (1 + len(visited_q))
-    q = np.array([node.q(a) if node.n.get(a, 0) else v_mix for a in legal])
+    visited = node.n > 0
+    q = node.q_sum / np.maximum(node.n, 1)
+    # Python's left-to-right sum: numpy's pairwise sum rounds differently
+    visited_q = q[visited].tolist()
+    q[~visited] = (node.value + sum(visited_q)) / (1 + len(visited_q))
     lo, hi = q.min(), q.max()
     return (q - lo) / (hi - lo) if hi > lo else np.full_like(q, 0.5)
 
@@ -78,10 +72,8 @@ def _completed_policy(node: _Node, cfg: MctsConfig) -> np.ndarray:
     """Improved policy over node.legal: softmax of logits plus
     transformed completed-Q (unvisited actions fall back to the node's
     value estimate)."""
-    legal = node.legal
-    logits = np.array([node.logits[a] for a in legal])
-    visits = np.array([node.n.get(a, 0) for a in legal])
-    score = logits + _sigma(_normalized_q(node, cfg), int(visits.max(initial=0)), cfg)
+    sigma = (cfg.c_visit + int(node.n.max())) * cfg.c_scale * _normalized_q(node)
+    score = node.logits + sigma
     score -= score.max()
     probs = np.exp(score)
     return probs / probs.sum()
@@ -89,24 +81,25 @@ def _completed_policy(node: _Node, cfg: MctsConfig) -> np.ndarray:
 
 def _expand(state: Any, spec: SearchSpec, terminal: bool) -> _Node:
     if terminal:
-        return _Node(state, True, np.zeros(0), 0.0, [])
+        return _Node(state, np.zeros(0), 0.0, [], terminal=True)
     logits, value = spec.evaluate(state)
-    return _Node(state, False, logits, value, spec.legal(state))
+    return _Node(state, logits, value, spec.legal(state))
 
 
-def _visit(node: _Node, a: int, spec: SearchSpec, cfg: MctsConfig) -> float:
-    """Take action a at node: expand the child on its first visit, descend
-    into it afterwards, and back the return up into node's statistics."""
-    if a not in node.children:
-        nxt, reward, done = spec.step(node.state, a)
-        child = _expand(nxt, spec, done)
-        node.children[a] = child
-        node.rewards[a] = reward
+def _visit(node: _Node, i: int, spec: SearchSpec, cfg: MctsConfig) -> float:
+    """Take the action at position i of node.legal: expand the child on
+    its first visit, descend into it afterwards, and back the return up
+    into node's statistics."""
+    child = node.children[i]
+    if child is None:
+        nxt, reward, done = spec.step(node.state, node.legal[i])
+        child = node.children[i] = _expand(nxt, spec, done)
+        node.rewards[i] = reward
         ret = reward + child.value
     else:
-        ret = node.rewards[a] + _simulate(node.children[a], spec, cfg)
-    node.n[a] = node.n.get(a, 0) + 1
-    node.q_sum[a] = node.q_sum.get(a, 0.0) + ret
+        ret = node.rewards[i] + _simulate(child, spec, cfg)
+    node.n[i] += 1
+    node.q_sum[i] += ret
     return ret
 
 
@@ -115,9 +108,8 @@ def _simulate(node: _Node, spec: SearchSpec, cfg: MctsConfig) -> float:
     if node.terminal:
         return 0.0
     probs = _completed_policy(node, cfg)
-    visits = np.array([node.n.get(a, 0) for a in node.legal])
-    a = node.legal[int(np.argmax(probs - visits / (1.0 + visits.sum())))]
-    return _visit(node, a, spec, cfg)
+    i = int(np.argmax(probs - node.n / (1.0 + node.n.sum())))
+    return _visit(node, i, spec, cfg)
 
 
 def mcts_select(
@@ -125,39 +117,34 @@ def mcts_select(
     spec: SearchSpec,
     cfg: MctsConfig,
     rng: np.random.Generator,
-) -> tuple[int, dict[int, float]]:
-    """Choose a root action and return it with the improved policy."""
-    root = _expand(state, spec, False)
-    legal = root.legal
+) -> tuple[int, np.ndarray]:
+    """Choose a root action and return it with the improved policy, a
+    distribution over all of the network's actions that is zero off the
+    legal ones."""
+    logits, value = spec.evaluate(state)
+    legal = spec.legal(state)
     if not legal:
         raise ValueError("no legal action at the root")
+    improved = np.zeros(len(logits))
     if len(legal) == 1:
-        return legal[0], {legal[0]: 1.0}
-    gumbel = rng.gumbel(size=len(legal))
-    base = {a: root.logits[a] + gumbel[i] for i, a in enumerate(legal)}
+        improved[legal[0]] = 1.0
+        return legal[0], improved
+    root = _Node(state, logits, value, legal)
+    base = root.logits + rng.gumbel(size=len(legal))
     m = min(cfg.sampled_actions, len(legal))
-    candidates = sorted(legal, key=lambda a: -base[a])[:m]
+    # stable sorts break ties by position in legal, first maximum first
+    remaining = np.argsort(-base, kind="stable")[:m]
     rounds = max(1, math.ceil(math.log2(m)))
-    budget = cfg.simulations
-
-    def scores(pool: list[int]) -> dict[int, float]:
-        norm_q = _normalized_q(root, cfg)
-        q_of = dict(zip(legal, norm_q))
-        max_v = max(root.n.get(a, 0) for a in pool)
-        return {a: base[a] + float(_sigma(np.array(q_of[a]), max_v, cfg)) for a in pool}
-
-    remaining = list(candidates)
     for _ in range(rounds):
-        per_action = max(1, budget // (rounds * max(1, len(remaining))))
-        for a in remaining:
+        per_action = max(1, cfg.simulations // (rounds * len(remaining)))
+        for i in remaining:
             for _ in range(per_action):
-                _visit(root, a, spec, cfg)
+                _visit(root, i, spec, cfg)
         if len(remaining) > 1:
-            ranked = scores(remaining)
-            remaining = sorted(remaining, key=lambda a: -ranked[a])[
-                : max(1, len(remaining) // 2)
-            ]
-    final = scores(remaining)
-    best = max(remaining, key=final.__getitem__)
-    probs = _completed_policy(root, cfg)
-    return best, {a: float(p) for a, p in zip(legal, probs)}
+            q = _normalized_q(root)[remaining]
+            max_v = int(root.n[remaining].max())
+            score = base[remaining] + (cfg.c_visit + max_v) * cfg.c_scale * q
+            remaining = remaining[np.argsort(-score, kind="stable")[: len(remaining) // 2]]
+    # ceil(log2 m) halvings leave a single candidate
+    improved[legal] = _completed_policy(root, cfg)
+    return legal[int(remaining[0])], improved

@@ -28,15 +28,11 @@ class NetworkSpec:
 
 
 def encode_state(state: EnvState) -> np.ndarray:
-    ell = state.ell
-    board = np.zeros(ell * ell, dtype=np.float64)
-    for i, row in enumerate(state.rows):
-        for j in range(ell):
-            board[i * ell + j] = (row >> j) & 1
-    onehot = np.zeros(ell, dtype=np.float64)
-    if state.current_row < ell:
-        onehot[state.current_row] = 1.0
-    return np.concatenate([board, onehot])
+    """Bit j of rows[i] at index i * ell + j, then the current row one-hot
+    (all zero once every row is placed)."""
+    cols = np.arange(state.ell)
+    board = (np.array(state.rows)[:, None] >> cols) & 1
+    return np.concatenate([board.ravel(), cols == state.current_row], dtype=np.float64)
 
 
 class Network:

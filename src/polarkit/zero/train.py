@@ -52,9 +52,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("update_interval", "batch_size", "checkpoint_interval"):
+        for key in ("ell", "update_interval", "batch_size", "checkpoint_interval",
+                    "replay_capacity"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        for key in ("updates_per_iteration", "preset_bits"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative")
+        if not self.learning_rate > 0:  # also rejects nan
+            raise ValueError("learning_rate must be positive")
         if self.update_interval > self.total_episodes:
             raise ValueError("update_interval must not exceed total_episodes")
 
@@ -82,7 +88,7 @@ def dump_train_config(cfg: TrainConfig) -> str:
 @dataclass(frozen=True)
 class EpisodeRecord:
     transitions: tuple[Transition, ...]
-    policies: tuple[dict[int, float], ...]
+    policies: tuple[np.ndarray, ...]  # improved policy over all actions per step
     final_state: EnvState
 
     @property
@@ -124,7 +130,7 @@ def self_play_episode(
     spec = make_search_spec(network, reward_cfg, value_scale_of(reward_cfg, ell), policy)
     state = reset_env(target_profile(ell), rng, preset_bits)
     transitions: list[Transition] = []
-    policies: list[dict[int, float]] = []
+    policies: list[np.ndarray] = []
     while not state.done:
         action, improved = mcts_select(state, spec, mcts_cfg, rng)
         state, _, transition = step_env(state, action, reward_cfg, policy)
@@ -180,10 +186,7 @@ def train_loop(
             rewards = [t.reward for t in record.transitions]
             to_go = np.cumsum(rewards[::-1])[::-1]
             for transition, improved, z in zip(record.transitions, record.policies, to_go):
-                pol = np.zeros(ell)
-                for a, prob in improved.items():
-                    pol[a] = prob
-                replay.append((encode_state(transition.state), pol, float(z) / vscale))
+                replay.append((encode_state(transition.state), improved, float(z) / vscale))
         for _ in range(cfg.updates_per_iteration):
             if len(replay) < cfg.batch_size:
                 break

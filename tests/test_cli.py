@@ -170,6 +170,15 @@ def test_random_jobs_capped_at_shard_count(capsys, monkeypatch):
     assert asked == [2]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_random_jobs_below_one_exit_2(capsys, jobs):
+    code = main(["random", "--ell", "4", "--iters", "10", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert "config" not in err  # rejected before the configuration is echoed
+
+
 def test_random_hist_out(capsys, tmp_path):
     hist = tmp_path / "hist.csv"
     code, _ = _run(
@@ -195,10 +204,17 @@ def test_train_smoke(capsys, tmp_path):
     assert (out_dir / "training_log.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["update_interval", "batch_size", "checkpoint_interval"])
+# one out-of-range value per key (below one, negative, or not positive)
+BAD_TRAIN_VALUES = {
+    "ell": 0, "update_interval": 0, "batch_size": 0, "checkpoint_interval": 0,
+    "replay_capacity": 0, "updates_per_iteration": -1, "preset_bits": -1, "learning_rate": 0.0,
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_TRAIN_VALUES))
 def test_train_config_below_one_exit_2(capsys, tmp_path, key):
     cfg = tmp_path / "zero.cfg"
-    cfg.write_text(f"ell=4\ntotal_episodes=10\nupdate_interval=5\n{key}=0\n")
+    cfg.write_text(f"ell=4\ntotal_episodes=10\nupdate_interval=5\n{key}={BAD_TRAIN_VALUES[key]}\n")
     code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE

@@ -28,7 +28,7 @@ def test_single_action_shortcut():
     spec = _bandit_spec({3: 1.0})
     action, policy = mcts_select("root", spec, MctsConfig(), np.random.default_rng(0))
     assert action == 3
-    assert policy == {3: 1.0}
+    assert policy.tolist() == [0.0, 0.0, 0.0, 1.0]  # dense over the network's actions
 
 
 def test_no_legal_action_raises():
@@ -51,19 +51,33 @@ def test_improved_policy_is_distribution_on_legal_actions():
     spec = _bandit_spec({0: 0.0, 2: 0.5, 5: 1.0})
     cfg = MctsConfig(simulations=24, sampled_actions=3)
     _, policy = mcts_select("root", spec, cfg, np.random.default_rng(7))
-    assert set(policy) == {0, 2, 5}
-    assert sum(policy.values()) == pytest.approx(1.0, abs=1e-9)
-    assert all(p >= 0 for p in policy.values())
+    assert policy.shape == (6,)
+    assert np.flatnonzero(policy).tolist() == [0, 2, 5]
+    assert policy.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (policy >= 0).all()
     # higher reward should not get lower improved probability
     assert policy[5] >= policy[0]
+
+
+def test_completed_q_adds_visited_returns_in_legal_order():
+    """Sixteen of twenty actions are visited; the unvisited ones get the
+    mixed value, whose sum of visited returns cancels 1e16 against -1e16.
+    Adding left to right in legal order (not numpy's pairwise order)
+    gives the pinned probabilities."""
+    spec = _bandit_spec(dict(enumerate([1e16, -1e16] + [1.0] * 18)))
+    cfg = MctsConfig(simulations=32, sampled_actions=16)
+    action, policy = mcts_select("root", spec, cfg, np.random.default_rng(4))
+    assert action == 3
+    assert repr(float(policy[0])) == "0.002179691547864657"
 
 
 def test_deterministic_given_seed():
     spec = _bandit_spec({0: 0.3, 1: 0.7, 2: 0.1})
     cfg = MctsConfig(simulations=16, sampled_actions=3)
-    a1 = mcts_select("root", spec, cfg, np.random.default_rng(42))
-    a2 = mcts_select("root", spec, cfg, np.random.default_rng(42))
+    a1, p1 = mcts_select("root", spec, cfg, np.random.default_rng(42))
+    a2, p2 = mcts_select("root", spec, cfg, np.random.default_rng(42))
     assert a1 == a2
+    assert p1.tolist() == p2.tolist()
 
 
 def test_config_validation():

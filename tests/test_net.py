@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from polarkit.pdp import target_profile
-from polarkit.zero.env import reset_env
+from polarkit.zero.env import EnvState, reset_env
 from polarkit.zero.net import Network, NetworkSpec, encode_state
 
 
-def test_encode_state_shape_and_content():
+def test_encode_state_shape_and_content(rng):
     state = reset_env(target_profile(4), seed=0)
     x = encode_state(state)
     assert x.shape == (NetworkSpec(4).input_dim,)
@@ -18,6 +18,17 @@ def test_encode_state_shape_and_content():
     # one-hot row indicator
     assert x[16:].sum() == 1.0
     assert x[16 + state.current_row] == 1.0
+    # against a loop over every bit
+    for ell in (2, 5, 12, 16):
+        for _ in range(10):
+            rows = tuple(int(r) for r in rng.integers(0, 1 << ell, size=ell))
+            current = int(rng.integers(0, ell + 1))  # ell: every row placed
+            state = EnvState(ell, rows, current, 0, (1,) * ell, current == ell)
+            board = [(row >> j) & 1 for row in rows for j in range(ell)]
+            onehot = [int(i == current) for i in range(ell)]
+            x = encode_state(state)
+            assert x.dtype == np.float64
+            assert x.tolist() == board + onehot
 
 
 def test_predict_shapes():

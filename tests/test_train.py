@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from polarkit.complexity import total_complexity_cached
 from polarkit.pdp import meets_target, target_profile
+from polarkit.zero.env import default_reward_config, legal_actions
+from polarkit.zero.mcts import MctsConfig
+from polarkit.zero.net import Network, NetworkSpec
 from polarkit.zero.train import (
     TrainConfig,
     dump_train_config,
     load_train_config,
+    self_play_episode,
     train_loop,
 )
 
@@ -69,3 +77,47 @@ def test_smoke_run_reproducible():
     b = train_loop(SMOKE)
     assert a.log_rows == b.log_rows
     assert a.best_complexity == b.best_complexity
+
+
+# Seeded self-play is pinned across implementations, not only compared
+# between two runs in one process: a faster search must visit the same
+# actions, add its floats in the same order and break ties the same way.
+# The digest covers every action, every reward's repr and the improved
+# policy's value on each legal action of each step.
+PINNED_EPISODES = {
+    # (ell, seed): (steps, succeeded, sha256 prefix)
+    (8, 3): (46, True, "a9a2bcc93bb473b5"),
+    (8, 5): (22, True, "59eb3e72045bca7d"),
+    (12, 1): (1200, False, "51885704e0621437"),  # stalls until the game limit
+}
+
+PINNED_SMOKE_ROWS = [
+    {"iteration": 1, "episodes": 10, "minReturn": 14.9, "maxReturn": 15.033333333333335,
+     "meanReturn": 14.98, "bestComplexity": 48, "learningRate": 0.003},
+    {"iteration": 2, "episodes": 20, "minReturn": 14.9, "maxReturn": 15.033333333333335,
+     "meanReturn": 14.913333333333336, "bestComplexity": 48, "learningRate": 0.003},
+]
+
+
+@pytest.mark.parametrize("ell, seed", sorted(PINNED_EPISODES))
+def test_self_play_episode_pinned(ell, seed):
+    network = Network(NetworkSpec(ell), seed=0)
+    record = self_play_episode(
+        network, default_reward_config(ell), MctsConfig(), np.random.default_rng(seed), ell
+    )
+    transcript = {
+        "actions": [t.action for t in record.transitions],
+        "rewards": [repr(t.reward) for t in record.transitions],
+        "policies": [
+            [repr(float(policy[a])) for a in legal_actions(t.state)]
+            for t, policy in zip(record.transitions, record.policies)
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()[:16]
+    assert (len(record.transitions), record.succeeded, digest) == PINNED_EPISODES[(ell, seed)]
+
+
+def test_smoke_run_pinned():
+    result = train_loop(SMOKE)
+    assert result.log_rows == PINNED_SMOKE_ROWS
+    assert result.best_complexity == 48
