@@ -82,13 +82,6 @@ def test_coset_distances_matches_naive(data):
 def test_coset_distances_examples():
     assert coset_distances(2, (0b11,))[0b10] == 1
     assert coset_distances(16)[(1 << 16) - 1] == 16
-    # the weight table lists every word of a weight, ascending (brute's candidates)
-    vecs = np.flatnonzero(coset_distances(6) == 2).tolist()
-    assert vecs == sorted(vecs)
-    assert len(vecs) == 15
-    assert all(v.bit_count() == 2 for v in vecs)
-    assert np.flatnonzero(coset_distances(4) == 0).tolist() == [0]
-    assert np.flatnonzero(coset_distances(4) == 4).tolist() == [0b1111]
 
 
 def test_coset_distances_table_is_read_only():
@@ -220,6 +213,16 @@ def test_shortened_basis_spans_inside_subcode(rng):
         basis_span = {pack_row(word) for word in naive_span([unpack_row(r, n) for r in basis])}
         assert len(basis_span) == 1 << len(basis)  # independent rows
         assert basis_span == {word for word in span if not word & outside}
+
+
+def test_weight_vectors_complete_and_ordered():
+    # the weight table lists every word of a weight, ascending (brute's candidates)
+    vecs = np.flatnonzero(coset_distances(6) == 2).tolist()
+    assert vecs == sorted(vecs)
+    assert len(vecs) == 15
+    assert all(v.bit_count() == 2 for v in vecs)
+    assert np.flatnonzero(coset_distances(4) == 0).tolist() == [0]
+    assert np.flatnonzero(coset_distances(4) == 4).tolist() == [0b1111]
 
 
 def test_bitmatrix_validation():
