@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from polarkit.codec import (
@@ -107,34 +108,25 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_shard(task: tuple[int, int, int, int, str]) -> "object":
-    ell, iters, seed, offset, policy = task
-    return random_agent_search(
-        ell, target_profile(ell), iters, seed,
-        policy=ReuseMode(policy), trial_offset=offset,
-    )
-
-
 def _cmd_random(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
+    target = target_profile(args.ell)
     # one worker per shard; a shard holds at least one trial
     shards = max(1, min(args.jobs, args.iters))
     if shards == 1:
-        stats = random_agent_search(
-            args.ell, target_profile(args.ell), args.iters, args.seed, policy=args.reuse
-        )
+        stats = random_agent_search(args.ell, target, args.iters, args.seed, args.reuse)
     else:
         base, extra = divmod(args.iters, shards)
-        tasks, offset = [], 0
-        for j in range(shards):
-            span = base + (1 if j < extra else 0)
-            tasks.append((args.ell, span, args.seed, offset, args.reuse.value))
-            offset += span
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            stats = merge_stats(list(pool.map(_random_shard, tasks)))
+        spans = [base + (j < extra) for j in range(shards)]
+        offsets = [sum(spans[:j]) for j in range(shards)]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            stats = merge_stats(list(pool.map(
+                random_agent_search, repeat(args.ell), repeat(target), spans,
+                repeat(args.seed), repeat(args.reuse), offsets,
+            )))
     _write_or_print(args.out, stats.to_json() + "\n")
     if args.hist_out is not None:
         Path(args.hist_out).write_text(stats.histogram_csv())

@@ -183,16 +183,16 @@ def _sc_decode_rec(
     frozen: frozenset[int],
     llrs: np.ndarray,
     base: int,
-    genie_errors: np.ndarray | None,
+    errors: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (decisions u, re-encoded block v) for a length-n' block of
-    the recursion, batched over axis 0."""
+    the recursion, batched over axis 0; leaves add their counts of
+    negative LLRs to `errors` when it is given."""
     batch, length = llrs.shape
     if length == 1:
-        if genie_errors is not None:
-            genie_errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
-            u = np.zeros((batch, 1), dtype=np.uint8)
-        elif base in frozen:
+        if errors is not None:
+            errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
+        if base in frozen:
             u = np.zeros((batch, 1), dtype=np.uint8)
         else:
             u = (llrs < 0).astype(np.uint8)
@@ -206,7 +206,7 @@ def _sc_decode_rec(
     u_blocks = []
     for a in range(ell):
         phase_llr = phase_llrs_trellis(trellis, a, v[:, :a], flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(trellis, frozen, phase_llr, base + a * sub, genie_errors)
+        u_a, v_a = _sc_decode_rec(trellis, frozen, phase_llr, base + a * sub, errors)
         u_blocks.append(u_a)
         v[:, a] = v_a.reshape(batch * sub)
     u = np.concatenate(u_blocks, axis=1)
@@ -226,6 +226,10 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # AWGN harness
 
+#: Codewords per decoder call; the seeded noise draws, and so every
+#: selected frozen set and BLER count, depend on it.
+BATCH = 256
+
 
 def noise_sigma(snr_db: float, rate: float) -> float:
     return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (snr_db / 10.0))
@@ -239,11 +243,11 @@ def select_frozen_set(
     snr_db: float,
     trials: int,
     seed: int,
-    batch: int = 256,
 ) -> frozenset[int]:
-    """Genie-aided Monte Carlo: all-zero transmission, per-index
-    first-decision error counts, worst n-k indices frozen (ties toward
-    the smaller index)."""
+    """Monte-Carlo genie construction: all-zero transmission decoded in one
+    SC pass with every index frozen, so each decision is the known bit;
+    per-index counts of wrong hard decisions, worst n-k indices frozen
+    (ties toward the smaller index)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = _code_length(ell, m, kernel)
@@ -253,10 +257,10 @@ def select_frozen_set(
     errors = np.zeros(n, dtype=np.int64)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(BATCH, trials - done)
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
-        _sc_decode_rec(trellis, frozenset(), llrs, 0, errors)
+        _sc_decode_rec(trellis, frozenset(range(n)), llrs, 0, errors)
         done += b
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
@@ -278,7 +282,6 @@ def simulate_bler(
     snr_db_list: list[float],
     trials: int,
     seed: int,
-    batch: int = 256,
 ) -> list[BlerResult]:
     """Random messages, BPSK (0 -> +1) over AWGN with rate-scaled noise,
     SC decoding, block-error counts."""
@@ -293,7 +296,7 @@ def simulate_bler(
         block_errors = 0
         done = 0
         while done < trials:
-            b = min(batch, trials - done)
+            b = min(BATCH, trials - done)
             u = np.zeros((b, n), dtype=np.uint8)
             if info.size:
                 u[:, info] = rng.integers(0, 2, size=(b, info.size), dtype=np.uint8)

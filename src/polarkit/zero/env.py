@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
+from polarkit.complexity import CALIBRATED_MODE, total_complexity_cached
 from polarkit.gf2 import BitMatrix, coset_distances
 from polarkit.pdp import PartialDistanceProfile
 from polarkit.reference import RANDOM_SEARCH_REFERENCE
@@ -131,10 +131,7 @@ def legal_actions(state: EnvState) -> list[int]:
 
 
 def step_env(
-    state: EnvState,
-    action: int,
-    cfg: RewardConfig,
-    policy: ReuseMode = CALIBRATED_MODE,
+    state: EnvState, action: int, cfg: RewardConfig
 ) -> tuple[EnvState, float, Transition]:
     if state.done:
         raise ValueError("episode is finished")
@@ -153,8 +150,8 @@ def step_env(
             reward = cfg.row_reward
             i += 1
             if i == state.ell:
-                comp = total_complexity_cached(BitMatrix(state.ell, tuple(reversed(rows))), policy)
-                reward += trans_reward(comp, cfg)
+                kernel = BitMatrix(state.ell, tuple(reversed(rows)))
+                reward += trans_reward(total_complexity_cached(kernel, CALIBRATED_MODE), cfg)
                 done = True
         else:
             rows[state.current_row] = 0

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
+from polarkit.complexity import CALIBRATED_MODE, total_complexity_cached
 from polarkit.gf2 import BitMatrix
 from polarkit.kernelio import write_kernel
 from polarkit.pdp import target_profile
@@ -66,18 +66,25 @@ class TrainConfig:
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    """Flat key=value text; unknown keys are rejected."""
+    """Flat key=value text; unknown, repeated and unparsable keys are
+    rejected with their line number."""
     values: dict[str, object] = {}
     types = {f.name: f.type for f in fields(TrainConfig)}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = float(val) if types[key] == "float" else int(val)
+            raise ValueError(f"line {number}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"line {number}: {key} is set twice")
+        parse, kind = (float, "a number") if types[key] == "float" else (int, "an integer")
+        try:
+            values[key] = parse(val)
+        except ValueError:
+            raise ValueError(f"line {number}: {key} expects {kind}, got {val!r}") from None
     return TrainConfig(**values)
 
 
@@ -96,14 +103,9 @@ class EpisodeRecord:
         return self.final_state.current_row == self.final_state.ell
 
 
-def make_search_spec(
-    network: Network,
-    reward_cfg: RewardConfig,
-    value_scale: float,
-    policy: ReuseMode = CALIBRATED_MODE,
-) -> SearchSpec:
+def make_search_spec(network: Network, reward_cfg: RewardConfig, value_scale: float) -> SearchSpec:
     def step(state: EnvState, action: int):
-        nxt, reward, _ = step_env(state, action, reward_cfg, policy)
+        nxt, reward, _ = step_env(state, action, reward_cfg)
         return nxt, reward, nxt.done
 
     def evaluate(state: EnvState):
@@ -125,15 +127,14 @@ def self_play_episode(
     rng: np.random.Generator,
     ell: int,
     preset_bits: int = 1,
-    policy: ReuseMode = CALIBRATED_MODE,
 ) -> EpisodeRecord:
-    spec = make_search_spec(network, reward_cfg, value_scale_of(reward_cfg, ell), policy)
+    spec = make_search_spec(network, reward_cfg, value_scale_of(reward_cfg, ell))
     state = reset_env(target_profile(ell), rng, preset_bits)
     transitions: list[Transition] = []
     policies: list[np.ndarray] = []
     while not state.done:
         action, improved = mcts_select(state, spec, mcts_cfg, rng)
-        state, _, transition = step_env(state, action, reward_cfg, policy)
+        state, _, transition = step_env(state, action, reward_cfg)
         transitions.append(transition)
         policies.append(improved)
     return EpisodeRecord(tuple(transitions), tuple(policies), state)
@@ -147,14 +148,9 @@ class TrainResult:
     network: Network
 
 
-def train_loop(
-    cfg: TrainConfig,
-    out_dir: str | Path | None = None,
-    reward_cfg: RewardConfig | None = None,
-    policy: ReuseMode = CALIBRATED_MODE,
-) -> TrainResult:
+def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:
     ell = cfg.ell
-    reward_cfg = reward_cfg or default_reward_config(ell)
+    reward_cfg = default_reward_config(ell)
     mcts_cfg = MctsConfig(cfg.simulations, cfg.sampled_actions)
     rng = np.random.default_rng(cfg.seed)
     network = Network(NetworkSpec(ell), seed=cfg.seed)
@@ -173,14 +169,12 @@ def train_loop(
     for iteration in range(1, iterations + 1):
         returns = []
         for _ in range(cfg.update_interval):
-            record = self_play_episode(
-                network, reward_cfg, mcts_cfg, rng, ell, cfg.preset_bits, policy
-            )
+            record = self_play_episode(network, reward_cfg, mcts_cfg, rng, ell, cfg.preset_bits)
             episodes_done += 1
             returns.append(episode_return(list(record.transitions)))
             if record.succeeded:
                 kernel = record.final_state.kernel()
-                comp = total_complexity_cached(kernel, policy)
+                comp = total_complexity_cached(kernel, CALIBRATED_MODE)
                 if best is None or comp < best[0]:
                     best = (comp, kernel)
             rewards = [t.reward for t in record.transitions]

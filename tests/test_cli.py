@@ -162,8 +162,8 @@ def test_random_jobs_capped_at_shard_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     _run(capsys, ["random", "--ell", "4", "--iters", "2", "--seed", "1", "--jobs", "4"])
@@ -220,6 +220,23 @@ def test_train_config_below_one_exit_2(capsys, tmp_path, key):
     assert code == EXIT_USAGE
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("batch_size=1.5\n", "line 1: batch_size expects an integer, got '1.5'"),
+    ("total_episodes=10\nell\n", "line 2: ell expects an integer, got ''"),
+    # a tiny run if the last value won: ell=4, one episode, two simulations
+    ("ell=12\ntotal_episodes=1\nupdate_interval=1\nsimulations=2\nsampled_actions=2\nell=4\n",
+     "line 6: ell is set twice"),
+])
+def test_train_config_parse_errors_name_line_and_key(capsys, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"error: {message}" in err
+    assert not (tmp_path / "run").exists()  # rejected before training starts
 
 
 def test_train_requires_ell_or_config(capsys):

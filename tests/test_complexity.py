@@ -183,6 +183,44 @@ def test_reference_totals_under_shipped_policy():
     assert total_complexity(BEST16, ReuseMode.SECTION_TABLES).total == 1332
 
 
+def _add_lower_rows(kernel: BitMatrix, rng, count: int) -> BitMatrix:
+    """Random lower-unitriangular row operations: each adds a lower row to
+    a higher one, so every phase keeps the row space of its rows."""
+    rows = list(kernel.rows)
+    for _ in range(count):
+        i, j = sorted(rng.choice(len(rows), size=2, replace=False))
+        rows[i] ^= rows[j]
+    return BitMatrix(kernel.ncols, tuple(rows))
+
+
+def test_costs_invariant_under_lower_row_operations(rng):
+    """NONE and SECTION_TABLES cost the decoder, not the representatives:
+    equivalent kernels have the same section codes and the same totals."""
+    for ell in range(2, 17):
+        for _ in range(3):
+            kernel = random_kernel(ell, rng)
+            other = _add_lower_rows(kernel, rng, 2 * ell)
+            for a, b in zip(section_trees(kernel), section_trees(other)):
+                assert [(n.s_basis, n.w, n.v) for n in _nodes(a)] == [
+                    (n.s_basis, n.w, n.v) for n in _nodes(b)
+                ]
+            for policy in (ReuseMode.NONE, ReuseMode.SECTION_TABLES):
+                want = total_complexity(kernel, policy).total
+                assert total_complexity(other, policy).total == want
+
+
+def test_all_contiguous_depends_on_representatives():
+    """The literal reuse rule compares spans of the representatives, so a
+    row operation that keeps every phase's code changes its total (README,
+    "Representative dependence")."""
+    rows = list(BEST16.rows)
+    rows[0] ^= rows[1]
+    equivalent = BitMatrix(16, tuple(rows))
+    assert total_complexity(equivalent, ReuseMode.ALL_CONTIGUOUS).total == 2294  # BEST16: 2300
+    assert total_complexity(equivalent, ReuseMode.NONE).total == 2434
+    assert total_complexity(equivalent, ReuseMode.SECTION_TABLES).total == 1332
+
+
 def test_section_tables_square_of_arikan():
     """F (x) F with butterfly pairs in adjacent columns costs what SC
     decoding does: three f-merges, one g, two g plus one f, one g.  With

@@ -3,10 +3,12 @@ nesting, and shard merging."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, meets_target, target_profile
 from polarkit.search import (
+    PLACEMENTS_PER_COLUMN,
     BruteConfig,
     Infeasible,
     KernelRecord,
@@ -15,7 +17,9 @@ from polarkit.search import (
     brute_force_search,
     merge_stats,
     random_agent_search,
+    random_trial,
 )
+from polarkit.zero.env import RewardConfig, legal_actions, reset_env, step_env
 
 
 def test_brute_ell2_finds_arikan_profile():
@@ -61,6 +65,31 @@ def test_random_results_meet_target():
     assert meets_target(stats.best_kernel.matrix, target_profile(5))
     assert stats.best_kernel.complexity == stats.min_complexity
     assert sum(stats.histogram.values()) == stats.feasible_count
+
+
+def _env_random_trial(ell, target, rng):
+    """The game of `zero.env` played by a uniform-random agent with the
+    random trial's placement cap: the slow path `random_trial` copies."""
+    cfg = RewardConfig(game_limit=PLACEMENTS_PER_COLUMN * ell)
+    state = reset_env(target, preset_bits=0, install_forced=False)
+    while not state.done:
+        legal = legal_actions(state)
+        state, _, _ = step_env(state, legal[rng.integers(len(legal))], cfg)
+    return state.kernel() if state.current_row == ell else None
+
+
+def test_random_trial_matches_env_game():
+    outcomes = set()
+    for ell in range(2, 13):
+        target = target_profile(ell)
+        for seed in range(40):
+            fast_rng, slow_rng = (np.random.default_rng([seed, ell]) for _ in range(2))
+            fast = random_trial(ell, target, fast_rng)
+            assert fast == _env_random_trial(ell, target, slow_rng), (ell, seed)
+            # the same number of draws, so the same placements up to the cap
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+            outcomes.add(fast is None)
+    assert outcomes == {False, True}  # both kernels and give-ups were compared
 
 
 def test_random_nested_monotone():
