@@ -3,7 +3,8 @@ kernels.
 
 The transform x = u * K^(x)m is computed as m butterfly levels of one
 kernel-multiply step over the ell axis (Arikan, "Channel polarization",
-IEEE Trans. IT 2009); the encoder and the decoder's re-encoding share it.
+IEEE Trans. IT 2009).  The SC decoder re-encodes through a running
+codeword of each block's decided phases, updated once per phase.
 
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
 decisions and the ell channel LLRs) come from a trellis built from the
@@ -66,12 +67,6 @@ def _kernel_bits(kernel: BitMatrix) -> np.ndarray:
     return bits
 
 
-def _kernel_step(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One butterfly level: y[..., j, r] = sum_i x[..., i, r] K[i, j] over
-    GF(2), for x of shape (..., ell, r)."""
-    return (bits.T @ x) % 2
-
-
 def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
     """c = u * K^(m) over GF(2); u must be zero on frozen positions."""
     u = np.asarray(u, dtype=np.uint8)
@@ -80,10 +75,11 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
     if any(np.any(u[..., i]) for i in spec.frozen):
         raise ValueError("frozen positions must be zero")
     bits = _kernel_bits(spec.kernel)
-    # level t multiplies index digit t (base ell, most significant first)
+    # level t multiplies index digit t (base ell, most significant first):
+    # y[..., j, r] = sum_i x[..., i, r] K[i, j] over GF(2)
     x = u % 2
     for t in range(spec.m):
-        x = _kernel_step(bits, x.reshape(*u.shape[:-1], spec.ell**t, spec.ell, -1))
+        x = (bits.T @ x.reshape(*u.shape[:-1], spec.ell**t, spec.ell, -1)) % 2
     return x.reshape(u.shape)
 
 
@@ -132,18 +128,11 @@ def _build_plan(node: SectionNode, ncols: int) -> "_NodePlan | _LeafPlan":
     return _NodePlan(node.v, node.w, links[0].reshape(shape), links[1].reshape(shape), plans)
 
 
-@dataclass(frozen=True)
-class KernelTrellis:
-    """Per-phase decoding plans for one kernel."""
-
-    kernel: BitMatrix
-    plans: tuple["_NodePlan | _LeafPlan", ...]
-
-
 @lru_cache(maxsize=64)
-def build_link_tables(kernel: BitMatrix) -> KernelTrellis:
+def build_link_tables(kernel: BitMatrix) -> tuple["_NodePlan | _LeafPlan", ...]:
+    """Per-phase decoding plans for one kernel."""
     ncols = kernel.ncols + 1  # the extended matrix's appended phase column
-    return KernelTrellis(kernel, tuple(_build_plan(tree, ncols) for tree in section_trees(kernel)))
+    return tuple(_build_plan(tree, ncols) for tree in section_trees(kernel))
 
 
 def _eval_plan(plan: "_NodePlan | _LeafPlan", half_llrs: np.ndarray) -> np.ndarray:
@@ -162,14 +151,14 @@ def _eval_plan(plan: "_NodePlan | _LeafPlan", half_llrs: np.ndarray) -> np.ndarr
 
 
 def phase_llrs_trellis(
-    trellis: KernelTrellis, phase: int, prior_bits: np.ndarray, llrs: np.ndarray
+    plans: tuple["_NodePlan | _LeafPlan", ...], phase: int, prefix: np.ndarray, llrs: np.ndarray
 ) -> np.ndarray:
-    """Batched phase LLRs: prior_bits (batch, phase), llrs (batch, ell)."""
+    """Batched phase LLRs: prefix (batch, ell) is the codeword of the
+    decided symbols u_0 .. u_{phase-1}, llrs (batch, ell)."""
     llrs = np.asarray(llrs, dtype=np.float64)
-    prior = np.atleast_2d(np.asarray(prior_bits, dtype=np.uint8))
     # the known prefix's codeword offset flips the signs of its 1-columns
-    signs = 1.0 - 2.0 * ((prior @ _kernel_bits(trellis.kernel)[:phase]) % 2)
-    table = _eval_plan(trellis.plans[phase], 0.5 * signs * llrs)
+    signs = 1.0 - 2.0 * prefix
+    table = _eval_plan(plans[phase], 0.5 * signs * llrs)
     assert table.shape[1] == 2
     return table[:, 0] - table[:, 1]
 
@@ -179,7 +168,8 @@ def phase_llrs_trellis(
 
 
 def _sc_decode_rec(
-    trellis: KernelTrellis,
+    plans: tuple["_NodePlan | _LeafPlan", ...],
+    bits: np.ndarray,
     frozen: frozenset[int],
     llrs: np.ndarray,
     base: int,
@@ -197,22 +187,20 @@ def _sc_decode_rec(
         else:
             u = (llrs < 0).astype(np.uint8)
         return u, u.copy()
-    ell = trellis.kernel.ncols
+    ell = bits.shape[0]
     sub = length // ell
     lam = llrs.reshape(batch, ell, sub).transpose(0, 2, 1)  # (batch, sub, ell)
     flat = lam.reshape(batch * sub, ell)
-    # column a holds the re-encoded sub-block of phase a, row b * sub + s
-    v = np.zeros((batch * sub, ell), dtype=np.uint8)
+    # row b * sub + s: codeword of the phases decided so far, sum_a v_a K[a]
+    x = np.zeros((batch * sub, ell), dtype=np.uint8)
     u_blocks = []
     for a in range(ell):
-        phase_llr = phase_llrs_trellis(trellis, a, v[:, :a], flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(trellis, frozen, phase_llr, base + a * sub, errors)
+        phase_llr = phase_llrs_trellis(plans, a, x, flat).reshape(batch, sub)
+        u_a, v_a = _sc_decode_rec(plans, bits, frozen, phase_llr, base + a * sub, errors)
         u_blocks.append(u_a)
-        v[:, a] = v_a.reshape(batch * sub)
+        x ^= v_a.reshape(batch * sub, 1) & bits[a]
     u = np.concatenate(u_blocks, axis=1)
-    blocks = v.reshape(batch, sub, ell).transpose(0, 2, 1)  # (batch, ell, sub)
-    codeword = _kernel_step(_kernel_bits(trellis.kernel), blocks).reshape(batch, length)
-    return u, codeword
+    return u, x.reshape(batch, sub, ell).transpose(0, 2, 1).reshape(batch, length)
 
 
 def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +208,8 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, None)
+    plans = build_link_tables(spec.kernel)
+    return _sc_decode_rec(plans, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +221,17 @@ BATCH = 256
 
 
 def noise_sigma(snr_db: float, rate: float) -> float:
-    return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (snr_db / 10.0))
+    """Noise deviation of BPSK over AWGN at Eb/N0 = snr_db dB and code rate
+    `rate`; ValueError unless sigma and the LLR scale 2 / sigma^2 are
+    positive and finite."""
+    try:
+        sigma = 1.0 / math.sqrt(2.0 * rate * 10.0 ** (snr_db / 10.0))
+        scale = 2.0 / sigma**2
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    if not 0.0 < scale < math.inf:  # also rejects nan
+        raise ValueError(f"SNR {snr_db} dB out of range for the AWGN model")
+    return sigma
 
 
 def select_frozen_set(
@@ -251,7 +250,7 @@ def select_frozen_set(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = _code_length(ell, m, kernel)
-    trellis = build_link_tables(kernel)
+    plans, bits = build_link_tables(kernel), _kernel_bits(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
@@ -260,7 +259,7 @@ def select_frozen_set(
         b = min(BATCH, trials - done)
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
-        _sc_decode_rec(trellis, frozenset(range(n)), llrs, 0, errors)
+        _sc_decode_rec(plans, bits, frozenset(range(n)), llrs, 0, errors)
         done += b
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])

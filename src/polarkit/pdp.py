@@ -74,14 +74,14 @@ def error_exponent(pdp: PartialDistanceProfile) -> float:
 
 def target_profile(ell: int) -> PartialDistanceProfile:
     if ell not in _TARGETS:
-        raise ValueError(f"unsupported kernel size {ell}; supported range is [2, 16]")
+        raise ValueError(f"unsupported kernel size ell={ell}; supported range is [2, 16]")
     return PartialDistanceProfile(ell, _TARGETS[ell][0])
 
 
 def target_exponent(ell: int) -> float:
     """Tabulated exponent of the shipped target profile (4-decimal print)."""
     if ell not in _TARGETS:
-        raise ValueError(f"unsupported kernel size {ell}; supported range is [2, 16]")
+        raise ValueError(f"unsupported kernel size ell={ell}; supported range is [2, 16]")
     return _TARGETS[ell][1]
 
 

@@ -1,35 +1,1 @@
 """Self-play kernel-construction agent: environment, network, search, training."""
-
-from polarkit.zero.env import (
-    EnvState,
-    RewardConfig,
-    Transition,
-    default_reward_config,
-    episode_return,
-    legal_actions,
-    reset_env,
-    step_env,
-    trans_reward,
-)
-from polarkit.zero.mcts import MctsConfig, mcts_select
-from polarkit.zero.net import Network, NetworkSpec
-from polarkit.zero.train import TrainConfig, self_play_episode, train_loop
-
-__all__ = [
-    "EnvState",
-    "RewardConfig",
-    "Transition",
-    "default_reward_config",
-    "episode_return",
-    "legal_actions",
-    "reset_env",
-    "step_env",
-    "trans_reward",
-    "MctsConfig",
-    "mcts_select",
-    "Network",
-    "NetworkSpec",
-    "TrainConfig",
-    "self_play_episode",
-    "train_loop",
-]

@@ -52,8 +52,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("ell", "update_interval", "batch_size", "checkpoint_interval",
-                    "replay_capacity"):
+        target_profile(self.ell)  # rejects kernel sizes without a target
+        for key in ("update_interval", "batch_size", "checkpoint_interval", "replay_capacity"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         for key in ("updates_per_iteration", "preset_bits"):

@@ -98,12 +98,13 @@ def test_criterion_3_decoder_oracle_equivalence():
     for ell in (2, 4, 8):
         for _ in range(15):
             kernel = random_kernel(ell, rng)
-            trellis = build_link_tables(kernel)
+            plans = build_link_tables(kernel)
+            bits = np.array(kernel.to_bits(), dtype=np.uint8)
             for phase in range(ell):
                 prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
                 llrs = rng.normal(size=ell)
-                prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
-                got = float(phase_llrs_trellis(trellis, phase, prior_bits, llrs[None])[0])
+                prefix = (np.array(prior, dtype=np.uint8) @ bits[:phase]) % 2
+                got = float(phase_llrs_trellis(plans, phase, prefix[None], llrs[None])[0])
                 want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
                 assert abs(got - want) <= 1e-9
                 cases += 1

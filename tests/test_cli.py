@@ -239,6 +239,23 @@ def test_train_config_parse_errors_name_line_and_key(capsys, tmp_path, text, mes
     assert not (tmp_path / "run").exists()  # rejected before training starts
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_unsupported_ell_exit_2_before_writing(capsys, tmp_path, source):
+    out_dir = tmp_path / "run"
+    if source == "flag":
+        args = ["train", "--ell", "1"]
+    else:
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("ell=17\ntotal_episodes=10\nupdate_interval=5\n")
+        args = ["train", "--config", str(cfg)]
+    code = main([*args, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert not (out_dir / "train_config.txt").exists()
+    assert captured.out == ""  # no resolved config was echoed
+    assert "unsupported kernel size ell=" in captured.err
+
+
 def test_train_requires_ell_or_config(capsys):
     code, _ = _run(capsys, ["train"])
     assert code == EXIT_USAGE
@@ -275,3 +292,26 @@ def test_bler_code_too_long_exit_2(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert "error: ell^m must not exceed 4096" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--snr", "4000"), ("--snr", "-4000"), ("--snr", "nan"), ("--snr", "inf"),
+    ("--select-snr", "nan"),
+])
+def test_bler_bad_snr_exit_2(capsys, tmp_path, flag, value):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    out_csv = tmp_path / "bler.csv"
+    snrs = {"--snr": "2.0", "--select-snr": "2.0", flag: value}
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", "3", "--k", "4",
+            *[token for pair in snrs.items() for token in pair],
+            "--trials", "10", "--select-trials", "10", "--out", str(out_csv),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"error: SNR {float(value)} dB out of range" in err
+    assert "Traceback" not in err
+    assert not out_csv.exists()

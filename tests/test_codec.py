@@ -31,9 +31,10 @@ def _spec(ell, m, kernel, k=None):
 
 
 def _phase_metric(kernel, phase, prior, llrs) -> float:
-    trellis = build_link_tables(kernel)
     prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
-    return float(phase_llrs_trellis(trellis, phase, prior_bits, np.atleast_2d(llrs))[0])
+    prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
+    plans = build_link_tables(kernel)
+    return float(phase_llrs_trellis(plans, phase, prefix, np.atleast_2d(llrs))[0])
 
 
 def test_encode_matches_kronecker_oracle(rng):
@@ -210,3 +211,18 @@ def test_best16_one_level_noiseless(rng):
     llrs = 8.0 * (1.0 - 2.0 * c.astype(np.float64))
     decoded, _ = sc_decode_batch(spec, llrs)
     np.testing.assert_array_equal(decoded[0], u)
+
+
+def test_noisy_decode_reencodes_its_decisions(rng):
+    """Under noise the decisions differ from the sent message, yet the
+    decoder's running-codeword re-encoding must still equal encode() of
+    its own decisions, which are zero on the frozen positions."""
+    for ell, m in ((2, 6), (3, 3), (4, 3), (5, 2), (16, 2)):
+        n = ell**m
+        k = int(rng.integers(1, n))
+        frozen = frozenset(rng.choice(n, size=n - k, replace=False).tolist())
+        spec = PolarCodeSpec(ell, m, k, random_kernel(ell, rng), frozen)
+        llrs = rng.normal(scale=2.0, size=(7, n))
+        decoded, recoded = sc_decode_batch(spec, llrs)
+        assert not decoded[:, sorted(frozen)].any()
+        np.testing.assert_array_equal(recoded, encode(spec, decoded))
