@@ -23,6 +23,7 @@ from pathlib import Path
 from polarkit.codec import (
     PolarCodeSpec,
     bler_csv,
+    code_length,
     select_frozen_set,
     simulate_bler,
 )
@@ -160,7 +161,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_bler(args: argparse.Namespace) -> int:
     kernel = read_kernel(args.kernel)
     ell = kernel.ncols
-    n = ell**args.m
+    n = code_length(ell, args.m, kernel)
     if not 1 <= args.k <= n:
         raise KernelFileError(f"k={args.k} outside [1, {n}] for n={n}")
     select_snr = args.snr[0] if args.select_snr is None else args.select_snr

@@ -31,8 +31,11 @@ from polarkit.complexity import SectionNode, section_trees
 from polarkit.gf2 import BitMatrix, eliminate, interval_mask
 
 
-def _code_length(ell: int, m: int, kernel: BitMatrix) -> int:
-    """n = ell^m, once the code fits the decoder and the kernel is ell x ell."""
+def code_length(ell: int, m: int, kernel: BitMatrix) -> int:
+    """n = ell^m, once m >= 1, the code fits the decoder and the kernel is
+    ell x ell."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     n = ell**m
     if n > 4096:
         raise ValueError("ell^m must not exceed 4096")
@@ -50,7 +53,7 @@ class PolarCodeSpec:
     frozen: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = _code_length(self.ell, self.m, self.kernel)
+        n = code_length(self.ell, self.m, self.kernel)
         if not self.frozen <= set(range(n)) or len(self.frozen) != n - self.k:
             raise ValueError("frozen set must contain exactly n-k indices in [0, n)")
 
@@ -249,7 +252,7 @@ def select_frozen_set(
     (ties toward the smaller index)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = _code_length(ell, m, kernel)
+    n = code_length(ell, m, kernel)
     plans, bits = build_link_tables(kernel), _kernel_bits(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 
 from polarkit.gf2 import (
     BitMatrix,
@@ -25,7 +26,6 @@ from polarkit.gf2 import (
     is_subcode,
     rank,
     row_basis,
-    shortened_basis,
 )
 from polarkit.pdp import SingularKernelError
 
@@ -45,7 +45,7 @@ class ReuseMode(str, Enum):
 CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen __init__ costs several times more per node
 class SectionNode:
     x: int
     y: int
@@ -53,12 +53,11 @@ class SectionNode:
     v: int
     children: tuple["SectionNode", ...]
     # s_basis is the reduced echelon basis (a canonical fingerprint) of the
-    # section's shortened subcode, in full-width rows.  w_reps/v_reps are
-    # the full-width representatives of the w- and v-blocks of the section
-    # decomposition, used by the reuse condition and trellis construction.
+    # section's shortened subcode, in full-width rows.
     s_basis: tuple[int, ...] = field(repr=False)
-    w_reps: tuple[int, ...] = field(repr=False)
-    v_reps: tuple[int, ...] = field(repr=False)
+    # the kernel and phase whose extended code the representatives come from
+    kernel: BitMatrix = field(repr=False, compare=False)
+    phase: int = field(repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -78,6 +77,30 @@ class SectionNode:
     @property
     def comb_cost(self) -> int:
         return 0 if self.is_leaf else comb_cost(self.w, self.v)
+
+    # w_reps/v_reps, the full-width representatives of the w- and v-blocks,
+    # are derived on first use.  A row is kept when its residual is nonzero,
+    # i.e. when it lies outside the span of the seed and the rows kept before.
+
+    @cached_property
+    def w_reps(self) -> tuple[int, ...]:
+        """Shortened codewords outside the span of the child shortened codes."""
+        child_span = [r for c in self.children for r in c.s_basis]
+        if len(child_span) == self.k_s:  # w = 0: the children's codes make up the section's
+            return ()
+        pivots: dict[int, int] = {}
+        eliminate(pivots, child_span)
+        return tuple(compress(self.s_basis, eliminate(pivots, self.s_basis)))
+
+    @cached_property
+    def v_reps(self) -> tuple[int, ...]:
+        """Code rows whose section projection extends the shortened
+        projection to the punctured code."""
+        code_basis = _code_basis(self.kernel, self.phase)
+        inside = interval_mask(self.kernel.ncols + 1, self.x, self.y)
+        # s_basis is reduced echelon and supported inside the section
+        pivots = {r.bit_length() - 1: r for r in self.s_basis}
+        return tuple(compress(code_basis, eliminate(pivots, [r & inside for r in code_basis])))
 
 
 @dataclass(frozen=True)
@@ -132,66 +155,97 @@ def split_point(x: int, y: int) -> int:
     return x + (y - x) // 2
 
 
-def build_section_tree(extended: BitMatrix) -> SectionNode:
-    """Full binary section tree over the non-appended columns.
+@lru_cache(maxsize=64)
+def _code_basis(kernel: BitMatrix, phase: int) -> tuple[int, ...]:
+    return tuple(row_basis(extend_kernel(kernel, phase).rows))
 
-    The appended column always counts as "outside" every section, so it
-    participates in shortening but never in puncturing.
-    """
-    ncols = extended.ncols
-    full_mask = (1 << ncols) - 1
-    code_basis = row_basis(extended.rows)
 
-    def wv_reps(
-        s_b: tuple[int, ...], child_span: tuple[int, ...], inside: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # w-block: shortened codewords outside the span of the child
-        # shortened codes; v-block: full-width codewords whose section
-        # projection extends the shortened projection to the punctured code.
-        # A row is kept when its residual is nonzero, i.e. when it lies
-        # outside the span of the seed and the rows kept before it.
-        pivots: dict[int, int] = {}
-        eliminate(pivots, child_span)
-        w_reps = tuple(r for r, res in zip(s_b, eliminate(pivots, s_b)) if res)
-        # s_b is reduced echelon and supported inside the section
-        pivots = {r.bit_length() - 1: r for r in s_b}
-        residuals = eliminate(pivots, [r & inside for r in code_basis])
-        v_reps = tuple(r for r, res in zip(code_basis, residuals) if res)
-        return w_reps, v_reps
+@lru_cache(maxsize=None)
+def _midpoint_sections(ell: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """Midpoint-tree sections (x, y, inside mask, halves' positions), halves first."""
+    sections: list[tuple[int, int, int, tuple[int, ...]]] = []
 
-    def node(x: int, y: int) -> SectionNode:
-        inside = interval_mask(ncols, x, y)
-        s_b = shortened_basis(extended.rows, full_mask ^ inside)
-        if y - x == 1:
-            w_r, v_r = wv_reps(s_b, (), inside)
-            return SectionNode(x, y, 0, len(v_r), (), s_b, w_r, v_r)
-        z = split_point(x, y)
-        left = node(x, z)
-        right = node(z, y)
-        w_r, v_r = wv_reps(s_b, left.s_basis + right.s_basis, inside)
-        return SectionNode(x, y, len(w_r), len(v_r), (left, right), s_b, w_r, v_r)
+    def visit(x: int, y: int) -> int:
+        halves: tuple[int, ...] = ()
+        if y - x > 1:
+            z = split_point(x, y)
+            halves = (visit(x, z), visit(z, y))
+        sections.append((x, y, interval_mask(ell + 1, x, y), halves))
+        return len(sections) - 1
 
-    return node(0, ncols - 1)
+    visit(0, ell)
+    return tuple(sections)
 
 
 def section_trees(kernel: BitMatrix) -> list[SectionNode]:
-    """The section trees of all ell phases of a square, non-singular kernel."""
+    """The section trees of all ell phases of a square, non-singular kernel,
+    over the full binary midpoint tree of the non-appended columns.
+
+    The appended phase column counts as "outside" every section, so it
+    takes part in shortening but never in puncturing: phase i's shortened
+    code on a section is that of rows i+1.., and its punctured code spans
+    rows i.. on the section.  One pass from the last phase up adds one
+    kernel row per phase to each section's two elimination states.
+    """
     ell = kernel.ncols
     if kernel.nrows != ell or rank(kernel.rows) != ell:
         raise SingularKernelError("kernel must be square and non-singular")
-    return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(ell)]
+    sections = _midpoint_sections(ell)
+    # per section: pivots by leading outside bit, the shortened code's
+    # reduced echelon basis by leading bit, pivots by leading inside bit
+    states = [({}, {}, {}) for _ in sections]
+    s_bases: list[tuple[int, ...]] = [()] * len(sections)
+    trees: list[SectionNode] = []
+    for phase in reversed(range(ell)):
+        shorten = [kernel.rows[phase + 1] << 1] if phase + 1 < ell else []
+        extend = [kernel.rows[phase] << 1]
+        nodes: list[SectionNode] = []
+        for j, ((x, y, inside, halves), (outside_pivots, basis, inside_pivots)) in enumerate(
+            zip(sections, states)
+        ):
+            for r in eliminate(outside_pivots, shorten, ~inside):
+                if not r & ~inside:  # the residual vanishes outside: reduce it, join
+                    for p, b in basis.items():
+                        if r >> p & 1:
+                            r ^= b
+                    p = r.bit_length() - 1
+                    for q, b in basis.items():
+                        if b >> p & 1:
+                            basis[q] = b ^ r
+                    basis[p] = r
+                    # distinct leading bits: descending values are echelon order
+                    s_bases[j] = tuple(sorted(basis.values(), reverse=True))
+            if len(inside_pivots) < y - x:  # else the projection is all of the section
+                eliminate(inside_pivots, extend, inside)
+            s_b = s_bases[j]
+            children: tuple[SectionNode, ...] = ()
+            w = 0
+            if halves:
+                children = (nodes[halves[0]], nodes[halves[1]])
+                w = len(s_b) - len(children[0].s_basis) - len(children[1].s_basis)
+            v = len(inside_pivots) - len(s_b)
+            nodes.append(SectionNode(x, y, w, v, children, s_b, kernel, phase))
+        trees.append(nodes[-1])
+    return trees[::-1]
 
 
 def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
     """Whether the trellis of this section in the previous phase covers the
     next phase: (1) the child shortened codes are identical as row spaces,
     and (2) the w/v representative rows of the next phase lie inside the
-    span of the previous phase's w/v representatives."""
-    if (prev.x, prev.y) != (nxt.x, nxt.y):
-        raise ValueError("reuse comparison requires matching intervals")
+    span of the previous phase's w/v representatives.
+
+    A representative that carries the next phase's column (the last bit)
+    decides (2) alone: the previous phase's code can set that column only
+    through its own phase row, which lies outside the span of the later
+    rows of a non-singular kernel."""
+    if (prev.x, prev.y, prev.phase + 1) != (nxt.x, nxt.y, nxt.phase):
+        raise ValueError("reuse comparison requires matching intervals of consecutive phases")
     if prev.is_leaf or nxt.is_leaf:
         return False
     if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
+        return False
+    if any(r & 1 for r in nxt.v_reps):
         return False
     return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
 

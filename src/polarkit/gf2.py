@@ -102,17 +102,6 @@ def rank(rows: Iterable[int]) -> int:
     return len(row_basis(rows))
 
 
-def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
-    """Fully reduced echelon basis: a canonical fingerprint of the row space."""
-    basis = row_basis(rows)
-    for i, r in enumerate(basis):
-        p = r.bit_length() - 1
-        for j in range(len(basis)):
-            if j != i and (basis[j] >> p) & 1:
-                basis[j] ^= r
-    return tuple(sorted(basis, reverse=True))
-
-
 @lru_cache(maxsize=64)
 def coset_distances(ncols: int, rows: tuple[int, ...] = ()) -> np.ndarray:
     """Read-only uint8 table whose entry x is the Hamming distance from x
@@ -142,14 +131,4 @@ def interval_mask(ncols: int, x: int, y: int) -> int:
     if not 0 <= x < y <= ncols:
         raise ValueError(f"invalid column interval [{x}, {y}) for width {ncols}")
     return ((1 << (y - x)) - 1) << (ncols - y)
-
-
-def shortened_basis(rows: Iterable[int], outside_mask: int) -> tuple[int, ...]:
-    """Reduced echelon basis of the subcode whose outside-mask part is zero.
-
-    Gaussian elimination with pivots restricted to the outside columns;
-    residuals whose outside part cancels span exactly the shortened subcode.
-    """
-    residuals = eliminate({}, rows, outside_mask)
-    return reduced_basis(r for r in residuals if not r & outside_mask)
 

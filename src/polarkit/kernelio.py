@@ -1,6 +1,6 @@
-"""Kernel file format: an `ell=<N>` header, then one hex word per row,
-top row first.  `#` starts a comment.  Column 0 of a row is the most
-significant bit of its hex word."""
+"""Kernel file format: an `ell=<N>` header (2 <= N <= 16), then one hex
+word per row, top row first.  `#` starts a comment.  Column 0 of a row is
+the most significant bit of its hex word."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ def parse_kernel_text(text: str) -> BitMatrix:
         ell = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise KernelFileError(f"bad ell header: {lines[0]!r}") from exc
-    if not 1 <= ell <= 16:
-        raise KernelFileError(f"ell {ell} outside [1, 16]")
+    if not 2 <= ell <= 16:
+        raise KernelFileError(f"ell {ell} outside the supported range [2, 16]")
     if len(lines) - 1 != ell:
         raise KernelFileError(f"expected {ell} rows, found {len(lines) - 1}")
     rows = []

@@ -168,18 +168,17 @@ def random_trial(
     dist = target.distances
     rows: tuple[int, ...] = ()  # bottom row first
     placements = 0
-    row = 0
     while len(rows) < ell:
         want = dist[ell - 1 - len(rows)]
+        row = 0
+        free = list(range(ell))  # unset bit positions, ascending
         while row.bit_count() < want:
             if placements >= cap:
                 return None
-            free = [j for j in range(ell) if not (row >> j) & 1]
-            row |= 1 << free[int(rng.integers(len(free)))]
+            row |= 1 << free.pop(int(rng.integers(len(free))))
             placements += 1
         if coset_distances(ell, rows)[row] == want:
             rows += (row,)
-        row = 0
     return BitMatrix(ell, rows[::-1])
 
 

@@ -7,12 +7,15 @@ they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from polarkit.gf2 import BitMatrix, rank
+from polarkit.complexity import comb_cost, extend_kernel, split_point
+from polarkit.gf2 import BitMatrix, eliminate, interval_mask, is_subcode, rank, row_basis
 
 
 def naive_rank(bit_rows: list[list[int]]) -> int:
@@ -91,6 +94,105 @@ def kernel_phase_metric_exhaustive(
         )
 
     return best(0) - best(1)
+
+
+def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:
+    """Fully reduced echelon basis: a canonical fingerprint of the row space."""
+    basis = row_basis(rows)
+    for i, r in enumerate(basis):
+        p = r.bit_length() - 1
+        for j in range(len(basis)):
+            if j != i and (basis[j] >> p) & 1:
+                basis[j] ^= r
+    return tuple(sorted(basis, reverse=True))
+
+
+def shortened_basis(rows: Iterable[int], outside_mask: int) -> tuple[int, ...]:
+    """Reduced echelon basis of the subcode whose outside-mask part is zero.
+
+    Gaussian elimination with pivots restricted to the outside columns;
+    residuals whose outside part cancels span exactly the shortened subcode.
+    """
+    residuals = eliminate({}, rows, outside_mask)
+    return reduced_basis(r for r in residuals if not r & outside_mask)
+
+
+@dataclass(frozen=True)
+class OracleNode:
+    """A section node with every field computed eagerly (the attributes
+    of ``complexity.SectionNode``)."""
+
+    x: int
+    y: int
+    w: int
+    v: int
+    children: tuple["OracleNode", ...]
+    s_basis: tuple[int, ...]
+    w_reps: tuple[int, ...]
+    v_reps: tuple[int, ...]
+    phase: int
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.y - self.x == 1
+
+    @property
+    def k_s(self) -> int:
+        return len(self.s_basis)
+
+    @property
+    def k_p(self) -> int:
+        return self.k_s + self.v
+
+    @property
+    def comb_cost(self) -> int:
+        return 0 if self.is_leaf else comb_cost(self.w, self.v)
+
+
+def build_section_tree(extended: BitMatrix) -> OracleNode:
+    """Differential oracle for ``complexity.section_trees``: one phase's
+    tree built from scratch, every node eliminating all the phase's rows."""
+    ncols = extended.ncols
+    full_mask = (1 << ncols) - 1
+    code_basis = row_basis(extended.rows)
+    phase = ncols - 1 - extended.nrows  # the extended rows are phase..ell-1
+
+    def wv_reps(s_b, child_span, inside):
+        pivots: dict[int, int] = {}
+        eliminate(pivots, child_span)
+        w_reps = tuple(r for r, res in zip(s_b, eliminate(pivots, s_b)) if res)
+        pivots = {r.bit_length() - 1: r for r in s_b}
+        residuals = eliminate(pivots, [r & inside for r in code_basis])
+        v_reps = tuple(r for r, res in zip(code_basis, residuals) if res)
+        return w_reps, v_reps
+
+    def node(x: int, y: int) -> OracleNode:
+        inside = interval_mask(ncols, x, y)
+        s_b = shortened_basis(extended.rows, full_mask ^ inside)
+        if y - x == 1:
+            w_r, v_r = wv_reps(s_b, (), inside)
+            return OracleNode(x, y, 0, len(v_r), (), s_b, w_r, v_r, phase)
+        z = split_point(x, y)
+        left = node(x, z)
+        right = node(z, y)
+        w_r, v_r = wv_reps(s_b, left.s_basis + right.s_basis, inside)
+        return OracleNode(x, y, len(w_r), len(v_r), (left, right), s_b, w_r, v_r, phase)
+
+    return node(0, ncols - 1)
+
+
+def oracle_reuse_eligible(prev, nxt) -> bool:
+    """``complexity.reuse_eligible`` as its rule reads: equal child
+    shortened codes, then a span test of the representatives."""
+    if prev.is_leaf or nxt.is_leaf:
+        return False
+    if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
+        return False
+    return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
+
+
+def oracle_section_trees(kernel: BitMatrix) -> list[OracleNode]:
+    return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(kernel.ncols)]
 
 
 def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:

@@ -294,6 +294,36 @@ def test_bler_code_too_long_exit_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_bler_m_below_one_exit_2(capsys, tmp_path, m):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", m, "--k", "1",
+            "--snr", "2.0", "--trials", "1", "--select-trials", "1",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: m must be at least 1, got {m}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["pdp"],
+    ["bler", "--m", "1", "--k", "1", "--snr", "2.0", "--trials", "1", "--select-trials", "1"],
+])
+def test_one_column_kernel_file_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "f1.txt"
+    path.write_text("ell=1\n0x1\n")
+    code = main([command[0], "--kernel", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: ell 1 outside the supported range [2, 16]" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--snr", "4000"), ("--snr", "-4000"), ("--snr", "nan"), ("--snr", "inf"),
     ("--select-snr", "nan"),

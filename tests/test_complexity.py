@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from polarkit import codec, complexity
 from polarkit.complexity import (
     CALIBRATED_MODE,
     ReuseMode,
     SectionNode,
-    build_section_tree,
     comb_cost,
     extend_kernel,
     reuse_eligible,
@@ -20,7 +20,13 @@ from polarkit.complexity import (
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
-from tests.conftest import naive_rank, naive_span, random_kernel
+from tests.conftest import (
+    naive_rank,
+    naive_span,
+    oracle_reuse_eligible,
+    oracle_section_trees,
+    random_kernel,
+)
 
 
 def _nodes(tree: SectionNode):
@@ -55,12 +61,54 @@ def test_split_point_midpoint():
     assert split_point(0, 5) == 2  # shorter part on the left
 
 
+def _node_fields(tree) -> list[tuple]:
+    return [
+        (n.x, n.y, n.w, n.v, n.k_s, n.k_p, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
+        + (n.phase, len(n.children))
+        for n in _nodes(tree)
+    ]
+
+
+def _plan_fields(plan) -> list:
+    if isinstance(plan, codec._LeafPlan):
+        return [plan]
+    fields = [plan.v, plan.w, plan.link_a.tolist(), plan.link_b.tolist()]
+    return fields + [f for child in plan.children for f in _plan_fields(child)]
+
+
+def _reports_and_plans(kernel: BitMatrix) -> tuple[list, list]:
+    """Report JSON under every policy and, for ell <= 12, the link tables."""
+    reports = [total_complexity(kernel, policy).to_json() for policy in ReuseMode]
+    plans = codec.build_link_tables.__wrapped__(kernel) if kernel.ncols <= 12 else ()
+    return reports, [_plan_fields(p) for p in plans]
+
+
+def test_section_trees_match_per_phase_oracle(rng, monkeypatch):
+    """Differential oracle: the one-pass trees equal trees built phase by
+    phase from scratch, on every node field (representatives included),
+    and so do the reports of every policy and the decoder's link tables."""
+    kernels = [ARIKAN, BEST12, BEST16]
+    kernels += [random_kernel(2 + i % 15, rng) for i in range(150)]
+    oracle = {kernel: oracle_section_trees(kernel) for kernel in kernels}
+    new = {}
+    for kernel in kernels:
+        trees = section_trees(kernel)
+        assert len(trees) == len(oracle[kernel]) == kernel.ncols
+        for phase, (tree, want) in enumerate(zip(trees, oracle[kernel])):
+            assert _node_fields(tree) == _node_fields(want), (kernel, phase)
+        new[kernel] = _reports_and_plans(kernel)
+    monkeypatch.setattr(complexity, "section_trees", oracle.__getitem__)
+    monkeypatch.setattr(complexity, "reuse_eligible", oracle_reuse_eligible)
+    monkeypatch.setattr(codec, "section_trees", oracle.__getitem__)
+    for kernel in kernels:
+        assert new[kernel] == _reports_and_plans(kernel), kernel
+
+
 def test_root_v_is_one_every_phase(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 9))
         kernel = random_kernel(ell, rng)
-        for phase in range(ell):
-            tree = build_section_tree(extend_kernel(kernel, phase))
+        for tree in section_trees(kernel):
             assert tree.v == 1
 
 
@@ -69,7 +117,7 @@ def test_dimension_monotonicity(rng):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
         phase = int(rng.integers(0, ell))
-        tree = build_section_tree(extend_kernel(kernel, phase))
+        tree = section_trees(kernel)[phase]
         for node in _nodes(tree):
             assert node.k_p >= node.k_s
             if not node.is_leaf:
@@ -85,11 +133,9 @@ def test_node_dimensions_match_enumeration(rng):
     for _ in range(12):
         ell = int(rng.integers(2, 11))
         kernel = random_kernel(ell, rng)
-        for phase in range(ell):
-            ext = extend_kernel(kernel, phase)
-            bits = ext.to_bits()
+        for phase, tree in enumerate(section_trees(kernel)):
+            bits = extend_kernel(kernel, phase).to_bits()
             words = naive_span(bits)
-            tree = build_section_tree(ext)
             k_s = {}
             for node in _nodes(tree):
                 x, y = node.x, node.y
@@ -106,6 +152,19 @@ def test_node_dimensions_match_enumeration(rng):
                     assert node.w == k_s[node.x, node.y] - children
 
 
+def test_reuse_eligible_matches_literal_rule(rng):
+    """The phase-column shortcut decides exactly as the span test would."""
+    decided = 0
+    for _ in range(40):
+        kernel = random_kernel(int(rng.integers(2, 13)), rng)
+        trees = section_trees(kernel)
+        for prev, nxt in zip(trees, trees[1:]):
+            for p, n in zip(_nodes(prev), _nodes(nxt)):
+                assert reuse_eligible(p, n) == oracle_reuse_eligible(p, n), (kernel, p.phase)
+                decided += not p.is_leaf
+    assert decided >= 1000
+
+
 def test_root_never_reuse_eligible(rng):
     """The root's v-representative carries the phase column, which the
     previous phase forms only from its own row, so the reuse walk may
@@ -113,7 +172,7 @@ def test_root_never_reuse_eligible(rng):
     for _ in range(40):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
-        roots = [build_section_tree(extend_kernel(kernel, i)) for i in range(ell)]
+        roots = section_trees(kernel)
         for prev, nxt in zip(roots, roots[1:]):
             assert not reuse_eligible(prev, nxt)
 
@@ -124,7 +183,7 @@ def test_last_phase_w_zero_everywhere(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
-        tree = build_section_tree(extend_kernel(kernel, ell - 1))
+        tree = section_trees(kernel)[ell - 1]
         for node in _nodes(tree):
             assert node.w == 0
             if not node.is_leaf:
@@ -145,7 +204,7 @@ def test_report_total_is_per_phase_sum(rng):
         kernel = random_kernel(int(rng.integers(2, 9)), rng)
         report = total_complexity(kernel)
         assert report.total == sum(p.cost for p in report.per_phase)
-        tree = build_section_tree(extend_kernel(kernel, 0))
+        tree = section_trees(kernel)[0]
         assert sum(node.comb_cost for node in _nodes(tree)) == report.per_phase[0].cost
 
 
@@ -157,17 +216,18 @@ def test_first_phase_never_reuses(rng):
 def test_arikan_reuse_ineligible():
     """For the 2x2 kernel the root w/v representatives of the second
     phase fall outside the first phase's span, so nothing is reused."""
-    prev = build_section_tree(extend_kernel(ARIKAN, 0))
-    nxt = build_section_tree(extend_kernel(ARIKAN, 1))
+    prev, nxt = section_trees(ARIKAN)
     assert not reuse_eligible(prev, nxt)
     report = total_complexity(ARIKAN)
     assert all(p.reused == () for p in report.per_phase)
 
 
 def test_reuse_eligible_requires_matching_interval():
-    tree = build_section_tree(extend_kernel(ARIKAN, 0))
+    tree, nxt = section_trees(ARIKAN)
     with pytest.raises(ValueError):
         reuse_eligible(tree, tree.children[0])
+    with pytest.raises(ValueError):
+        reuse_eligible(nxt, tree)  # phases out of order
 
 
 def test_reference_totals_under_shipped_policy():

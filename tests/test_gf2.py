@@ -15,11 +15,16 @@ from polarkit.gf2 import (
     is_subcode,
     pack_row,
     rank,
-    reduced_basis,
-    shortened_basis,
     unpack_row,
 )
-from tests.conftest import naive_coset_min_distance, naive_rank, naive_span, random_kernel
+from tests.conftest import (
+    naive_coset_min_distance,
+    naive_rank,
+    naive_span,
+    random_kernel,
+    reduced_basis,
+    shortened_basis,
+)
 
 rows_strategy = st.integers(min_value=2, max_value=10).flatmap(
     lambda n: st.tuples(
