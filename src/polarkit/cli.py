@@ -110,8 +110,9 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    for flag, value, low in (("--jobs", args.jobs, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
     target = target_profile(args.ell)
@@ -135,16 +136,11 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.config is None:
-        if args.ell is None:
-            raise ValueError("train requires --ell or --config")
-        cfg = TrainConfig(ell=args.ell)
-    else:
-        cfg = load_train_config(args.config)
-        if args.ell is not None:
-            cfg = replace(cfg, ell=args.ell)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if args.config is None and args.ell is None:
+        raise ValueError("train requires --ell or --config")
+    cfg = TrainConfig() if args.config is None else load_train_config(args.config)
+    overrides = {key: getattr(args, key) for key in ("ell", "seed")}
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     sys.stdout.write(dump_train_config(cfg))
     result = train_loop(cfg, out_dir=args.out)
     summary = {
@@ -159,6 +155,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bler(args: argparse.Namespace) -> int:
+    for flag, value, low in (("--seed", args.seed, 0), ("--trials", args.trials, 1),
+                             ("--select-trials", args.select_trials, 1)):
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
     kernel = read_kernel(args.kernel)
     ell = kernel.ncols
     n = code_length(ell, args.m, kernel)

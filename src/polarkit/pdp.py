@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from polarkit.gf2 import BitMatrix, coset_distances
 
@@ -65,6 +68,17 @@ def compute_pdp(kernel: BitMatrix) -> PartialDistanceProfile:
     if 0 in distances:
         raise SingularKernelError("kernel must be non-singular")
     return PartialDistanceProfile(ell, distances)
+
+
+@lru_cache(maxsize=64)
+def valid_rows(ell: int, below: tuple[int, ...], d: int) -> np.ndarray:
+    """The row rule of every construction: a read-only mask of the weight-d
+    words at distance d from span(below), the rows placed so far, bottom first."""
+    mask = coset_distances(ell, below) == d
+    if below:
+        mask &= valid_rows(ell, (), d)
+    mask.flags.writeable = False
+    return mask
 
 
 def error_exponent(pdp: PartialDistanceProfile) -> float:

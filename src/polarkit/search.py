@@ -4,9 +4,9 @@ Two strategies over the same goal -- find an ell x ell kernel whose
 partial distance profile equals a target -- plus Monte-Carlo complexity
 statistics over the kernels the random strategy produces.
 
-Both build the matrix bottom row first: row i must be a weight-D_i word
-at coset distance exactly D_i from the span of the rows below it, so the
-rows already placed fully determine which candidates remain.
+Both build the matrix bottom row first by the rule in `pdp.valid_rows`:
+row i must be a weight-D_i word at distance D_i from the span of the
+rows below it, so the placed rows fully determine which candidates remain.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
-from polarkit.gf2 import BitMatrix, coset_distances
+from polarkit.gf2 import BitMatrix
 from polarkit.pdp import (
     KernelRecord,
     PartialDistanceProfile,
     compute_pdp,
     kernel_record,
+    valid_rows,
 )
 
 
@@ -107,50 +108,38 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
     step limit.
     """
     ell = cfg.ell
-    target = cfg.target.distances
-    total_steps = 0
-    per_attempt = max(1, cfg.step_limit // RESTARTS)
+    wants = cfg.target.distances[::-1]  # wants[level] is the distance of row ell-1-level
+    steps = 0
     for a in range(RESTARTS):
-        budget = min(per_attempt, cfg.step_limit - total_steps)
-
-        def candidates(level: int):
-            # every word of weight D_i, ascending, then shuffled
-            vs = np.flatnonzero(coset_distances(ell) == target[ell - 1 - level]).tolist()
-            np.random.default_rng([ORDER_SEED, a, level]).shuffle(vs)
-            return iter(vs)
-
+        end = min(steps + max(1, cfg.step_limit // RESTARTS), cfg.step_limit)
+        # each level's candidates: every word of weight D_i, in a seeded order
+        orders = [
+            np.random.default_rng([ORDER_SEED, a, level])
+            .permutation(np.flatnonzero(valid_rows(ell, (), d)))
+            for level, d in enumerate(wants)
+        ]
+        tested = [0] * ell  # candidates tested at each level under the current prefix
         rows: list[int] = []  # rows[0] is the bottom row (ell-1), built upward
-        iters = [candidates(0)]
-        steps = 0
-        capped = False
-        while iters and not capped:
-            want = target[ell - len(iters)]  # filling kernel row ell - len(iters)
-            table = coset_distances(ell, tuple(rows))
-            advanced = False
-            for cand in iters[-1]:
-                steps += 1
-                if table[cand] == want:
-                    rows.append(cand)
-                    if len(rows) == ell:
-                        record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
-                        assert record.pdp == cfg.target
-                        return record
-                    iters.append(candidates(len(rows)))
-                    advanced = True
-                if advanced or steps >= budget:
-                    capped = steps >= budget
-                    break
-            if not advanced and not capped:
-                iters.pop()
-                if rows:
-                    rows.pop()
-        total_steps += steps
-        if not capped:
-            # a full enumeration finished without a kernel: truly infeasible
-            return Infeasible(total_steps)
-        if total_steps >= cfg.step_limit:
-            break
-    return StepLimitExceeded(total_steps)
+        while steps < end:
+            level = len(rows)
+            # test candidates in order, within the budget, up to the first valid one
+            window = orders[level][tested[level] : tested[level] + end - steps]
+            hits = np.flatnonzero(valid_rows(ell, tuple(rows), wants[level])[window])
+            count = int(hits[0]) + 1 if hits.size else window.size
+            tested[level] += count
+            steps += count
+            if hits.size:
+                rows.append(int(window[hits[0]]))
+                if len(rows) == ell:
+                    record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
+                    assert record.pdp == cfg.target
+                    return record
+            elif not window.size:  # every candidate under this prefix was tested
+                if not rows:
+                    return Infeasible(steps)  # a full enumeration: truly infeasible
+                tested[level] = 0
+                rows.pop()
+    return StepLimitExceeded(steps)
 
 
 def random_trial(
@@ -164,20 +153,18 @@ def random_trial(
     row that reaches its target weight at the wrong distance is cleared
     and retried.  The trial fails once the placement cap is hit.
     """
-    cap = PLACEMENTS_PER_COLUMN * ell
-    dist = target.distances
+    left = PLACEMENTS_PER_COLUMN * ell  # placements left before the trial fails
     rows: tuple[int, ...] = ()  # bottom row first
-    placements = 0
     while len(rows) < ell:
-        want = dist[ell - 1 - len(rows)]
+        want = target.distances[ell - 1 - len(rows)]
         row = 0
         free = list(range(ell))  # unset bit positions, ascending
-        while row.bit_count() < want:
-            if placements >= cap:
+        for _ in range(want):
+            if not left:
                 return None
             row |= 1 << free.pop(int(rng.integers(len(free))))
-            placements += 1
-        if coset_distances(ell, rows)[row] == want:
+            left -= 1
+        if valid_rows(ell, rows, want)[row]:
             rows += (row,)
     return BitMatrix(ell, rows[::-1])
 

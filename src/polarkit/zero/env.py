@@ -1,10 +1,10 @@
 """Kernel-construction environment.
 
 The agent fills a row-reversed kernel bottom row first, one bit per step.
-When the current row reaches its target weight it is checked against the
-target partial distance; a passing row is kept and play advances, a
-failing row is cleared.  Finishing the top row scores the completed
-kernel's decoding complexity through a shaped terminal reward.
+A row that reaches its target weight is checked by `pdp.valid_rows`, the
+row rule every construction shares: a passing row is kept and play
+advances, a failing row is cleared.  Finishing the top row scores the
+completed kernel's decoding complexity through a shaped terminal reward.
 
 States are immutable; `step_env` is a pure function, which lets tree
 search branch from any state without copying machinery.
@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, total_complexity_cached
-from polarkit.gf2 import BitMatrix, coset_distances
-from polarkit.pdp import PartialDistanceProfile
+from polarkit.gf2 import BitMatrix
+from polarkit.pdp import PartialDistanceProfile, valid_rows
 from polarkit.reference import RANDOM_SEARCH_REFERENCE
 
 
@@ -144,9 +144,9 @@ def step_env(
     rows = list(state.rows)
     rows[i] = row
     reward = -cfg.step_penalty
-    done = False
+    done = steps >= cfg.game_limit
     if row.bit_count() == state.targets[i]:
-        if coset_distances(state.ell, state.rows[:i])[row] == state.targets[i]:
+        if valid_rows(state.ell, state.rows[:i], state.targets[i])[row]:
             reward = cfg.row_reward
             i += 1
             if i == state.ell:
@@ -154,9 +154,7 @@ def step_env(
                 reward += trans_reward(total_complexity_cached(kernel, CALIBRATED_MODE), cfg)
                 done = True
         else:
-            rows[state.current_row] = 0
-    if steps >= cfg.game_limit and not done:
-        done = True
+            rows[i] = 0
     nxt = EnvState(state.ell, tuple(rows), i, steps, state.targets, done)
     return nxt, reward, Transition(state, action, reward)
 

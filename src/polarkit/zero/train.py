@@ -56,7 +56,7 @@ class TrainConfig:
         for key in ("update_interval", "batch_size", "checkpoint_interval", "replay_capacity"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
-        for key in ("updates_per_iteration", "preset_bits"):
+        for key in ("updates_per_iteration", "preset_bits", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
         if not self.learning_rate > 0:  # also rejects nan

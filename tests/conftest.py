@@ -15,7 +15,17 @@ import numpy as np
 import pytest
 
 from polarkit.complexity import comb_cost, extend_kernel, split_point
-from polarkit.gf2 import BitMatrix, eliminate, interval_mask, is_subcode, rank, row_basis
+from polarkit.gf2 import (
+    BitMatrix,
+    coset_distances,
+    eliminate,
+    interval_mask,
+    is_subcode,
+    rank,
+    row_basis,
+)
+from polarkit.pdp import kernel_record
+from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 
 
 def naive_rank(bit_rows: list[list[int]]) -> int:
@@ -193,6 +203,58 @@ def oracle_reuse_eligible(prev, nxt) -> bool:
 
 def oracle_section_trees(kernel: BitMatrix) -> list[OracleNode]:
     return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(kernel.ncols)]
+
+
+def oracle_brute_force_search(cfg):
+    """``search.brute_force_search`` as a stack of per-level candidate
+    iterators, testing each candidate against the coset-distance table
+    directly.  Returns the outcome and the steps spent; for a kernel,
+    the steps up to and including the test that placed its top row."""
+    ell = cfg.ell
+    target = cfg.target.distances
+    total_steps = 0
+    per_attempt = max(1, cfg.step_limit // RESTARTS)
+    for a in range(RESTARTS):
+        budget = min(per_attempt, cfg.step_limit - total_steps)
+
+        def candidates(level: int):
+            # every word of weight D_i, ascending, then shuffled
+            vs = np.flatnonzero(coset_distances(ell) == target[ell - 1 - level]).tolist()
+            np.random.default_rng([ORDER_SEED, a, level]).shuffle(vs)
+            return iter(vs)
+
+        rows: list[int] = []  # rows[0] is the bottom row (ell-1), built upward
+        iters = [candidates(0)]
+        steps = 0
+        capped = False
+        while iters and not capped:
+            want = target[ell - len(iters)]  # filling kernel row ell - len(iters)
+            table = coset_distances(ell, tuple(rows))
+            advanced = False
+            for cand in iters[-1]:
+                steps += 1
+                if table[cand] == want:
+                    rows.append(cand)
+                    if len(rows) == ell:
+                        record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
+                        assert record.pdp == cfg.target
+                        return record, total_steps + steps
+                    iters.append(candidates(len(rows)))
+                    advanced = True
+                if advanced or steps >= budget:
+                    capped = steps >= budget
+                    break
+            if not advanced and not capped:
+                iters.pop()
+                if rows:
+                    rows.pop()
+        total_steps += steps
+        if not capped:
+            # a full enumeration finished without a kernel: truly infeasible
+            return Infeasible(total_steps), total_steps
+        if total_steps >= cfg.step_limit:
+            break
+    return StepLimitExceeded(total_steps), total_steps
 
 
 def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:

@@ -179,6 +179,23 @@ def test_random_jobs_below_one_exit_2(capsys, jobs):
     assert "config" not in err  # rejected before the configuration is echoed
 
 
+@pytest.mark.parametrize("command", [
+    ["random", "--ell", "4", "--iters", "10"],
+    ["bler", "--m", "3", "--k", "4", "--snr", "2.0", "--trials", "10", "--select-trials", "10"],
+])
+def test_negative_seed_exit_2_before_any_work(capsys, tmp_path, command):
+    if command[0] == "bler":
+        path = tmp_path / "f2.txt"
+        write_kernel(path, ARIKAN)
+        command = [*command, "--kernel", str(path)]
+    code = main([*command, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: --seed must be at least 0, got -1" in captured.err
+    assert "config" not in captured.err  # rejected before the configuration is echoed
+    assert captured.out == ""
+
+
 def test_random_hist_out(capsys, tmp_path):
     hist = tmp_path / "hist.csv"
     code, _ = _run(
@@ -256,6 +273,21 @@ def test_train_unsupported_ell_exit_2_before_writing(capsys, tmp_path, source):
     assert "unsupported kernel size ell=" in captured.err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_negative_seed_exit_2_before_writing(capsys, tmp_path, source):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("ell=4\ntotal_episodes=10\nupdate_interval=5\n"
+                   + ("seed=-1\n" if source == "config" else ""))
+    seed = ["--seed", "-1"] if source == "flag" else []
+    out_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), *seed, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: seed must be nonnegative" in captured.err
+    assert captured.out == ""  # no resolved config was echoed
+    assert not (out_dir / "train_config.txt").exists()
+
+
 def test_train_requires_ell_or_config(capsys):
     code, _ = _run(capsys, ["train"])
     assert code == EXIT_USAGE
@@ -308,6 +340,23 @@ def test_bler_m_below_one_exit_2(capsys, tmp_path, m):
     assert code == EXIT_USAGE
     assert f"error: m must be at least 1, got {m}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--select-trials"])
+def test_bler_trials_below_one_exit_2_before_selection(capsys, tmp_path, monkeypatch, flag):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    monkeypatch.setattr(cli, "select_frozen_set", lambda *args: pytest.fail("selection ran"))
+    trials = {"--trials": "10", "--select-trials": "10", flag: "0"}
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", "3", "--k", "4", "--snr", "2.0",
+            *[token for pair in trials.items() for token in pair],
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"error: {flag} must be at least 1, got 0" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
-from polarkit.gf2 import BitMatrix
+from polarkit.gf2 import BitMatrix, unpack_row
 from polarkit.pdp import (
     PartialDistanceProfile,
     SingularKernelError,
@@ -18,9 +19,10 @@ from polarkit.pdp import (
     supported_sizes,
     target_exponent,
     target_profile,
+    valid_rows,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST16
-from tests.conftest import random_kernel
+from tests.conftest import naive_coset_min_distance, random_kernel
 
 
 def test_arikan_pdp():
@@ -125,3 +127,28 @@ def test_profile_validation():
         PartialDistanceProfile(3, (0, 1, 2))
     with pytest.raises(ValueError):
         target_profile(17)
+
+
+def test_valid_rows_matches_naive_rule(rng):
+    empty_sets = 0
+    for _ in range(80):
+        ell = int(rng.integers(2, 7))
+        below = tuple(int(r) for r in rng.integers(0, 1 << ell, size=int(rng.integers(0, ell))))
+        bit_rows = [unpack_row(r, ell) for r in below]
+        dist = [naive_coset_min_distance(unpack_row(v, ell), bit_rows) for v in range(1 << ell)]
+        for d in range(1, ell + 1):
+            want = [v.bit_count() == d and dist[v] == d for v in range(1 << ell)]
+            assert valid_rows(ell, below, d).tolist() == want, (ell, below, d)
+            empty_sets += not any(want)
+    assert empty_sets > 0  # prefixes that admit no row were compared too
+
+
+def test_valid_rows_read_only_and_weight_words_for_empty_prefix():
+    for ell in range(2, 9):
+        for d in range(1, ell + 1):
+            mask = valid_rows(ell, (), d)
+            assert np.flatnonzero(mask).tolist() == [
+                v for v in range(1 << ell) if v.bit_count() == d
+            ]
+    with pytest.raises(ValueError):
+        valid_rows(4, (0b0110,), 2)[0b0011] = False

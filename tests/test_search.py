@@ -9,6 +9,7 @@ import pytest
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, meets_target, target_profile
 from polarkit.search import (
     PLACEMENTS_PER_COLUMN,
+    RESTARTS,
     BruteConfig,
     Infeasible,
     KernelRecord,
@@ -20,6 +21,7 @@ from polarkit.search import (
     random_trial,
 )
 from polarkit.zero.env import RewardConfig, legal_actions, reset_env, step_env
+from tests.conftest import oracle_brute_force_search
 
 
 def test_brute_ell2_finds_arikan_profile():
@@ -213,3 +215,46 @@ def test_brute_complete_on_known_feasible_targets():
         result = brute_force_search(BruteConfig(ell, target_profile(ell)))
         assert isinstance(result, KernelRecord), ell
         assert compute_pdp(result.matrix).distances == target_profile(ell).distances
+
+
+def _assert_brute_matches_oracle(ell, distances, step_limit=10**7):
+    cfg = BruteConfig(ell, PartialDistanceProfile(ell, distances), step_limit)
+    got = brute_force_search(cfg)
+    want, steps = oracle_brute_force_search(cfg)
+    if isinstance(want, KernelRecord):
+        assert isinstance(got, KernelRecord) and got.matrix == want.matrix, (cfg, steps)
+    else:
+        assert got == want, cfg
+    return steps
+
+
+INFEASIBLE = [(2, 2), (2, 2, 2, 4)]
+
+
+def test_brute_matches_oracle_on_targets_and_infeasible_profiles():
+    for ell in range(2, 11):
+        _assert_brute_matches_oracle(ell, target_profile(ell).distances)
+    for distances in INFEASIBLE:
+        _assert_brute_matches_oracle(len(distances), distances)
+
+
+@pytest.mark.parametrize("ell", [6, 8])
+def test_brute_matches_oracle_at_every_small_step_limit(ell):
+    for limit in range(1, 301):
+        _assert_brute_matches_oracle(ell, target_profile(ell).distances, limit)
+
+
+@pytest.mark.parametrize("distances", [target_profile(8).distances,
+                                       target_profile(10).distances, *INFEASIBLE])
+def test_brute_matches_oracle_at_attempt_budget_boundaries(distances):
+    """Per-attempt budgets one below, at and one above the steps the
+    first attempt needs: capped one test short, ending on its last test,
+    and with a test to spare (exhaustion at exactly the budget is a cap,
+    not a proof of infeasibility)."""
+    ell = len(distances)
+    needed = _assert_brute_matches_oracle(ell, distances)
+    for per_attempt in (needed - 1, needed, needed + 1):
+        for limit in (RESTARTS * per_attempt, RESTARTS * per_attempt + RESTARTS - 1):
+            _assert_brute_matches_oracle(ell, distances, limit)
+    for limit in (needed - 1, needed, needed + 1):
+        _assert_brute_matches_oracle(ell, distances, limit)
