@@ -86,6 +86,8 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     cfg = BruteConfig(args.ell, target_profile(args.ell), args.limit)
     _echo({"command": "brute", "ell": cfg.ell, "target": list(cfg.target.distances),
            "step_limit": cfg.step_limit})
@@ -110,14 +112,15 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    for flag, value, low in (("--jobs", args.jobs, 1), ("--seed", args.seed, 0)):
+    for flag, value, low in (("--iters", args.iters, 1), ("--jobs", args.jobs, 1),
+                             ("--seed", args.seed, 0)):
         if value < low:
             raise ValueError(f"{flag} must be at least {low}, got {value}")
+    target = target_profile(args.ell)
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
-    target = target_profile(args.ell)
     # one worker per shard; a shard holds at least one trial
-    shards = max(1, min(args.jobs, args.iters))
+    shards = min(args.jobs, args.iters)
     if shards == 1:
         stats = random_agent_search(args.ell, target, args.iters, args.seed, args.reuse)
     else:

@@ -8,7 +8,8 @@ dimensions (w, v) of the section's coset structure.  Trellis tables of a
 section can be reused in the next phase when the section's code spaces
 only shrink, which zeroes that subtree's cost.  ``ReuseMode`` selects how
 that condition is judged; ``SECTION_TABLES`` judges it on the section's
-own codes (see ``_reused_sections``).
+own codes.  ``_phase_cost`` costs a phase and decides its reuse in one
+walk of the tree, and documents each policy.
 """
 
 from __future__ import annotations
@@ -105,17 +106,22 @@ class SectionNode:
 
 @dataclass(frozen=True)
 class PhaseCost:
-    phase: int
     cost: int
-    reused: tuple[tuple[int, int], ...]
+    reused: tuple[tuple[int, int], ...]  # maximal reused sections, left to right
 
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    ell: int
-    per_phase: tuple[PhaseCost, ...]
-    total: int
+    per_phase: tuple[PhaseCost, ...]  # indexed by phase
     policy: ReuseMode
+
+    @property
+    def ell(self) -> int:
+        return len(self.per_phase)
+
+    @property
+    def total(self) -> int:
+        return sum(p.cost for p in self.per_phase)
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,8 +129,8 @@ class ComplexityReport:
             "policy": self.policy.value,
             "total": self.total,
             "per_phase": [
-                {"phase": p.phase, "cost": p.cost, "reused": [list(iv) for iv in p.reused]}
-                for p in self.per_phase
+                {"phase": i, "cost": p.cost, "reused": [list(iv) for iv in p.reused]}
+                for i, p in enumerate(self.per_phase)
             ],
         }
 
@@ -250,12 +256,18 @@ def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
     return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
 
 
-def _reused_sections(
-    prev: SectionNode, nxt: SectionNode, policy: ReuseMode, prev_reused: set[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Maximal sections of the next phase whose trellis table is taken from
-    the previous phase, found top-down below the root; a reused section's
-    subtree is skipped.  ``prev_reused`` is what the previous phase reused.
+def _phase_cost(
+    prev: SectionNode | None,
+    tree: SectionNode,
+    policy: ReuseMode,
+    prev_reused: tuple[tuple[int, int], ...],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Cost of phase tree ``tree`` and its maximal sections whose trellis
+    table is taken from the previous phase's tree ``prev`` (None for phase
+    0), found in one top-down walk below the root: a section that fits is
+    recorded and costs nothing, and its subtree is skipped; every other
+    internal node charges ``comb_cost``.  ``prev_reused`` is what the
+    previous phase reused.
 
     ``NONE`` reuses nothing.  ``TOP_SECTIONS`` and ``ALL_CONTIGUOUS`` apply
     ``reuse_eligible``, the first to the root's children only.  The root
@@ -300,47 +312,42 @@ def _reused_sections(
     The node cost stays ``comb_cost``, the published formula that every
     policy shares; this policy changes only which nodes are charged.
     """
-    out: list[tuple[int, int]] = []
+    reused: list[tuple[int, int]] = []
 
-    def walk(p: SectionNode, n: SectionNode, held: bool) -> None:
-        # held: the previous phase reused no section above p, so it holds
-        # p's table (and p's sums, unless it reused p itself)
+    def walk(p: SectionNode | None, n: SectionNode, held: bool) -> int:
+        # p: the previous phase's node of n's interval, None where reuse is
+        # not tested.  held: the previous phase reused no section above p,
+        # so it holds p's table (and p's sums, unless it reused p itself)
         if n.is_leaf:
-            return
-        key = (n.x, n.y)
-        if policy is not ReuseMode.SECTION_TABLES:
-            fits = reuse_eligible(p, n)
-        else:
-            # shortened rows vanish outside the section, so equal
-            # fingerprints are equal codes on the section's own columns.
-            # The children's bases have disjoint supports, left above
-            # right, so their concatenation is the reduced basis of the
-            # sum S_left + S_right.
-            left, right = p.children
-            fits = held and (
-                n.s_basis == p.s_basis
-                or (key not in prev_reused and n.s_basis == left.s_basis + right.s_basis)
-            )
-        if fits:
-            out.append(key)
-        elif policy is not ReuseMode.TOP_SECTIONS:
-            for pc, nc in zip(p.children, n.children):
-                walk(pc, nc, held and key not in prev_reused)
+            return 0
+        if p is not None and n is not tree:
+            key = (n.x, n.y)
+            if policy is not ReuseMode.SECTION_TABLES:
+                fits = reuse_eligible(p, n)
+            else:
+                # shortened rows vanish outside the section, so equal
+                # fingerprints are equal codes on the section's own columns.
+                # The children's bases have disjoint supports, left above
+                # right, so their concatenation is the reduced basis of the
+                # sum S_left + S_right.
+                p_left, p_right = p.children
+                fits = held and (
+                    n.s_basis == p.s_basis
+                    or (key not in prev_reused and n.s_basis == p_left.s_basis + p_right.s_basis)
+                )
+            if fits:
+                reused.append(key)
+                return 0
+            held = held and key not in prev_reused
+            if policy is ReuseMode.TOP_SECTIONS:
+                p = None
+        left, right = n.children
+        if p is None:
+            return walk(None, left, held) + walk(None, right, held) + n.comb_cost
+        return walk(p.children[0], left, held) + walk(p.children[1], right, held) + n.comb_cost
 
-    if policy is not ReuseMode.NONE:
-        for pc, nc in zip(prev.children, nxt.children):
-            walk(pc, nc, True)
-    return out
-
-
-def _cost_with_reuse(tree: SectionNode, reused: set[tuple[int, int]]) -> int:
-    if tree.is_leaf or (tree.x, tree.y) in reused:
-        return 0
-    return (
-        _cost_with_reuse(tree.children[0], reused)
-        + _cost_with_reuse(tree.children[1], reused)
-        + tree.comb_cost
-    )
+    cost = walk(None if policy is ReuseMode.NONE else prev, tree, True)
+    return cost, tuple(reused)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -357,12 +364,8 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
         raise ValueError(f"kernel size {ell} outside supported range [2, 16]")
     trees = section_trees(kernel)
     per_phase = []
-    total = 0
-    reused: list[tuple[int, int]] = []
-    for i, tree in enumerate(trees):
-        if i:
-            reused = _reused_sections(trees[i - 1], tree, policy, set(reused))
-        cost = _cost_with_reuse(tree, set(reused))
-        per_phase.append(PhaseCost(i, cost, tuple(sorted(reused))))
-        total += cost
-    return ComplexityReport(ell, tuple(per_phase), total, policy)
+    reused: tuple[tuple[int, int], ...] = ()
+    for prev, tree in zip([None, *trees], trees):
+        cost, reused = _phase_cost(prev, tree, policy, reused)
+        per_phase.append(PhaseCost(cost, reused))
+    return ComplexityReport(tuple(per_phase), policy)

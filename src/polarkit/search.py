@@ -68,11 +68,20 @@ class StepLimitExceeded:
 class RandomSearchStats:
     ell: int
     iterations: int
-    feasible_count: int
-    min_complexity: int | None
-    max_complexity: int | None
-    best_kernel: KernelRecord | None
-    histogram: dict[int, int]
+    histogram: dict[int, int]  # complexity -> feasible trials
+    best_kernel: KernelRecord | None  # the first of lowest complexity, in trial order
+
+    @property
+    def feasible_count(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def min_complexity(self) -> int | None:
+        return min(self.histogram, default=None)
+
+    @property
+    def max_complexity(self) -> int | None:
+        return max(self.histogram, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,9 +192,7 @@ def random_agent_search(
     if iterations <= 0:
         raise ValueError("iterations must be positive")
     histogram: dict[int, int] = {}
-    feasible = 0
     best: tuple[int, BitMatrix] | None = None
-    worst: int | None = None
     for t in range(trial_offset, trial_offset + iterations):
         rng = np.random.default_rng([seed, t])
         kernel = random_trial(ell, target, rng)
@@ -193,21 +200,11 @@ def random_agent_search(
             continue
         assert compute_pdp(kernel).distances == target.distances
         comp = total_complexity_cached(kernel, policy)
-        feasible += 1
         histogram[comp] = histogram.get(comp, 0) + 1
         if best is None or comp < best[0]:
             best = (comp, kernel)
-        worst = comp if worst is None else max(worst, comp)
     record = kernel_record(best[1], best[0]) if best else None
-    return RandomSearchStats(
-        ell,
-        iterations,
-        feasible,
-        best[0] if best else None,
-        worst,
-        record,
-        histogram,
-    )
+    return RandomSearchStats(ell, iterations, histogram, record)
 
 
 def merge_stats(parts: list[RandomSearchStats]) -> RandomSearchStats:
@@ -218,14 +215,7 @@ def merge_stats(parts: list[RandomSearchStats]) -> RandomSearchStats:
     for p in parts:
         for c, n in p.histogram.items():
             histogram[c] = histogram.get(c, 0) + n
-    with_best = [p for p in parts if p.best_kernel is not None]
-    best = min(with_best, key=lambda p: p.min_complexity).best_kernel if with_best else None
-    return RandomSearchStats(
-        parts[0].ell,
-        sum(p.iterations for p in parts),
-        sum(p.feasible_count for p in parts),
-        min((p.min_complexity for p in with_best), default=None),
-        max((p.max_complexity for p in with_best), default=None),
-        best,
-        histogram,
-    )
+    # min keeps the first of equal minima: the shard earliest in trial order
+    bests = [p.best_kernel for p in parts if p.best_kernel is not None]
+    best = min(bests, key=lambda b: b.complexity, default=None)
+    return RandomSearchStats(parts[0].ell, sum(p.iterations for p in parts), histogram, best)

@@ -14,7 +14,14 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from polarkit.complexity import comb_cost, extend_kernel, split_point
+from polarkit.complexity import (
+    ReuseMode,
+    comb_cost,
+    extend_kernel,
+    reuse_eligible,
+    section_trees,
+    split_point,
+)
 from polarkit.gf2 import (
     BitMatrix,
     coset_distances,
@@ -203,6 +210,58 @@ def oracle_reuse_eligible(prev, nxt) -> bool:
 
 def oracle_section_trees(kernel: BitMatrix) -> list[OracleNode]:
     return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(kernel.ncols)]
+
+
+def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
+    """``complexity.total_complexity(kernel, policy).to_json_dict()`` in two
+    walks per phase: one finds the maximal reused sections, a second
+    charges every node outside them."""
+
+    def reused_sections(prev, nxt, prev_reused: set) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+
+        def walk(p, n, held: bool) -> None:
+            if n.is_leaf:
+                return
+            key = (n.x, n.y)
+            if policy is not ReuseMode.SECTION_TABLES:
+                fits = reuse_eligible(p, n)
+            else:
+                left, right = p.children
+                fits = held and (
+                    n.s_basis == p.s_basis
+                    or (key not in prev_reused and n.s_basis == left.s_basis + right.s_basis)
+                )
+            if fits:
+                out.append(key)
+            elif policy is not ReuseMode.TOP_SECTIONS:
+                for pc, nc in zip(p.children, n.children):
+                    walk(pc, nc, held and key not in prev_reused)
+
+        if policy is not ReuseMode.NONE:
+            for pc, nc in zip(prev.children, nxt.children):
+                walk(pc, nc, True)
+        return out
+
+    def cost_with_reuse(tree, reused: set) -> int:
+        if tree.is_leaf or (tree.x, tree.y) in reused:
+            return 0
+        return sum(cost_with_reuse(c, reused) for c in tree.children) + tree.comb_cost
+
+    trees = section_trees(kernel)
+    per_phase = []
+    reused: list[tuple[int, int]] = []
+    for i, tree in enumerate(trees):
+        if i:
+            reused = reused_sections(trees[i - 1], tree, set(reused))
+        cost = cost_with_reuse(tree, set(reused))
+        per_phase.append({"phase": i, "cost": cost, "reused": [list(iv) for iv in sorted(reused)]})
+    return {
+        "ell": kernel.ncols,
+        "policy": policy.value,
+        "total": sum(p["cost"] for p in per_phase),
+        "per_phase": per_phase,
+    }
 
 
 def oracle_brute_force_search(cfg):

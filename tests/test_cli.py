@@ -179,6 +179,32 @@ def test_random_jobs_below_one_exit_2(capsys, jobs):
     assert "config" not in err  # rejected before the configuration is echoed
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["random", "--ell", "4", "--iters", "0"], "--iters must be at least 1, got 0"),
+    (["random", "--ell", "4", "--iters", "-3"], "--iters must be at least 1, got -3"),
+    (["random", "--ell", "17", "--iters", "10"], "unsupported kernel size ell=17"),
+    (["random", "--ell", "1", "--iters", "10"], "unsupported kernel size ell=1"),
+    (["brute", "--ell", "8", "--limit", "0"], "--limit must be at least 1, got 0"),
+])
+def test_random_and_brute_out_of_range_exit_2(capsys, argv, message):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert message in err
+    assert "config" not in err  # rejected before the configuration is echoed
+
+
+def test_random_no_feasible_trial_exit_1(capsys):
+    # seed 80 at ell=12: trials 0-4 all reach the placement cap
+    code, out = _run(capsys, ["random", "--ell", "12", "--iters", "5", "--seed", "80"])
+    assert code == EXIT_LIMIT
+    stats = json.loads(out)
+    jsonschema.validate(stats, _schema("random_stats.schema.json"))
+    assert stats["feasible_count"] == 0
+    assert stats["min_complexity"] is None and stats["max_complexity"] is None
+    assert stats["best_kernel_rows"] is None and stats["histogram"] == {}
+
+
 @pytest.mark.parametrize("command", [
     ["random", "--ell", "4", "--iters", "10"],
     ["bler", "--m", "3", "--k", "4", "--snr", "2.0", "--trials", "10", "--select-trials", "10"],

@@ -25,6 +25,7 @@ from tests.conftest import (
     naive_span,
     oracle_reuse_eligible,
     oracle_section_trees,
+    oracle_total_complexity,
     random_kernel,
 )
 
@@ -359,6 +360,18 @@ def test_section_tables_reuse_matches_enumerated_tables(rng):
                 ), (kernel, i, (x, y))
                 checked += 1
     assert checked >= 50
+
+
+def test_one_walk_matches_two_walk_oracle(rng):
+    """Each phase's single cost-and-reuse walk gives the report of the
+    two-walk oracle: maximal reused sections first, then the charge of
+    every node outside them."""
+    kernels = [ARIKAN, BEST12, BEST16]
+    kernels += [random_kernel(ell, rng) for ell in range(2, 17) for _ in range(10)]
+    for kernel in kernels:
+        for policy in ReuseMode:
+            report = total_complexity(kernel, policy).to_json_dict()
+            assert report == oracle_total_complexity(kernel, policy), (kernel, policy)
 
 
 def test_cached_total_matches_report(rng):

@@ -117,6 +117,31 @@ def test_merge_stats_equals_single_run():
     assert merged.feasible_count == whole.feasible_count
 
 
+@pytest.mark.parametrize("seed, bounds", [
+    (75, (0, 2, 5, 14, 15)),  # trials 2-4 all fail; minimum 1604 at trials 0 and 14
+    (80, (0, 5, 13, 20, 23)),  # trials 0-4 all fail; minimum 1568 at trials 12 and 22
+])
+def test_merge_stats_empty_shard_and_tied_minimum(seed, bounds):
+    """Shards merge to the whole run's JSON, best kernel included: a shard
+    with no feasible trial has no minimum or maximum, and of two shards
+    tied at the minimum the one earlier in trial order gives the kernel."""
+    target = target_profile(12)
+    whole = random_agent_search(12, target, bounds[-1], seed=seed)
+    parts = [
+        random_agent_search(12, target, hi - lo, seed=seed, trial_offset=lo)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    empty = [p for p in parts if not p.histogram]
+    assert len(empty) == 1
+    assert (empty[0].min_complexity, empty[0].max_complexity, empty[0].best_kernel) == (
+        None, None, None
+    )
+    tied = [p.best_kernel for p in parts if p.min_complexity == whole.min_complexity]
+    assert len(tied) == 2 and tied[0].matrix != tied[1].matrix
+    assert merge_stats(parts).to_json() == whole.to_json()
+    assert whole.best_kernel == tied[0]
+
+
 def test_merge_stats_empty_rejected():
     with pytest.raises(ValueError):
         merge_stats([])
