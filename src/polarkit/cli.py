@@ -24,6 +24,7 @@ from polarkit.codec import (
     PolarCodeSpec,
     bler_csv,
     code_length,
+    noise_sigma,
     select_frozen_set,
     simulate_bler,
 )
@@ -86,8 +87,6 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    if args.limit < 1:
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     cfg = BruteConfig(args.ell, target_profile(args.ell), args.limit)
     _echo({"command": "brute", "ell": cfg.ell, "target": list(cfg.target.distances),
            "step_limit": cfg.step_limit})
@@ -112,10 +111,6 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    for flag, value, low in (("--iters", args.iters, 1), ("--jobs", args.jobs, 1),
-                             ("--seed", args.seed, 0)):
-        if value < low:
-            raise ValueError(f"{flag} must be at least {low}, got {value}")
     target = target_profile(args.ell)
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
@@ -158,16 +153,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bler(args: argparse.Namespace) -> int:
-    for flag, value, low in (("--seed", args.seed, 0), ("--trials", args.trials, 1),
-                             ("--select-trials", args.select_trials, 1)):
-        if value < low:
-            raise ValueError(f"{flag} must be at least {low}, got {value}")
     kernel = read_kernel(args.kernel)
     ell = kernel.ncols
     n = code_length(ell, args.m, kernel)
     if not 1 <= args.k <= n:
         raise KernelFileError(f"k={args.k} outside [1, {n}] for n={n}")
     select_snr = args.snr[0] if args.select_snr is None else args.select_snr
+    for snr_db in [*args.snr, select_snr]:
+        noise_sigma(snr_db, args.k / n)
     _echo({"command": "bler", "ell": ell, "m": args.m, "n": n, "k": args.k,
            "snr_db": args.snr, "trials": args.trials, "seed": args.seed,
            "select_snr": select_snr, "select_trials": args.select_trials})
@@ -205,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--limit", type=int, default=10**7, help="distance-test step limit")
     p.add_argument("--out", help="write the kernel file here")
-    p.set_defaults(func=_cmd_brute)
+    p.set_defaults(func=_cmd_brute, floors={"limit": 1})
 
     p = sub.add_parser("random", help="random-agent complexity statistics")
     p.add_argument("--ell", type=int, required=True)
@@ -215,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reuse", type=_reuse_mode, default=CALIBRATED_MODE)
     p.add_argument("--out", help="write stats JSON here instead of stdout")
     p.add_argument("--hist-out", help="also write the complexity histogram as CSV")
-    p.set_defaults(func=_cmd_random)
+    p.set_defaults(func=_cmd_random, floors={"iters": 1, "jobs": 1, "seed": 0})
 
     p = sub.add_parser("train", help="self-play training loop")
     p.add_argument("--ell", type=int, help="kernel size (overrides the config file)")
@@ -236,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR for frozen-set selection (default: first --snr point)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=_cmd_bler)
+    p.set_defaults(func=_cmd_bler, floors={"seed": 0, "trials": 1, "select_trials": 1})
     return parser
 
 
@@ -244,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, low in getattr(args, "floors", {}).items():
+            if (value := getattr(args, key)) < low:
+                raise ValueError(f"--{key.replace('_', '-')} must be at least {low}, got {value}")
         return args.func(args)
     except (KernelFileError, SingularKernelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

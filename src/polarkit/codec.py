@@ -62,12 +62,9 @@ class PolarCodeSpec:
         return self.ell**self.m
 
 
-@lru_cache(maxsize=64)
 def _kernel_bits(kernel: BitMatrix) -> np.ndarray:
-    """The kernel as a read-only (ell, ell) uint8 bit array, built once."""
-    bits = np.array(kernel.to_bits(), dtype=np.uint8)
-    bits.flags.writeable = False
-    return bits
+    """The kernel as an (ell, ell) uint8 bit array."""
+    return np.array(kernel.to_bits(), dtype=np.uint8)
 
 
 def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
@@ -223,6 +220,14 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
 BATCH = 256
 
 
+def _batch_sizes(trials: int) -> list[int]:
+    """Codewords per decoder call: full batches, then the remainder."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    full, rest = divmod(trials, BATCH)
+    return [BATCH] * full + ([rest] if rest else [])
+
+
 def noise_sigma(snr_db: float, rate: float) -> float:
     """Noise deviation of BPSK over AWGN at Eb/N0 = snr_db dB and code rate
     `rate`; ValueError unless sigma and the LLR scale 2 / sigma^2 are
@@ -250,20 +255,16 @@ def select_frozen_set(
     SC pass with every index frozen, so each decision is the known bit;
     per-index counts of wrong hard decisions, worst n-k indices frozen
     (ties toward the smaller index)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _batch_sizes(trials)
     n = code_length(ell, m, kernel)
     plans, bits = build_link_tables(kernel), _kernel_bits(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        b = min(BATCH, trials - done)
+    for b in sizes:
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
         _sc_decode_rec(plans, bits, frozenset(range(n)), llrs, 0, errors)
-        done += b
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
 
@@ -287,8 +288,7 @@ def simulate_bler(
 ) -> list[BlerResult]:
     """Random messages, BPSK (0 -> +1) over AWGN with rate-scaled noise,
     SC decoding, block-error counts."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _batch_sizes(trials)
     n = spec.n
     info = np.array(sorted(set(range(n)) - spec.frozen), dtype=np.int64)
     results = []
@@ -296,9 +296,7 @@ def simulate_bler(
         sigma = noise_sigma(snr_db, spec.k / n)
         rng = np.random.default_rng([seed, idx])
         block_errors = 0
-        done = 0
-        while done < trials:
-            b = min(BATCH, trials - done)
+        for b in sizes:
             u = np.zeros((b, n), dtype=np.uint8)
             if info.size:
                 u[:, info] = rng.integers(0, 2, size=(b, info.size), dtype=np.uint8)
@@ -307,7 +305,6 @@ def simulate_bler(
             llrs = 2.0 * y / sigma**2
             decoded, _ = sc_decode_batch(spec, llrs)
             block_errors += int(np.count_nonzero(np.any(decoded != u, axis=1)))
-            done += b
         results.append(BlerResult(snr_db, trials, block_errors))
     return results
 

@@ -12,7 +12,8 @@ search branch from any state without copying machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,22 +25,23 @@ from polarkit.reference import RANDOM_SEARCH_REFERENCE
 
 @dataclass(frozen=True)
 class RewardConfig:
-    step_penalty: float = 0.1
     row_reward: float = 5.0
-    gamma: float = 2.0
     comp_min: int = 650
     comp_max: int = 1500
-    r_min: float = 0.0
-    r_max: float = 850.0
     game_limit: int = 1200
+
+    step_penalty: ClassVar[float] = 0.1
+    gamma: ClassVar[float] = 2.0
+    r_min: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         if self.comp_min >= self.comp_max:
             raise ValueError("comp_min must be below comp_max")
-        if self.r_min > self.r_max:
-            raise ValueError("r_min must not exceed r_max")
-        if self.step_penalty < 0:
-            raise ValueError("step_penalty must be nonnegative")
+
+    @property
+    def r_max(self) -> float:
+        """Terminal bonus at comp_min: one unit per unit of complexity range."""
+        return float(self.comp_max - self.comp_min)
 
 
 def default_reward_config(ell: int) -> RewardConfig:
@@ -47,15 +49,13 @@ def default_reward_config(ell: int) -> RewardConfig:
     the bounds follow the same recipe from the random-search reference
     statistics (floor of the best known / ceiling of the worst observed)."""
     if ell == 16:
-        return RewardConfig(0.1, 10.0, 2.0, 1300, 5000, 0.0, 3700.0, 100 * ell)
+        return RewardConfig(10.0, 1300, 5000, 100 * ell)
     if ell == 12:
-        return RewardConfig(0.1, 5.0, 2.0, 650, 1500, 0.0, 850.0, 100 * ell)
+        return RewardConfig(5.0, 650, 1500, 100 * ell)
     lo, hi, _ = RANDOM_SEARCH_REFERENCE.get(ell, (32, 64, 0))
     comp_min = max(1, (lo * 9 // 10) // 10 * 10)
     comp_max = -(-hi * 11 // 10) // 10 * 10 + 10
-    return RewardConfig(
-        0.1, 5.0, 2.0, comp_min, comp_max, 0.0, float(comp_max - comp_min), 100 * ell
-    )
+    return RewardConfig(5.0, comp_min, comp_max, 100 * ell)
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def legal_actions(state: EnvState) -> list[int]:
     return [j for j in range(state.ell) if not (row >> j) & 1]
 
 
-def step_env(
-    state: EnvState, action: int, cfg: RewardConfig
-) -> tuple[EnvState, float, Transition]:
+def step_env(state: EnvState, action: int, cfg: RewardConfig) -> tuple[EnvState, float, bool]:
     if state.done:
         raise ValueError("episode is finished")
     row = state.rows[state.current_row]
@@ -155,8 +153,7 @@ def step_env(
                 done = True
         else:
             rows[i] = 0
-    nxt = EnvState(state.ell, tuple(rows), i, steps, state.targets, done)
-    return nxt, reward, Transition(state, action, reward)
+    return EnvState(state.ell, tuple(rows), i, steps, state.targets, done), reward, done
 
 
 def episode_return(transitions: list[Transition]) -> float:

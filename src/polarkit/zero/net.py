@@ -52,12 +52,16 @@ class Network:
         }
         self.momentum_buf = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x: (batch, input_dim) -> (policy logits (batch, ell), value (batch,))."""
+    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """x: (batch, input_dim) -> (h1, h2, policy logits (batch, ell), value (batch,))."""
         p = self.params
         h1 = np.tanh(x @ p["w1"] + p["b1"])
         h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        return h2 @ p["wp"] + p["bp"], (h2 @ p["wv"] + p["bv"])[:, 0]
+        return h1, h2, h2 @ p["wp"] + p["bp"], (h2 @ p["wv"] + p["bv"])[:, 0]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x: (batch, input_dim) -> (policy logits (batch, ell), value (batch,))."""
+        return self._layers(x)[2:]
 
     def predict(self, state: EnvState) -> tuple[np.ndarray, float]:
         logits, value = self.forward(encode_state(state)[None, :])
@@ -70,17 +74,15 @@ class Network:
         value head, averaged over the batch."""
         p = self.params
         batch = x.shape[0]
-        h1 = np.tanh(x @ p["w1"] + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        logits = h2 @ p["wp"] + p["bp"]
-        value = (h2 @ p["wv"] + p["bv"])[:, 0]
+        h1, h2, logits, value = self._layers(x)
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        ce = float(np.mean(log_z - (shifted * policy_targets).sum(axis=1)))
+        exp = np.exp(shifted)
+        z = exp.sum(axis=1, keepdims=True)
+        ce = float(np.mean(np.log(z[:, 0]) - (shifted * policy_targets).sum(axis=1)))
         verr = value - value_targets
         loss = ce + float(np.mean(verr**2))
 
-        soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        soft = exp / z
         d_logits = (soft - policy_targets) / batch
         d_value = (2.0 * verr / batch)[:, None]
         grads = {

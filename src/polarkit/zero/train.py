@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,19 @@ class TrainConfig:
         for key in ("updates_per_iteration", "preset_bits", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if not self.learning_rate > 0:  # also rejects nan
-            raise ValueError("learning_rate must be positive")
-        if self.update_interval > self.total_episodes:
-            raise ValueError("update_interval must not exceed total_episodes")
+        if not 0 < self.learning_rate < math.inf:  # also rejects nan
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.total_episodes < self.update_interval or self.total_episodes % self.update_interval:
+            raise ValueError("total_episodes must be a positive multiple of update_interval")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError("batch_size must not exceed replay_capacity")
+        self.mcts_config  # MctsConfig rejects simulations < sampled_actions or < 1
+
+    @property
+    def mcts_config(self) -> MctsConfig:
+        return MctsConfig(self.simulations, self.sampled_actions)
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
@@ -104,15 +114,11 @@ class EpisodeRecord:
 
 
 def make_search_spec(network: Network, reward_cfg: RewardConfig, value_scale: float) -> SearchSpec:
-    def step(state: EnvState, action: int):
-        nxt, reward, _ = step_env(state, action, reward_cfg)
-        return nxt, reward, nxt.done
-
     def evaluate(state: EnvState):
         logits, value = network.predict(state)
         return logits, value * value_scale
 
-    return SearchSpec(legal=legal_actions, step=step, evaluate=evaluate)
+    return SearchSpec(legal_actions, partial(step_env, cfg=reward_cfg), evaluate)
 
 
 def value_scale_of(cfg: RewardConfig, ell: int) -> float:
@@ -134,9 +140,10 @@ def self_play_episode(
     policies: list[np.ndarray] = []
     while not state.done:
         action, improved = mcts_select(state, spec, mcts_cfg, rng)
-        state, _, transition = step_env(state, action, reward_cfg)
-        transitions.append(transition)
+        nxt, reward, _ = step_env(state, action, reward_cfg)
+        transitions.append(Transition(state, action, reward))
         policies.append(improved)
+        state = nxt
     return EpisodeRecord(tuple(transitions), tuple(policies), state)
 
 
@@ -151,7 +158,7 @@ class TrainResult:
 def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:
     ell = cfg.ell
     reward_cfg = default_reward_config(ell)
-    mcts_cfg = MctsConfig(cfg.simulations, cfg.sampled_actions)
+    mcts_cfg = cfg.mcts_config
     rng = np.random.default_rng(cfg.seed)
     network = Network(NetworkSpec(ell), seed=cfg.seed)
     vscale = value_scale_of(reward_cfg, ell)
@@ -165,12 +172,10 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
     lr = cfg.learning_rate
     running_loss: float | None = None
     iterations = cfg.total_episodes // cfg.update_interval
-    episodes_done = 0
     for iteration in range(1, iterations + 1):
         returns = []
         for _ in range(cfg.update_interval):
             record = self_play_episode(network, reward_cfg, mcts_cfg, rng, ell, cfg.preset_bits)
-            episodes_done += 1
             returns.append(episode_return(list(record.transitions)))
             if record.succeeded:
                 kernel = record.final_state.kernel()
@@ -197,7 +202,7 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
                 running_loss = loss if running_loss is None else 0.99 * running_loss + 0.01 * loss
         row = {
             "iteration": iteration,
-            "episodes": episodes_done,
+            "episodes": iteration * cfg.update_interval,
             "minReturn": min(returns),
             "maxReturn": max(returns),
             "meanReturn": float(np.mean(returns)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from importlib import resources
 
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 from polarkit import cli
-from polarkit.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
+from polarkit.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main
 from polarkit.kernelio import read_kernel, write_kernel
 from polarkit.pdp import compute_pdp, target_profile
 from polarkit.reference import ARIKAN, BEST12
@@ -265,6 +266,36 @@ def test_train_config_below_one_exit_2(capsys, tmp_path, key):
     assert "Traceback" not in err
 
 
+# settings each key accepts alone that the run cannot honour, over a base
+# of ell=4, total_episodes=10, update_interval=5
+BAD_TRAIN_SETTINGS = [
+    ("simulations", {"simulations": 0}),
+    ("sampled_actions", {"sampled_actions": 64}),
+    ("momentum", {"momentum": "nan"}),
+    ("momentum", {"momentum": 1.0}),
+    ("momentum", {"momentum": -0.5}),
+    ("learning_rate", {"learning_rate": "inf"}),
+    ("total_episodes", {"total_episodes": 12}),
+    ("batch_size", {"batch_size": 600, "replay_capacity": 500}),
+]
+
+
+@pytest.mark.parametrize("key, values", BAD_TRAIN_SETTINGS, ids=[
+    ",".join(f"{k}={x}" for k, x in values.items()) for _, values in BAD_TRAIN_SETTINGS
+])
+def test_train_settings_rejected_before_echo(capsys, tmp_path, key, values):
+    settings = {"ell": 4, "total_episodes": 10, "update_interval": 5, **values}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    out_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert key in captured.err
+    assert captured.out == ""  # no resolved config was echoed
+    assert not (out_dir / "train_config.txt").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("batch_size=1.5\n", "line 1: batch_size expects an integer, got '1.5'"),
     ("total_episodes=10\nell\n", "line 2: ell expects an integer, got ''"),
@@ -419,4 +450,50 @@ def test_bler_bad_snr_exit_2(capsys, tmp_path, flag, value):
     assert code == EXIT_USAGE
     assert f"error: SNR {float(value)} dB out of range" in err
     assert "Traceback" not in err
+    assert "config" not in err  # rejected before the configuration is echoed
     assert not out_csv.exists()
+
+
+def _declared_floors():
+    """(command, dest, floor) for every integer floor a subparser declares."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [
+        (name, dest, low)
+        for name, sub in subparsers.choices.items()
+        for dest, low in (sub.get_default("floors") or {}).items()
+    ]
+
+
+# arguments that parse for each command with floors; a command that gains
+# its first floor must be added here
+MINIMAL_ARGV = {
+    "brute": ["--ell", "8"],
+    "random": ["--ell", "4", "--iters", "10"],
+    "bler": ["--m", "3", "--k", "4", "--snr", "2.0", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("command, dest, low", _declared_floors())
+def test_every_declared_floor_exit_2_before_echo(capsys, tmp_path, command, dest, low):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    flag = "--" + dest.replace("_", "-")
+    argv = [command, *MINIMAL_ARGV[command], flag, str(low - 1)]
+    if command == "bler":
+        argv += ["--kernel", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: {flag} must be at least {low}, got {low - 1}" in captured.err
+    assert "config" not in captured.err  # rejected before the configuration is echoed
+    assert captured.out == ""
+
+
+def test_floors_declared_for_every_checked_flag():
+    assert set(_declared_floors()) == {
+        ("brute", "limit", 1),
+        ("random", "iters", 1), ("random", "jobs", 1), ("random", "seed", 0),
+        ("bler", "seed", 0), ("bler", "trials", 1), ("bler", "select_trials", 1),
+    }
