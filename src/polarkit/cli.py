@@ -185,20 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pdp", help="partial distance profile and exponent of a kernel file")
     p.add_argument("--kernel", required=True, help="kernel file (ell=<N> header + hex rows)")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_pdp)
+    p.set_defaults(func=_cmd_pdp, outputs=("out",))
 
     p = sub.add_parser("complexity", help="decoding-complexity report of a kernel file")
     p.add_argument("--kernel", required=True)
     p.add_argument("--reuse", type=_reuse_mode, default=CALIBRATED_MODE,
                    help="trellis-reuse policy: none | top-sections | all-contiguous | section-tables")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_complexity)
+    p.set_defaults(func=_cmd_complexity, outputs=("out",))
 
     p = sub.add_parser("brute", help="deterministic backtracking search for the target profile")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--limit", type=int, default=10**7, help="distance-test step limit")
     p.add_argument("--out", help="write the kernel file here")
-    p.set_defaults(func=_cmd_brute, floors={"limit": 1})
+    p.set_defaults(func=_cmd_brute, floors={"limit": 1}, outputs=("out",))
 
     p = sub.add_parser("random", help="random-agent complexity statistics")
     p.add_argument("--ell", type=int, required=True)
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reuse", type=_reuse_mode, default=CALIBRATED_MODE)
     p.add_argument("--out", help="write stats JSON here instead of stdout")
     p.add_argument("--hist-out", help="also write the complexity histogram as CSV")
-    p.set_defaults(func=_cmd_random, floors={"iters": 1, "jobs": 1, "seed": 0})
+    p.set_defaults(func=_cmd_random, floors={"iters": 1, "jobs": 1, "seed": 0},
+                   outputs=("out", "hist_out"))
 
     p = sub.add_parser("train", help="self-play training loop")
     p.add_argument("--ell", type=int, help="kernel size (overrides the config file)")
@@ -229,8 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR for frozen-set selection (default: first --snr point)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=_cmd_bler, floors={"seed": 0, "trials": 1, "select_trials": 1})
+    p.set_defaults(func=_cmd_bler, floors={"seed": 0, "trials": 1, "select_trials": 1},
+                   outputs=("out",))
     return parser
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,7 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for key, low in getattr(args, "floors", {}).items():
             if (value := getattr(args, key)) < low:
-                raise ValueError(f"--{key.replace('_', '-')} must be at least {low}, got {value}")
+                raise ValueError(f"{_flag(key)} must be at least {low}, got {value}")
+        for key in getattr(args, "outputs", ()):
+            if (path := getattr(args, key)) is not None and not Path(path).parent.is_dir():
+                raise ValueError(f"{_flag(key)}: directory {Path(path).parent} does not exist")
         return args.func(args)
     except (KernelFileError, SingularKernelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

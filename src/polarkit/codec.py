@@ -28,12 +28,13 @@ from functools import lru_cache
 import numpy as np
 
 from polarkit.complexity import SectionNode, section_trees
-from polarkit.gf2 import BitMatrix, eliminate, interval_mask
+from polarkit.gf2 import BitMatrix, eliminate, interval_mask, rank
+from polarkit.pdp import SingularKernelError
 
 
 def code_length(ell: int, m: int, kernel: BitMatrix) -> int:
     """n = ell^m, once m >= 1, the code fits the decoder and the kernel is
-    ell x ell."""
+    ell x ell and non-singular."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     n = ell**m
@@ -41,6 +42,8 @@ def code_length(ell: int, m: int, kernel: BitMatrix) -> int:
         raise ValueError("ell^m must not exceed 4096")
     if kernel.ncols != ell or kernel.nrows != ell:
         raise ValueError("kernel shape must match ell")
+    if rank(kernel.rows) != ell:
+        raise SingularKernelError("kernel must be non-singular")
     return n
 
 

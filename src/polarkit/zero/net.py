@@ -113,10 +113,21 @@ class Network:
 
     @classmethod
     def load(cls, path: str) -> "Network":
-        data = np.load(path)
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(data['version'])}")
-        net = cls(NetworkSpec(int(data["ell"]), int(data["hidden"])))
-        for k in net.params:
-            net.params[k] = data[k]
+        """ValueError, naming the array, unless the checkpoint holds every
+        parameter in the shape its spec builds."""
+        with np.load(path) as npz:
+            data = dict(npz)
+
+        def array(key: str) -> np.ndarray:
+            if key not in data:
+                raise ValueError(f"checkpoint has no {key!r} array")
+            return data[key]
+
+        if (version := int(array("version"))) != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        net = cls(NetworkSpec(int(array("ell")), int(array("hidden"))))
+        for k, init in net.params.items():
+            if (value := array(k)).shape != init.shape:
+                raise ValueError(f"checkpoint {k!r} has shape {value.shape}, expected {init.shape}")
+            net.params[k] = value
         return net

@@ -114,9 +114,19 @@ class EpisodeRecord:
 
 
 def make_search_spec(network: Network, reward_cfg: RewardConfig, value_scale: float) -> SearchSpec:
+    """Search hooks for one episode.  The network reads only a state's
+    board, `(rows, current_row)`, so each board is evaluated once and its
+    transpositions reuse the result.  The network changes only between
+    episodes, so the memo never outlives the weights it was filled from."""
+    memo: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, float]] = {}
+
     def evaluate(state: EnvState):
-        logits, value = network.predict(state)
-        return logits, value * value_scale
+        key = (state.rows, state.current_row)
+        if key not in memo:
+            logits, value = network.predict(state)
+            logits.flags.writeable = False  # shared by every node of this board
+            memo[key] = logits, value * value_scale
+        return memo[key]
 
     return SearchSpec(legal_actions, partial(step_env, cfg=reward_cfg), evaluate)
 

@@ -8,6 +8,7 @@ they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterable
 
@@ -33,6 +34,8 @@ from polarkit.gf2 import (
 )
 from polarkit.pdp import kernel_record
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
+from polarkit.zero.env import legal_actions, step_env
+from polarkit.zero.mcts import SearchSpec
 
 
 def naive_rank(bit_rows: list[list[int]]) -> int:
@@ -322,6 +325,17 @@ def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:
         rows = tuple(int(r) for r in rng.integers(1, 1 << ell, size=ell))
         if rank(rows) == ell:
             return BitMatrix(ell, rows)
+
+
+def uncached_search_spec(network, reward_cfg, value_scale) -> SearchSpec:
+    """`train.make_search_spec` without its board memo: every evaluation
+    runs the network."""
+
+    def evaluate(state):
+        logits, value = network.predict(state)
+        return logits, value * value_scale
+
+    return SearchSpec(legal_actions, partial(step_env, cfg=reward_cfg), evaluate)
 
 
 @pytest.fixture

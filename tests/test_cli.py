@@ -454,36 +454,55 @@ def test_bler_bad_snr_exit_2(capsys, tmp_path, flag, value):
     assert not out_csv.exists()
 
 
-def _declared_floors():
-    """(command, dest, floor) for every integer floor a subparser declares."""
+def _declared(default: str) -> dict[str, object]:
+    """Each subparser's value of a `set_defaults` key, where it declares one."""
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    return [
-        (name, dest, low)
+    return {
+        name: sub.get_default(default)
         for name, sub in subparsers.choices.items()
-        for dest, low in (sub.get_default("floors") or {}).items()
+        if sub.get_default(default) is not None
+    }
+
+
+def _declared_floors():
+    """(command, dest, floor) for every integer floor a subparser declares."""
+    return [
+        (name, dest, low) for name, floors in _declared("floors").items()
+        for dest, low in floors.items()
     ]
 
 
-# arguments that parse for each command with floors; a command that gains
-# its first floor must be added here
+def _declared_outputs():
+    """(command, dest) for every file-output flag a subparser declares."""
+    return [(name, dest) for name, dests in _declared("outputs").items() for dest in dests]
+
+
+# arguments that parse for each command with floors or outputs, except
+# --kernel; a command that gains its first must be added here
 MINIMAL_ARGV = {
+    "pdp": [],
+    "complexity": [],
     "brute": ["--ell", "8"],
     "random": ["--ell", "4", "--iters", "10"],
     "bler": ["--m", "3", "--k", "4", "--snr", "2.0", "--trials", "10"],
 }
 
 
+def _minimal_argv(command, tmp_path):
+    argv = [command, *MINIMAL_ARGV[command]]
+    if command in ("pdp", "complexity", "bler"):
+        path = tmp_path / "f2.txt"
+        write_kernel(path, ARIKAN)
+        argv += ["--kernel", str(path)]
+    return argv
+
+
 @pytest.mark.parametrize("command, dest, low", _declared_floors())
 def test_every_declared_floor_exit_2_before_echo(capsys, tmp_path, command, dest, low):
-    path = tmp_path / "f2.txt"
-    write_kernel(path, ARIKAN)
     flag = "--" + dest.replace("_", "-")
-    argv = [command, *MINIMAL_ARGV[command], flag, str(low - 1)]
-    if command == "bler":
-        argv += ["--kernel", str(path)]
-    code = main(argv)
+    code = main([*_minimal_argv(command, tmp_path), flag, str(low - 1)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert f"error: {flag} must be at least {low}, got {low - 1}" in captured.err
@@ -497,3 +516,43 @@ def test_floors_declared_for_every_checked_flag():
         ("random", "iters", 1), ("random", "jobs", 1), ("random", "seed", 0),
         ("bler", "seed", 0), ("bler", "trials", 1), ("bler", "select_trials", 1),
     }
+
+
+# every file-output flag; train --out is a directory that train creates itself
+FILE_OUTPUTS = [
+    ("pdp", "out"), ("complexity", "out"), ("brute", "out"),
+    ("random", "out"), ("random", "hist_out"), ("bler", "out"),
+]
+
+
+@pytest.mark.parametrize("command, dest", FILE_OUTPUTS)
+def test_output_into_missing_directory_exit_2_before_work(capsys, tmp_path, command, dest):
+    flag = "--" + dest.replace("_", "-")
+    target = tmp_path / "nodir" / "result.txt"
+    code = main([*_minimal_argv(command, tmp_path), flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: {flag}: directory {target.parent} does not exist" in captured.err
+    assert "config" not in captured.err  # rejected before the configuration is echoed
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
+def test_outputs_declared_for_every_file_flag():
+    assert sorted(_declared_outputs()) == sorted(FILE_OUTPUTS)
+
+
+def test_bler_singular_kernel_exit_2_before_echo(capsys, tmp_path):
+    path = tmp_path / "sing4.txt"
+    path.write_text("ell=4\n0xF\n0xF\n0x3\n0x1\n")
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", "2", "--k", "8",
+            "--snr", "2.0", "--trials", "10", "--select-trials", "10",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "error: kernel must be non-singular" in captured.err
+    assert "config" not in captured.err  # rejected before the configuration is echoed
+    assert captured.out == ""

@@ -21,6 +21,8 @@ from polarkit.codec import (
     select_frozen_set,
     simulate_bler,
 )
+from polarkit.gf2 import BitMatrix
+from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST16
 from tests.conftest import kernel_phase_metric_exhaustive, naive_kronecker_power, random_kernel
 
@@ -232,6 +234,14 @@ def test_spec_validation():
         PolarCodeSpec(2, 2, 2, ARIKAN, frozenset({0}))  # wrong frozen size
     with pytest.raises(ValueError):
         _spec(16, 1, ARIKAN)  # kernel shape must match ell
+
+
+def test_singular_kernel_rejected():
+    singular = BitMatrix(4, (0xF, 0xF, 0x3, 0x1))
+    with pytest.raises(SingularKernelError):
+        _spec(4, 2, singular)
+    with pytest.raises(SingularKernelError):
+        select_frozen_set(4, 2, 8, singular, 2.0, 10, seed=0)
 
 
 def test_best16_one_level_noiseless(rng):

@@ -7,7 +7,7 @@ import pytest
 
 from polarkit.pdp import target_profile
 from polarkit.zero.env import EnvState, reset_env
-from polarkit.zero.net import Network, NetworkSpec, encode_state
+from polarkit.zero.net import CHECKPOINT_VERSION, Network, NetworkSpec, encode_state
 
 
 def test_encode_state_shape_and_content(rng):
@@ -90,3 +90,23 @@ def test_checkpoint_roundtrip(tmp_path):
     logits_b, value_b = loaded.predict(state)
     np.testing.assert_array_equal(logits_a, logits_b)
     assert value_a == value_b
+
+
+def _save_params(path, net, **params):
+    np.savez(path, version=CHECKPOINT_VERSION, ell=net.spec.ell, hidden=net.spec.hidden, **params)
+
+
+def test_checkpoint_wrong_shape_rejected(tmp_path):
+    net = Network(NetworkSpec(5), seed=4)
+    path = str(tmp_path / "cut.npz")
+    _save_params(path, net, **{**net.params, "wp": net.params["wp"][:, :3]})
+    with pytest.raises(ValueError, match="'wp' has shape"):
+        Network.load(path)
+
+
+def test_checkpoint_missing_array_rejected(tmp_path):
+    net = Network(NetworkSpec(5), seed=4)
+    path = str(tmp_path / "short.npz")
+    _save_params(path, net, **{k: v for k, v in net.params.items() if k != "bv"})
+    with pytest.raises(ValueError, match="no 'bv' array"):
+        Network.load(path)

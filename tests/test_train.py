@@ -4,22 +4,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polarkit.complexity import total_complexity_cached
 from polarkit.pdp import meets_target, target_profile
-from polarkit.zero.env import default_reward_config, legal_actions
-from polarkit.zero.mcts import MctsConfig
-from polarkit.zero.net import Network, NetworkSpec
+from polarkit.zero.env import default_reward_config, legal_actions, reset_env, step_env
+from polarkit.zero.mcts import MctsConfig, mcts_select
+from polarkit.zero.net import Network, NetworkSpec, encode_state
 from polarkit.zero.train import (
     TrainConfig,
     dump_train_config,
     load_train_config,
+    make_search_spec,
     self_play_episode,
     train_loop,
+    value_scale_of,
 )
+from tests.conftest import uncached_search_spec
 
 SMOKE = TrainConfig(
     ell=4,
@@ -121,3 +125,111 @@ def test_smoke_run_pinned():
     result = train_loop(SMOKE)
     assert result.log_rows == PINNED_SMOKE_ROWS
     assert result.best_complexity == 48
+
+
+# Untrained ell=12 episodes stall until the game limit; a 200-step limit
+# keeps the memo checks fast and still ends some episodes in that branch.
+SHORT_GAME = 200
+
+
+def _short_game(ell):
+    reward_cfg = replace(default_reward_config(ell), game_limit=SHORT_GAME)
+    return reward_cfg, value_scale_of(reward_cfg, ell)
+
+
+def _drive_episode(spec, reward_cfg, mcts_cfg, ell, seed):
+    """(action, reward repr, improved policy) of every step of one seeded
+    episode searched through `spec`."""
+    rng = np.random.default_rng(seed)
+    state = reset_env(target_profile(ell), rng)
+    steps = []
+    while not state.done:
+        action, improved = mcts_select(state, spec, mcts_cfg, rng)
+        state, reward, _ = step_env(state, action, reward_cfg)
+        steps.append((action, repr(reward), improved.tolist()))
+    return steps
+
+
+def _count_forward(network):
+    """Replace network.forward by a wrapper; returns its list of calls."""
+    calls = []
+    forward = network.forward
+
+    def counted(x):
+        calls.append(x)
+        return forward(x)
+
+    network.forward = counted
+    return calls
+
+
+@pytest.mark.parametrize("ell", [8, 12])
+@pytest.mark.parametrize("mcts_cfg", [MctsConfig(), MctsConfig(c_scale=0.1)],
+                         ids=["c_scale=1", "c_scale=0.1"])
+def test_memoised_search_matches_uncached(ell, mcts_cfg):
+    """The board memo is invisible to the search: every action, reward and
+    improved policy equals the uncached oracle's."""
+    reward_cfg, vscale = _short_game(ell)
+    network = Network(NetworkSpec(ell), seed=0)
+    for seed in range(3):
+        cached = make_search_spec(network, reward_cfg, vscale)
+        uncached = uncached_search_spec(network, reward_cfg, vscale)
+        assert (_drive_episode(cached, reward_cfg, mcts_cfg, ell, seed)
+                == _drive_episode(uncached, reward_cfg, mcts_cfg, ell, seed)), seed
+
+
+def test_forward_runs_once_per_board_per_episode():
+    ell = 12
+    reward_cfg, vscale = _short_game(ell)
+    network = Network(NetworkSpec(ell), seed=0)
+    calls = _count_forward(network)
+    for _ in range(2):  # the same episode twice: each spec evaluates afresh
+        spec = make_search_spec(network, reward_cfg, vscale)
+        boards = []
+
+        def evaluate(state, spec=spec, boards=boards):
+            boards.append((state.rows, state.current_row))
+            return spec.evaluate(state)
+
+        calls.clear()
+        _drive_episode(replace(spec, evaluate=evaluate), reward_cfg, MctsConfig(), ell, 1)
+        assert len(calls) == len(set(boards)) < len(boards)
+
+
+def test_memo_key_is_the_encoded_board():
+    """A transposition (same board, other step count) reuses the evaluation;
+    the same rows with another current row do not, since encode_state reads
+    both.  In play `current_row` follows from `rows`, so only a hand-built
+    state tells a rows-only key apart.  Cached logits are read-only."""
+    ell = 12
+    reward_cfg, vscale = _short_game(ell)
+    network, twin = Network(NetworkSpec(ell), seed=0), Network(NetworkSpec(ell), seed=0)
+    calls = _count_forward(network)
+    spec = make_search_spec(network, reward_cfg, vscale)
+    state = reset_env(target_profile(ell), seed=0)
+    transposed = replace(state, steps=state.steps + 4)
+    next_row = replace(state, current_row=state.current_row + 1)
+    for s in (state, transposed, next_row):
+        logits, value = spec.evaluate(s)
+        expected_logits, expected_value = twin.predict(s)
+        assert logits.tolist() == expected_logits.tolist()
+        assert value == expected_value * vscale
+        assert not logits.flags.writeable
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        logits[0] = 0.0
+
+
+def test_spec_after_sgd_step_sees_the_updated_network():
+    ell = 8
+    reward_cfg, vscale = _short_game(ell)
+    network = Network(NetworkSpec(ell), seed=0)
+    state = reset_env(target_profile(ell), seed=0)
+    before, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    _, grads = network.loss_and_grads(encode_state(state)[None, :], np.eye(ell)[[0]], np.ones(1))
+    network.sgd_step(grads, lr=0.1)
+    after, value = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    expected_logits, expected_value = network.predict(state)
+    assert after.tolist() == expected_logits.tolist()
+    assert after.tolist() != before.tolist()
+    assert value == expected_value * vscale
