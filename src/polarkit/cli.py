@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -114,8 +115,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
     target = target_profile(args.ell)
     _echo({"command": "random", "ell": args.ell, "iters": args.iters,
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
-    # one worker per shard; a shard holds at least one trial
-    shards = min(args.jobs, args.iters)
+    # one worker per shard, at most one per CPU (the pool starts them all at once)
+    shards = min(args.jobs, args.iters, os.cpu_count() or 1)
     if shards == 1:
         stats = random_agent_search(args.ell, target, args.iters, args.seed, args.reuse)
     else:
@@ -139,6 +140,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig() if args.config is None else load_train_config(args.config)
     overrides = {key: getattr(args, key) for key in ("ell", "seed")}
     cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    if args.out is not None:  # a directory train creates: no file may stand in its way
+        for path in (Path(args.out), *Path(args.out).parents):
+            if path.exists() and not path.is_dir():
+                raise ValueError(f"--out: {path} exists and is not a directory")
     sys.stdout.write(dump_train_config(cfg))
     result = train_loop(cfg, out_dir=args.out)
     summary = {

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from polarkit.complexity import SectionNode, section_trees
-from polarkit.gf2 import BitMatrix, eliminate, interval_mask, rank
+from polarkit.gf2 import BitMatrix, eliminate, rank
 from polarkit.pdp import SingularKernelError
 
 
@@ -99,8 +99,6 @@ class _LeafPlan:
 
 @dataclass(frozen=True)
 class _NodePlan:
-    v: int
-    w: int
     link_a: np.ndarray  # (2^v, 2^w) child-L coset indices
     link_b: np.ndarray
     children: tuple["_NodePlan | _LeafPlan", "_NodePlan | _LeafPlan"]
@@ -120,15 +118,14 @@ def _build_plan(node: SectionNode, ncols: int) -> "_NodePlan | _LeafPlan":
     low = (1 << ncols) - 1
     links = []
     for child in node.children:
-        inside = interval_mask(ncols, child.x, child.y)
-        seeds = [(1 << (ncols + k)) | (r & inside) for k, r in enumerate(child.v_reps)]
+        seeds = [(1 << (ncols + k)) | (r & child.mask) for k, r in enumerate(child.v_reps)]
         seeds += child.s_basis
-        residuals = eliminate({}, seeds + [word & inside for word in words], low)[len(seeds):]
+        residuals = eliminate({}, seeds + [word & child.mask for word in words], low)[len(seeds):]
         if any(r & low for r in residuals):
             raise ValueError("word outside the punctured code")
         links.append(np.array([r >> ncols for r in residuals], dtype=np.int64))
     shape = (1 << node.v, 1 << node.w)
-    return _NodePlan(node.v, node.w, links[0].reshape(shape), links[1].reshape(shape), plans)
+    return _NodePlan(links[0].reshape(shape), links[1].reshape(shape), plans)
 
 
 @lru_cache(maxsize=64)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress
+from typing import Callable
 
 from polarkit.gf2 import (
     BitMatrix,
@@ -56,8 +57,9 @@ class SectionNode:
     # s_basis is the reduced echelon basis (a canonical fingerprint) of the
     # section's shortened subcode, in full-width rows.
     s_basis: tuple[int, ...] = field(repr=False)
-    # the kernel and phase whose extended code the representatives come from
-    kernel: BitMatrix = field(repr=False, compare=False)
+    mask: int = field(repr=False)  # the section's columns, in full-width rows
+    # the phase's extended code basis, shared by its nodes, built on first call
+    code_basis: Callable[[], tuple[int, ...]] = field(repr=False, compare=False)
     phase: int = field(repr=False, compare=False)
 
     @property
@@ -97,11 +99,10 @@ class SectionNode:
     def v_reps(self) -> tuple[int, ...]:
         """Code rows whose section projection extends the shortened
         projection to the punctured code."""
-        code_basis = _code_basis(self.kernel, self.phase)
-        inside = interval_mask(self.kernel.ncols + 1, self.x, self.y)
+        code_basis = self.code_basis()
         # s_basis is reduced echelon and supported inside the section
         pivots = {r.bit_length() - 1: r for r in self.s_basis}
-        return tuple(compress(code_basis, eliminate(pivots, [r & inside for r in code_basis])))
+        return tuple(compress(code_basis, eliminate(pivots, [r & self.mask for r in code_basis])))
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,6 @@ def split_point(x: int, y: int) -> int:
     return x + (y - x) // 2
 
 
-@lru_cache(maxsize=64)
-def _code_basis(kernel: BitMatrix, phase: int) -> tuple[int, ...]:
-    return tuple(row_basis(extend_kernel(kernel, phase).rows))
-
-
 @lru_cache(maxsize=None)
 def _midpoint_sections(ell: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
     """Midpoint-tree sections (x, y, inside mask, halves' positions), halves first."""
@@ -205,6 +201,7 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
     for phase in reversed(range(ell)):
         shorten = [kernel.rows[phase + 1] << 1] if phase + 1 < ell else []
         extend = [kernel.rows[phase] << 1]
+        code_basis = cache(lambda phase=phase: tuple(row_basis(extend_kernel(kernel, phase).rows)))
         nodes: list[SectionNode] = []
         for j, ((x, y, inside, halves), (outside_pivots, basis, inside_pivots)) in enumerate(
             zip(sections, states)
@@ -230,7 +227,7 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
                 children = (nodes[halves[0]], nodes[halves[1]])
                 w = len(s_b) - len(children[0].s_basis) - len(children[1].s_basis)
             v = len(inside_pivots) - len(s_b)
-            nodes.append(SectionNode(x, y, w, v, children, s_b, kernel, phase))
+            nodes.append(SectionNode(x, y, w, v, children, s_b, inside, code_basis, phase))
         trees.append(nodes[-1])
     return trees[::-1]
 

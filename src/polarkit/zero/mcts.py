@@ -7,7 +7,7 @@ transformed-Q score.  Below the root, simulations descend by the
 deterministic completed-policy rule, so repeated calls with the same
 seed and network are bit-reproducible.
 
-The search is generic over the environment: it only sees the three
+The search is generic over the environment: it only sees the two
 callables bundled in `SearchSpec`.
 """
 
@@ -34,12 +34,11 @@ class MctsConfig:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Environment hooks: legal actions of a state, transition, and the
-    network evaluation (policy logits over all actions + value)."""
+    """Environment hooks: transition, and the evaluation of an unfinished
+    state (policy logits over all actions, value, legal actions)."""
 
-    legal: Callable[[Any], list[int]]
     step: Callable[[Any, int], tuple[Any, float, bool]]  # -> (next, reward, done)
-    evaluate: Callable[[Any], tuple[np.ndarray, float]]
+    evaluate: Callable[[Any], tuple[np.ndarray, float, list[int]]]
 
 
 class _Node:
@@ -82,8 +81,7 @@ def _completed_policy(node: _Node, cfg: MctsConfig) -> np.ndarray:
 def _expand(state: Any, spec: SearchSpec, terminal: bool) -> _Node:
     if terminal:
         return _Node(state, np.zeros(0), 0.0, [], terminal=True)
-    logits, value = spec.evaluate(state)
-    return _Node(state, logits, value, spec.legal(state))
+    return _Node(state, *spec.evaluate(state))
 
 
 def _visit(node: _Node, i: int, spec: SearchSpec, cfg: MctsConfig) -> float:
@@ -121,8 +119,7 @@ def mcts_select(
     """Choose a root action and return it with the improved policy, a
     distribution over all of the network's actions that is zero off the
     legal ones."""
-    logits, value = spec.evaluate(state)
-    legal = spec.legal(state)
+    logits, value, legal = spec.evaluate(state)
     if not legal:
         raise ValueError("no legal action at the root")
     improved = np.zeros(len(logits))

@@ -114,21 +114,23 @@ class EpisodeRecord:
 
 
 def make_search_spec(network: Network, reward_cfg: RewardConfig, value_scale: float) -> SearchSpec:
-    """Search hooks for one episode.  The network reads only a state's
-    board, `(rows, current_row)`, so each board is evaluated once and its
+    """Search hooks for one episode.  The search evaluates unfinished states
+    only, whose network answer and legal actions read just the board,
+    `(rows, current_row)`, so each board is evaluated once and its
     transpositions reuse the result.  The network changes only between
     episodes, so the memo never outlives the weights it was filled from."""
-    memo: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, float]] = {}
+    memo: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, float, list[int]]] = {}
 
     def evaluate(state: EnvState):
         key = (state.rows, state.current_row)
         if key not in memo:
             logits, value = network.predict(state)
             logits.flags.writeable = False  # shared by every node of this board
-            memo[key] = logits, value * value_scale
+            # legal stays a list: numpy reads a tuple index as one index per axis
+            memo[key] = logits, value * value_scale, legal_actions(state)
         return memo[key]
 
-    return SearchSpec(legal_actions, partial(step_env, cfg=reward_cfg), evaluate)
+    return SearchSpec(partial(step_env, cfg=reward_cfg), evaluate)
 
 
 def value_scale_of(cfg: RewardConfig, ell: int) -> float:

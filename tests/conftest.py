@@ -148,6 +148,7 @@ class OracleNode:
     v: int
     children: tuple["OracleNode", ...]
     s_basis: tuple[int, ...]
+    mask: int
     w_reps: tuple[int, ...]
     v_reps: tuple[int, ...]
     phase: int
@@ -191,12 +192,12 @@ def build_section_tree(extended: BitMatrix) -> OracleNode:
         s_b = shortened_basis(extended.rows, full_mask ^ inside)
         if y - x == 1:
             w_r, v_r = wv_reps(s_b, (), inside)
-            return OracleNode(x, y, 0, len(v_r), (), s_b, w_r, v_r, phase)
+            return OracleNode(x, y, 0, len(v_r), (), s_b, inside, w_r, v_r, phase)
         z = split_point(x, y)
         left = node(x, z)
         right = node(z, y)
         w_r, v_r = wv_reps(s_b, left.s_basis + right.s_basis, inside)
-        return OracleNode(x, y, len(w_r), len(v_r), (left, right), s_b, w_r, v_r, phase)
+        return OracleNode(x, y, len(w_r), len(v_r), (left, right), s_b, inside, w_r, v_r, phase)
 
     return node(0, ncols - 1)
 
@@ -333,9 +334,9 @@ def uncached_search_spec(network, reward_cfg, value_scale) -> SearchSpec:
 
     def evaluate(state):
         logits, value = network.predict(state)
-        return logits, value * value_scale
+        return logits, value * value_scale, legal_actions(state)
 
-    return SearchSpec(legal_actions, partial(step_env, cfg=reward_cfg), evaluate)
+    return SearchSpec(partial(step_env, cfg=reward_cfg), evaluate)
 
 
 @pytest.fixture

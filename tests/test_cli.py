@@ -151,6 +151,7 @@ def test_random_jobs_shard_equivalence(capsys):
 
 
 def test_random_jobs_capped_at_shard_count(capsys, monkeypatch):
+    """One worker per shard, with no more shards than trials or CPUs."""
     asked = []
 
     class InlinePool:
@@ -167,8 +168,15 @@ def test_random_jobs_capped_at_shard_count(capsys, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    _run(capsys, ["random", "--ell", "4", "--iters", "2", "--seed", "1", "--jobs", "4"])
-    assert asked == [2]
+    base = ["random", "--ell", "4", "--iters", "50", "--seed", "1"]
+    _, single = _run(capsys, base)
+    # an unknown CPU count runs one shard inline
+    for cpus, workers in [(64, [50]), (3, [3]), (None, [])]:
+        asked.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _, sharded = _run(capsys, base + ["--jobs", "5000"])
+        assert asked == workers, cpus
+        assert json.loads(sharded) == json.loads(single)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -343,6 +351,18 @@ def test_train_negative_seed_exit_2_before_writing(capsys, tmp_path, source):
     assert "error: seed must be nonnegative" in captured.err
     assert captured.out == ""  # no resolved config was echoed
     assert not (out_dir / "train_config.txt").exists()
+
+
+@pytest.mark.parametrize("below", ["", "run"])
+def test_train_out_existing_file_exit_2_before_echo(capsys, tmp_path, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code = main(["train", "--ell", "4", "--out", str(afile / below)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: --out: {afile} exists and is not a directory" in captured.err
+    assert captured.out == ""  # no resolved config was echoed
+    assert afile.read_text() == "kept\n"
 
 
 def test_train_requires_ell_or_config(capsys):

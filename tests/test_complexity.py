@@ -17,7 +17,7 @@ from polarkit.complexity import (
     total_complexity,
     total_complexity_cached,
 )
-from polarkit.gf2 import BitMatrix
+from polarkit.gf2 import BitMatrix, interval_mask, row_basis
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import (
@@ -65,7 +65,7 @@ def test_split_point_midpoint():
 def _node_fields(tree) -> list[tuple]:
     return [
         (n.x, n.y, n.w, n.v, n.k_s, n.k_p, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
-        + (n.phase, len(n.children))
+        + (n.mask, n.phase, len(n.children))
         for n in _nodes(tree)
     ]
 
@@ -73,7 +73,7 @@ def _node_fields(tree) -> list[tuple]:
 def _plan_fields(plan) -> list:
     if isinstance(plan, codec._LeafPlan):
         return [plan]
-    fields = [plan.v, plan.w, plan.link_a.tolist(), plan.link_b.tolist()]
+    fields = [plan.link_a.tolist(), plan.link_b.tolist()]
     return fields + [f for child in plan.children for f in _plan_fields(child)]
 
 
@@ -97,12 +97,41 @@ def test_section_trees_match_per_phase_oracle(rng, monkeypatch):
         assert len(trees) == len(oracle[kernel]) == kernel.ncols
         for phase, (tree, want) in enumerate(zip(trees, oracle[kernel])):
             assert _node_fields(tree) == _node_fields(want), (kernel, phase)
+            code_basis = tuple(row_basis(extend_kernel(kernel, phase).rows))
+            for n in _nodes(tree):
+                assert n.mask == interval_mask(kernel.ncols + 1, n.x, n.y)
+                assert n.code_basis() == code_basis, (kernel, phase)
         new[kernel] = _reports_and_plans(kernel)
     monkeypatch.setattr(complexity, "section_trees", oracle.__getitem__)
     monkeypatch.setattr(complexity, "reuse_eligible", oracle_reuse_eligible)
     monkeypatch.setattr(codec, "section_trees", oracle.__getitem__)
     for kernel in kernels:
         assert new[kernel] == _reports_and_plans(kernel), kernel
+
+
+def test_code_basis_built_only_for_representatives(rng, monkeypatch):
+    """Only reads of the v-representatives build a phase's code basis,
+    once per phase: the policies that never read them build none."""
+    built = []
+
+    def counted(rows):
+        built.append(rows)
+        return row_basis(rows)
+
+    monkeypatch.setattr(complexity, "row_basis", counted)
+    for kernel in [BEST12, BEST16] + [random_kernel(2 + i % 15, rng) for i in range(30)]:
+        for policy in ReuseMode:
+            built.clear()
+            total_complexity(kernel, policy)
+            if policy in (ReuseMode.NONE, ReuseMode.SECTION_TABLES):
+                assert built == [], policy
+            else:
+                assert len(built) <= kernel.ncols, policy
+        built.clear()
+        for tree in section_trees(kernel):
+            for n in _nodes(tree):
+                n.v_reps  # the first read in a phase builds its code basis
+        assert len(built) == kernel.ncols
 
 
 def test_root_v_is_one_every_phase(rng):

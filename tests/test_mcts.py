@@ -11,17 +11,14 @@ from polarkit.zero.mcts import MctsConfig, SearchSpec, mcts_select
 def _bandit_spec(rewards: dict[int, float]) -> SearchSpec:
     """One-step problem: every action ends the episode with a fixed reward."""
 
-    def legal(state):
-        return list(rewards) if state == "root" else []
-
     def step(state, action):
         return ("leaf", action), rewards[action], True
 
     def evaluate(state):
         n = max(rewards) + 1 if rewards else 1
-        return np.zeros(n), 0.0
+        return np.zeros(n), 0.0, list(rewards)
 
-    return SearchSpec(legal=legal, step=step, evaluate=evaluate)
+    return SearchSpec(step=step, evaluate=evaluate)
 
 
 def test_single_action_shortcut():
@@ -92,9 +89,6 @@ def test_multi_step_chain():
     action 0 leads to a state whose only action pays 2; action 1 pays 1
     immediately."""
 
-    def legal(state):
-        return {"root": [0, 1], "mid": [0]}.get(state, [])
-
     def step(state, action):
         if state == "root" and action == 0:
             return "mid", 0.0, False
@@ -103,9 +97,9 @@ def test_multi_step_chain():
         return "end", 2.0, True
 
     def evaluate(state):
-        return np.zeros(2), 0.0
+        return np.zeros(2), 0.0, {"root": [0, 1], "mid": [0]}[state]
 
-    spec = SearchSpec(legal=legal, step=step, evaluate=evaluate)
+    spec = SearchSpec(step=step, evaluate=evaluate)
     cfg = MctsConfig(simulations=32, sampled_actions=2)
     wins = sum(
         mcts_select("root", spec, cfg, np.random.default_rng(seed))[0] == 0

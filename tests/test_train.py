@@ -13,6 +13,7 @@ from polarkit.complexity import total_complexity_cached
 from polarkit.pdp import meets_target, target_profile
 from polarkit.zero.env import default_reward_config, legal_actions, reset_env, step_env
 from polarkit.zero.mcts import MctsConfig, mcts_select
+from polarkit.zero import train
 from polarkit.zero.net import Network, NetworkSpec, encode_state
 from polarkit.zero.train import (
     TrainConfig,
@@ -178,22 +179,42 @@ def test_memoised_search_matches_uncached(ell, mcts_cfg):
                 == _drive_episode(uncached, reward_cfg, mcts_cfg, ell, seed)), seed
 
 
-def test_forward_runs_once_per_board_per_episode():
+def test_forward_runs_once_per_board_per_episode(monkeypatch):
+    """The network and the legal actions run once per board, and the
+    search never evaluates a finished state: a game-limit end has the
+    board of an unfinished transposition, whose memo entry it would fill
+    with no legal actions."""
     ell = 12
     reward_cfg, vscale = _short_game(ell)
     network = Network(NetworkSpec(ell), seed=0)
     calls = _count_forward(network)
+    legal_calls = []
+
+    def counted_legal(state):
+        legal_calls.append(state)
+        return legal_actions(state)
+
+    monkeypatch.setattr(train, "legal_actions", counted_legal)
     for _ in range(2):  # the same episode twice: each spec evaluates afresh
         spec = make_search_spec(network, reward_cfg, vscale)
-        boards = []
+        boards, finished = [], []
 
         def evaluate(state, spec=spec, boards=boards):
+            assert not state.done
             boards.append((state.rows, state.current_row))
             return spec.evaluate(state)
 
+        def step(state, action, spec=spec, finished=finished):
+            nxt, reward, done = spec.step(state, action)
+            finished.append(done)
+            return nxt, reward, done
+
         calls.clear()
-        _drive_episode(replace(spec, evaluate=evaluate), reward_cfg, MctsConfig(), ell, 1)
-        assert len(calls) == len(set(boards)) < len(boards)
+        legal_calls.clear()
+        searched = replace(spec, step=step, evaluate=evaluate)
+        _drive_episode(searched, reward_cfg, MctsConfig(), ell, 1)
+        assert len(calls) == len(legal_calls) == len(set(boards)) < len(boards)
+        assert any(finished)  # the search reached finished states
 
 
 def test_memo_key_is_the_encoded_board():
@@ -210,7 +231,8 @@ def test_memo_key_is_the_encoded_board():
     transposed = replace(state, steps=state.steps + 4)
     next_row = replace(state, current_row=state.current_row + 1)
     for s in (state, transposed, next_row):
-        logits, value = spec.evaluate(s)
+        logits, value, legal = spec.evaluate(s)
+        assert legal == legal_actions(s)
         expected_logits, expected_value = twin.predict(s)
         assert logits.tolist() == expected_logits.tolist()
         assert value == expected_value * vscale
@@ -225,10 +247,10 @@ def test_spec_after_sgd_step_sees_the_updated_network():
     reward_cfg, vscale = _short_game(ell)
     network = Network(NetworkSpec(ell), seed=0)
     state = reset_env(target_profile(ell), seed=0)
-    before, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    before, _, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
     _, grads = network.loss_and_grads(encode_state(state)[None, :], np.eye(ell)[[0]], np.ones(1))
     network.sgd_step(grads, lr=0.1)
-    after, value = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    after, value, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
     expected_logits, expected_value = network.predict(state)
     assert after.tolist() == expected_logits.tolist()
     assert after.tolist() != before.tolist()
