@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -117,17 +118,15 @@ def _cmd_random(args: argparse.Namespace) -> int:
            "seed": args.seed, "jobs": args.jobs, "reuse": args.reuse.value})
     # one worker per shard, at most one per CPU (the pool starts them all at once)
     shards = min(args.jobs, args.iters, os.cpu_count() or 1)
-    if shards == 1:
-        stats = random_agent_search(args.ell, target, args.iters, args.seed, args.reuse)
-    else:
-        base, extra = divmod(args.iters, shards)
-        spans = [base + (j < extra) for j in range(shards)]
-        offsets = [sum(spans[:j]) for j in range(shards)]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            stats = merge_stats(list(pool.map(
-                random_agent_search, repeat(args.ell), repeat(target), spans,
-                repeat(args.seed), repeat(args.reuse), offsets,
-            )))
+    base, extra = divmod(args.iters, shards)
+    spans = [base + (j < extra) for j in range(shards)]
+    offsets = [sum(spans[:j]) for j in range(shards)]
+    with ExitStack() as stack:  # one shard runs in-process
+        run = map if shards == 1 else stack.enter_context(ProcessPoolExecutor(shards)).map
+        stats = merge_stats(list(run(
+            random_agent_search, repeat(args.ell), repeat(target), spans,
+            repeat(args.seed), repeat(args.reuse), offsets,
+        )))
     _write_or_print(args.out, stats.to_json() + "\n")
     if args.hist_out is not None:
         Path(args.hist_out).write_text(stats.histogram_csv())

@@ -22,6 +22,7 @@ tree already carries.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,8 @@ def code_length(ell: int, m: int, kernel: BitMatrix) -> int:
     ell x ell and non-singular."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    n = ell**m
-    if n > 4096:
+    # ell >= 2, so m > 12 already exceeds the bound: checked before the power
+    if m > 12 or (n := ell**m) > 4096:
         raise ValueError("ell^m must not exceed 4096")
     if kernel.ncols != ell or kernel.nrows != ell:
         raise ValueError("kernel shape must match ell")
@@ -75,7 +76,7 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.uint8)
     if u.shape[-1] != spec.n:
         raise ValueError("message length must be n")
-    if any(np.any(u[..., i]) for i in spec.frozen):
+    if np.any(u[..., sorted(spec.frozen)]):
         raise ValueError("frozen positions must be zero")
     bits = _kernel_bits(spec.kernel)
     # level t multiplies index digit t (base ell, most significant first):
@@ -220,12 +221,13 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
 BATCH = 256
 
 
-def _batch_sizes(trials: int) -> list[int]:
-    """Codewords per decoder call: full batches, then the remainder."""
+def _batch_sizes(trials: int) -> Iterator[int]:
+    """Codewords per decoder call: full batches, then the remainder.
+    Rejects trials < 1 when called, not when first iterated."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    full, rest = divmod(trials, BATCH)
-    return [BATCH] * full + ([rest] if rest else [])
+    # a range, not itertools.repeat: its length may exceed a C ssize_t
+    return (min(BATCH, left) for left in range(trials, 0, -BATCH))
 
 
 def noise_sigma(snr_db: float, rate: float) -> float:
@@ -288,7 +290,7 @@ def simulate_bler(
 ) -> list[BlerResult]:
     """Random messages, BPSK (0 -> +1) over AWGN with rate-scaled noise,
     SC decoding, block-error counts."""
-    sizes = _batch_sizes(trials)
+    _batch_sizes(trials)  # rejects trials < 1 before any draw
     n = spec.n
     info = np.array(sorted(set(range(n)) - spec.frozen), dtype=np.int64)
     results = []
@@ -296,7 +298,7 @@ def simulate_bler(
         sigma = noise_sigma(snr_db, spec.k / n)
         rng = np.random.default_rng([seed, idx])
         block_errors = 0
-        for b in sizes:
+        for b in _batch_sizes(trials):
             u = np.zeros((b, n), dtype=np.uint8)
             if info.size:
                 u[:, info] = rng.integers(0, 2, size=(b, info.size), dtype=np.uint8)

@@ -52,7 +52,7 @@ class SectionNode:
     x: int
     y: int
     w: int  # 0 on leaves
-    v: int
+    v: int  # the punctured code's dimension is k_s + v
     children: tuple["SectionNode", ...]
     # s_basis is the reduced echelon basis (a canonical fingerprint) of the
     # section's shortened subcode, in full-width rows.
@@ -70,12 +70,6 @@ class SectionNode:
     def k_s(self) -> int:
         """Dimension of the shortened code."""
         return len(self.s_basis)
-
-    @property
-    def k_p(self) -> int:
-        """Dimension of the punctured code: the v-representatives are the
-        code rows whose section projection extends the shortened code."""
-        return self.k_s + self.v
 
     @property
     def comb_cost(self) -> int:

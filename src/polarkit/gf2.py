@@ -52,16 +52,9 @@ class BitMatrix:
             if not 0 <= r < limit:
                 raise ValueError(f"row {r:#x} does not fit in {self.ncols} columns")
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
 
     def to_bits(self) -> list[list[int]]:
         return [unpack_row(r, self.ncols) for r in self.rows]

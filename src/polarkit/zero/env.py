@@ -99,21 +99,18 @@ def reset_env(
     target: PartialDistanceProfile,
     seed: int | np.random.Generator | None = None,
     preset_bits: int = 1,
-    install_forced: bool = True,
 ) -> EnvState:
     """Install the forced bottom rows, then preset a few random bits of
-    the first free row.  Presets do not count as steps.  With
-    install_forced=False the agent must play every bit itself, which
-    makes the episode total match the closed-form return exactly."""
+    the first free row.  Presets do not count as steps."""
     ell = target.ell
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     reversed_targets = tuple(reversed(target.distances))
     rows = [0] * ell
-    forced = forced_row_count(target) if install_forced else 0
+    forced = forced_row_count(target)
     all_ones = (1 << ell) - 1
     for i in range(forced):
         rows[i] = all_ones
-    if forced < ell and install_forced:
+    if forced < ell:
         want = reversed_targets[forced]
         presets = min(preset_bits, max(want - 1, 0))
         cols = rng.choice(ell, size=presets, replace=False)

@@ -20,12 +20,14 @@ from typing import Any, Callable
 import numpy as np
 
 
+#: sigma(q) = (C_VISIT + max_b N(b)) * q: Danihelka et al.'s transform with scale 1
+C_VISIT = 50.0
+
+
 @dataclass(frozen=True)
 class MctsConfig:
     simulations: int = 32
     sampled_actions: int = 16
-    c_visit: float = 50.0
-    c_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.simulations >= self.sampled_actions >= 1:
@@ -35,18 +37,19 @@ class MctsConfig:
 @dataclass(frozen=True)
 class SearchSpec:
     """Environment hooks: transition, and the evaluation of an unfinished
-    state (policy logits over all actions, value, legal actions)."""
+    state (policy logits over all actions, value, legal actions; an
+    unfinished state has at least one)."""
 
     step: Callable[[Any, int], tuple[Any, float, bool]]  # -> (next, reward, done)
     evaluate: Callable[[Any], tuple[np.ndarray, float, list[int]]]
 
 
 class _Node:
-    """An expanded state; its statistics are arrays over positions in `legal`."""
+    """An expanded state; its statistics are arrays over positions in `legal`
+    (empty only on a finished state)."""
 
-    def __init__(self, state: Any, logits: np.ndarray, value: float, legal: list[int],
-                 terminal: bool = False) -> None:
-        self.state, self.value, self.legal, self.terminal = state, value, legal, terminal
+    def __init__(self, state: Any, logits: np.ndarray, value: float, legal: list[int]) -> None:
+        self.state, self.value, self.legal = state, value, legal
         self.logits = logits[legal]
         self.n = np.zeros(len(legal), dtype=np.int64)
         self.q_sum = np.zeros(len(legal))
@@ -54,37 +57,35 @@ class _Node:
         self.children: list[_Node | None] = [None] * len(legal)
 
 
-def _normalized_q(node: _Node) -> np.ndarray:
-    """Completed Q over node.legal, min-max normalized to [0, 1] so the
-    transformed values stay commensurate with policy logits regardless
-    of the reward scale."""
+def _sigma(node: _Node) -> np.ndarray:
+    """Transformed completed Q over node.legal: Q min-max normalized to
+    [0, 1], so it stays commensurate with policy logits regardless of the
+    reward scale, then scaled by C_VISIT plus the largest visit count."""
     visited = node.n > 0
     q = node.q_sum / np.maximum(node.n, 1)
     # Python's left-to-right sum: numpy's pairwise sum rounds differently
     visited_q = q[visited].tolist()
     q[~visited] = (node.value + sum(visited_q)) / (1 + len(visited_q))
     lo, hi = q.min(), q.max()
-    return (q - lo) / (hi - lo) if hi > lo else np.full_like(q, 0.5)
+    q = (q - lo) / (hi - lo) if hi > lo else np.full_like(q, 0.5)
+    return (C_VISIT + int(node.n.max())) * q
 
 
-def _completed_policy(node: _Node, cfg: MctsConfig) -> np.ndarray:
+def _completed_policy(node: _Node) -> np.ndarray:
     """Improved policy over node.legal: softmax of logits plus
     transformed completed-Q (unvisited actions fall back to the node's
     value estimate)."""
-    sigma = (cfg.c_visit + int(node.n.max())) * cfg.c_scale * _normalized_q(node)
-    score = node.logits + sigma
+    score = node.logits + _sigma(node)
     score -= score.max()
     probs = np.exp(score)
     return probs / probs.sum()
 
 
-def _expand(state: Any, spec: SearchSpec, terminal: bool) -> _Node:
-    if terminal:
-        return _Node(state, np.zeros(0), 0.0, [], terminal=True)
-    return _Node(state, *spec.evaluate(state))
+def _expand(state: Any, spec: SearchSpec, done: bool) -> _Node:
+    return _Node(state, np.zeros(0), 0.0, []) if done else _Node(state, *spec.evaluate(state))
 
 
-def _visit(node: _Node, i: int, spec: SearchSpec, cfg: MctsConfig) -> float:
+def _visit(node: _Node, i: int, spec: SearchSpec) -> float:
     """Take the action at position i of node.legal: expand the child on
     its first visit, descend into it afterwards, and back the return up
     into node's statistics."""
@@ -95,19 +96,19 @@ def _visit(node: _Node, i: int, spec: SearchSpec, cfg: MctsConfig) -> float:
         node.rewards[i] = reward
         ret = reward + child.value
     else:
-        ret = node.rewards[i] + _simulate(child, spec, cfg)
+        ret = node.rewards[i] + _simulate(child, spec)
     node.n[i] += 1
     node.q_sum[i] += ret
     return ret
 
 
-def _simulate(node: _Node, spec: SearchSpec, cfg: MctsConfig) -> float:
+def _simulate(node: _Node, spec: SearchSpec) -> float:
     """One descent below the root; returns the backed-up return."""
-    if node.terminal:
+    if not node.legal:
         return 0.0
-    probs = _completed_policy(node, cfg)
+    probs = _completed_policy(node)
     i = int(np.argmax(probs - node.n / (1.0 + node.n.sum())))
-    return _visit(node, i, spec, cfg)
+    return _visit(node, i, spec)
 
 
 def mcts_select(
@@ -136,12 +137,11 @@ def mcts_select(
         per_action = max(1, cfg.simulations // (rounds * len(remaining)))
         for i in remaining:
             for _ in range(per_action):
-                _visit(root, i, spec, cfg)
+                _visit(root, i, spec)
         if len(remaining) > 1:
-            q = _normalized_q(root)[remaining]
-            max_v = int(root.n[remaining].max())
-            score = base[remaining] + (cfg.c_visit + max_v) * cfg.c_scale * q
+            # the survivors share the largest visit count, so sigma's max is theirs
+            score = base[remaining] + _sigma(root)[remaining]
             remaining = remaining[np.argsort(-score, kind="stable")[: len(remaining) // 2]]
     # ceil(log2 m) halvings leave a single candidate
-    improved[legal] = _completed_policy(root, cfg)
+    improved[legal] = _completed_policy(root)
     return legal[int(remaining[0])], improved

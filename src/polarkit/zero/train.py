@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
@@ -68,6 +69,8 @@ class TrainConfig:
             raise ValueError("total_episodes must be a positive multiple of update_interval")
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size must not exceed replay_capacity")
+        if self.replay_capacity > sys.maxsize:  # the replay deque's maxlen is a C ssize_t
+            raise ValueError(f"replay_capacity must not exceed {sys.maxsize}")
         self.mcts_config  # MctsConfig rejects simulations < sampled_actions or < 1
 
     @property
@@ -113,12 +116,13 @@ class EpisodeRecord:
         return self.final_state.current_row == self.final_state.ell
 
 
-def make_search_spec(network: Network, reward_cfg: RewardConfig, value_scale: float) -> SearchSpec:
+def make_search_spec(network: Network, reward_cfg: RewardConfig) -> SearchSpec:
     """Search hooks for one episode.  The search evaluates unfinished states
     only, whose network answer and legal actions read just the board,
     `(rows, current_row)`, so each board is evaluated once and its
     transpositions reuse the result.  The network changes only between
     episodes, so the memo never outlives the weights it was filled from."""
+    value_scale = value_scale_of(reward_cfg, network.spec.ell)
     memo: dict[tuple[tuple[int, ...], int], tuple[np.ndarray, float, list[int]]] = {}
 
     def evaluate(state: EnvState):
@@ -146,7 +150,7 @@ def self_play_episode(
     ell: int,
     preset_bits: int = 1,
 ) -> EpisodeRecord:
-    spec = make_search_spec(network, reward_cfg, value_scale_of(reward_cfg, ell))
+    spec = make_search_spec(network, reward_cfg)
     state = reset_env(target_profile(ell), rng, preset_bits)
     transitions: list[Transition] = []
     policies: list[np.ndarray] = []

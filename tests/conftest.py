@@ -32,10 +32,11 @@ from polarkit.gf2 import (
     rank,
     row_basis,
 )
-from polarkit.pdp import kernel_record
+from polarkit.pdp import PartialDistanceProfile, kernel_record
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
-from polarkit.zero.env import legal_actions, step_env
+from polarkit.zero.env import EnvState, legal_actions, step_env
 from polarkit.zero.mcts import SearchSpec
+from polarkit.zero.train import value_scale_of
 
 
 def naive_rank(bit_rows: list[list[int]]) -> int:
@@ -160,10 +161,6 @@ class OracleNode:
     @property
     def k_s(self) -> int:
         return len(self.s_basis)
-
-    @property
-    def k_p(self) -> int:
-        return self.k_s + self.v
 
     @property
     def comb_cost(self) -> int:
@@ -328,9 +325,17 @@ def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:
             return BitMatrix(ell, rows)
 
 
-def uncached_search_spec(network, reward_cfg, value_scale) -> SearchSpec:
+def bare_board(target: PartialDistanceProfile) -> EnvState:
+    """The empty board of `target`'s game, without `env.reset_env`'s forced
+    rows and presets: the agent plays every bit itself, so a successful
+    episode's total equals `env.closed_form_return` exactly."""
+    return EnvState(target.ell, (0,) * target.ell, 0, 0, tuple(reversed(target.distances)), False)
+
+
+def uncached_search_spec(network, reward_cfg) -> SearchSpec:
     """`train.make_search_spec` without its board memo: every evaluation
     runs the network."""
+    value_scale = value_scale_of(reward_cfg, network.spec.ell)
 
     def evaluate(state):
         logits, value = network.predict(state)

@@ -285,6 +285,7 @@ BAD_TRAIN_SETTINGS = [
     ("learning_rate", {"learning_rate": "inf"}),
     ("total_episodes", {"total_episodes": 12}),
     ("batch_size", {"batch_size": 600, "replay_capacity": 500}),
+    ("replay_capacity", {"replay_capacity": 2**63}),
 ]
 
 
@@ -391,16 +392,18 @@ def test_bler_command(capsys, tmp_path):
 def test_bler_code_too_long_exit_2(capsys, tmp_path):
     path = tmp_path / "f2.txt"
     write_kernel(path, ARIKAN)
-    code = main(
-        [
-            "bler", "--kernel", str(path), "--m", "13", "--k", "4096",
-            "--snr", "2.0", "--trials", "1", "--select-trials", "1",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert "error: ell^m must not exceed 4096" in err
-    assert "Traceback" not in err
+    # a huge m is refused before ell^m is computed
+    for m in ("13", "1000000000000"):
+        code = main(
+            [
+                "bler", "--kernel", str(path), "--m", m, "--k", "4096",
+                "--snr", "2.0", "--trials", "1", "--select-trials", "1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, m
+        assert "error: ell^m must not exceed 4096" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])

@@ -12,6 +12,7 @@ import pytest
 
 from polarkit.codec import (
     PolarCodeSpec,
+    _batch_sizes,
     bler_csv,
     build_link_tables,
     encode,
@@ -161,6 +162,16 @@ def test_select_frozen_set_deterministic_and_sized():
     assert frozen_a == frozen_b
     assert len(frozen_a) == 8
     assert 0 in frozen_a  # the worst subchannel is always the first input
+
+
+def test_batch_sizes_lazy_and_checked_on_call():
+    """Full batches, then the remainder, produced one at a time: a trial
+    count far beyond memory still yields its first batch."""
+    assert next(_batch_sizes(10**30)) == 256
+    assert list(_batch_sizes(600)) == [256, 256, 88]
+    assert list(_batch_sizes(512)) == [256, 256]
+    with pytest.raises(ValueError):
+        _batch_sizes(0)  # rejected on the call, before any iteration
 
 
 def test_simulate_bler_reproducible_and_monotone():

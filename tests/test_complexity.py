@@ -64,7 +64,7 @@ def test_split_point_midpoint():
 
 def _node_fields(tree) -> list[tuple]:
     return [
-        (n.x, n.y, n.w, n.v, n.k_s, n.k_p, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
+        (n.x, n.y, n.w, n.v, n.k_s, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
         + (n.mask, n.phase, len(n.children))
         for n in _nodes(tree)
     ]
@@ -149,7 +149,7 @@ def test_dimension_monotonicity(rng):
         phase = int(rng.integers(0, ell))
         tree = section_trees(kernel)[phase]
         for node in _nodes(tree):
-            assert node.k_p >= node.k_s
+            assert node.v >= 0  # the punctured code's dimension k_s + v is at least k_s
             if not node.is_leaf:
                 left, right = node.children
                 assert node.k_s >= left.k_s + right.k_s
@@ -172,7 +172,7 @@ def test_node_dimensions_match_enumeration(rng):
                 shortened = [w for w in words if not any(w[:x]) and not any(w[y:])]
                 k_s[x, y] = len(shortened).bit_length() - 1
                 k_p = naive_rank([row[x:y] for row in bits])
-                assert (node.k_s, node.k_p, node.v) == (k_s[x, y], k_p, k_p - k_s[x, y])
+                assert (node.k_s, node.k_s + node.v) == (k_s[x, y], k_p)
             for node in _nodes(tree):
                 if node.is_leaf:
                     assert node.w == 0

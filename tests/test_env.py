@@ -19,10 +19,12 @@ from polarkit.zero.env import (
     step_env,
     trans_reward,
 )
+from tests.conftest import bare_board
 
 
 def _random_episode(ell, cfg, rng, install_forced=True):
-    state = reset_env(target_profile(ell), rng, install_forced=install_forced)
+    target = target_profile(ell)
+    state = reset_env(target, rng) if install_forced else bare_board(target)
     transitions = []
     while not state.done:
         action = int(rng.choice(legal_actions(state)))
@@ -45,12 +47,6 @@ def test_reset_installs_forced_rows():
     assert state.steps == 0
 
 
-def test_reset_without_forced_rows():
-    state = reset_env(target_profile(4), seed=0, install_forced=False)
-    assert state.rows == (0, 0, 0, 0)
-    assert state.current_row == 0
-
-
 def test_legal_actions_are_unset_bits():
     state = reset_env(target_profile(4), seed=1)
     row = state.rows[state.current_row]
@@ -61,7 +57,7 @@ def test_legal_actions_are_unset_bits():
 
 def test_illegal_action_rejected():
     cfg = default_reward_config(4)
-    state = reset_env(target_profile(4), seed=0, install_forced=False)
+    state = bare_board(target_profile(4))
     state, _, _ = step_env(state, 2, cfg)
     with pytest.raises(ValueError):
         step_env(state, 2, cfg)
@@ -72,7 +68,7 @@ def test_illegal_action_rejected():
 def test_failed_row_is_cleared():
     """A completed row at the wrong coset distance resets to zero."""
     cfg = default_reward_config(3)
-    state = reset_env(target_profile(3), seed=0, install_forced=False)
+    state = bare_board(target_profile(3))
     # bottom row (target distance 2): any weight-2 row passes
     state, _, _ = step_env(state, 0, cfg)
     state, r, _ = step_env(state, 1, cfg)
@@ -129,7 +125,7 @@ def test_closed_form_return_matches_episodes(rng):
 
 def test_game_limit_terminates(rng):
     cfg = RewardConfig(game_limit=5)
-    state = reset_env(target_profile(9), seed=3, install_forced=False)
+    state = bare_board(target_profile(9))
     steps = 0
     while not state.done:
         state, _, _ = step_env(state, int(rng.choice(legal_actions(state))), cfg)

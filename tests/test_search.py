@@ -20,8 +20,8 @@ from polarkit.search import (
     random_agent_search,
     random_trial,
 )
-from polarkit.zero.env import RewardConfig, legal_actions, reset_env, step_env
-from tests.conftest import oracle_brute_force_search
+from polarkit.zero.env import RewardConfig, legal_actions, step_env
+from tests.conftest import bare_board, oracle_brute_force_search
 
 
 def test_brute_ell2_finds_arikan_profile():
@@ -73,7 +73,7 @@ def _env_random_trial(ell, target, rng):
     """The game of `zero.env` played by a uniform-random agent with the
     random trial's placement cap: the slow path `random_trial` copies."""
     cfg = RewardConfig(game_limit=PLACEMENTS_PER_COLUMN * ell)
-    state = reset_env(target, preset_bits=0, install_forced=False)
+    state = bare_board(target)
     while not state.done:
         legal = legal_actions(state)
         state, _, _ = step_env(state, legal[rng.integers(len(legal))], cfg)

@@ -165,18 +165,16 @@ def _count_forward(network):
 
 
 @pytest.mark.parametrize("ell", [8, 12])
-@pytest.mark.parametrize("mcts_cfg", [MctsConfig(), MctsConfig(c_scale=0.1)],
-                         ids=["c_scale=1", "c_scale=0.1"])
-def test_memoised_search_matches_uncached(ell, mcts_cfg):
+def test_memoised_search_matches_uncached(ell):
     """The board memo is invisible to the search: every action, reward and
     improved policy equals the uncached oracle's."""
-    reward_cfg, vscale = _short_game(ell)
+    reward_cfg, _ = _short_game(ell)
     network = Network(NetworkSpec(ell), seed=0)
     for seed in range(3):
-        cached = make_search_spec(network, reward_cfg, vscale)
-        uncached = uncached_search_spec(network, reward_cfg, vscale)
-        assert (_drive_episode(cached, reward_cfg, mcts_cfg, ell, seed)
-                == _drive_episode(uncached, reward_cfg, mcts_cfg, ell, seed)), seed
+        cached = make_search_spec(network, reward_cfg)
+        uncached = uncached_search_spec(network, reward_cfg)
+        assert (_drive_episode(cached, reward_cfg, MctsConfig(), ell, seed)
+                == _drive_episode(uncached, reward_cfg, MctsConfig(), ell, seed)), seed
 
 
 def test_forward_runs_once_per_board_per_episode(monkeypatch):
@@ -185,7 +183,7 @@ def test_forward_runs_once_per_board_per_episode(monkeypatch):
     board of an unfinished transposition, whose memo entry it would fill
     with no legal actions."""
     ell = 12
-    reward_cfg, vscale = _short_game(ell)
+    reward_cfg, _ = _short_game(ell)
     network = Network(NetworkSpec(ell), seed=0)
     calls = _count_forward(network)
     legal_calls = []
@@ -196,7 +194,7 @@ def test_forward_runs_once_per_board_per_episode(monkeypatch):
 
     monkeypatch.setattr(train, "legal_actions", counted_legal)
     for _ in range(2):  # the same episode twice: each spec evaluates afresh
-        spec = make_search_spec(network, reward_cfg, vscale)
+        spec = make_search_spec(network, reward_cfg)
         boards, finished = [], []
 
         def evaluate(state, spec=spec, boards=boards):
@@ -226,7 +224,7 @@ def test_memo_key_is_the_encoded_board():
     reward_cfg, vscale = _short_game(ell)
     network, twin = Network(NetworkSpec(ell), seed=0), Network(NetworkSpec(ell), seed=0)
     calls = _count_forward(network)
-    spec = make_search_spec(network, reward_cfg, vscale)
+    spec = make_search_spec(network, reward_cfg)
     state = reset_env(target_profile(ell), seed=0)
     transposed = replace(state, steps=state.steps + 4)
     next_row = replace(state, current_row=state.current_row + 1)
@@ -247,10 +245,10 @@ def test_spec_after_sgd_step_sees_the_updated_network():
     reward_cfg, vscale = _short_game(ell)
     network = Network(NetworkSpec(ell), seed=0)
     state = reset_env(target_profile(ell), seed=0)
-    before, _, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    before, _, _ = make_search_spec(network, reward_cfg).evaluate(state)
     _, grads = network.loss_and_grads(encode_state(state)[None, :], np.eye(ell)[[0]], np.ones(1))
     network.sgd_step(grads, lr=0.1)
-    after, value, _ = make_search_spec(network, reward_cfg, vscale).evaluate(state)
+    after, value, _ = make_search_spec(network, reward_cfg).evaluate(state)
     expected_logits, expected_value = network.predict(state)
     assert after.tolist() == expected_logits.tolist()
     assert after.tolist() != before.tolist()
