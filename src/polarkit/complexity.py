@@ -61,6 +61,8 @@ class SectionNode:
     # the phase's extended code basis, shared by its nodes, built on first call
     code_basis: Callable[[], tuple[int, ...]] = field(repr=False, compare=False)
     phase: int = field(repr=False, compare=False)
+    # the phase row's projection lies outside that of the rows below it
+    widened: bool = field(repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -212,7 +214,8 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
                     basis[p] = r
                     # distinct leading bits: descending values are echelon order
                     s_bases[j] = tuple(sorted(basis.values(), reverse=True))
-            if len(inside_pivots) < y - x:  # else the projection is all of the section
+            k_p = len(inside_pivots)  # rank of the projection of rows phase+1..
+            if k_p < y - x:  # else the projection is all of the section
                 eliminate(inside_pivots, extend, inside)
             s_b = s_bases[j]
             children: tuple[SectionNode, ...] = ()
@@ -221,7 +224,8 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
                 children = (nodes[halves[0]], nodes[halves[1]])
                 w = len(s_b) - len(children[0].s_basis) - len(children[1].s_basis)
             v = len(inside_pivots) - len(s_b)
-            nodes.append(SectionNode(x, y, w, v, children, s_b, inside, code_basis, phase))
+            widened = len(inside_pivots) > k_p
+            nodes.append(SectionNode(x, y, w, v, children, s_b, inside, code_basis, phase, widened))
         trees.append(nodes[-1])
     return trees[::-1]
 
@@ -235,14 +239,17 @@ def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
     A representative that carries the next phase's column (the last bit)
     decides (2) alone: the previous phase's code can set that column only
     through its own phase row, which lies outside the span of the later
-    rows of a non-singular kernel."""
+    rows of a non-singular kernel.  A ``widened`` section needs such a
+    representative, so it decides before any is built: the
+    v-representatives span the projection modulo the shortened code, and
+    one without the phase column lies in the code of the rows below."""
     if (prev.x, prev.y, prev.phase + 1) != (nxt.x, nxt.y, nxt.phase):
         raise ValueError("reuse comparison requires matching intervals of consecutive phases")
     if prev.is_leaf or nxt.is_leaf:
         return False
     if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
         return False
-    if any(r & 1 for r in nxt.v_reps):
+    if nxt.widened or any(r & 1 for r in nxt.v_reps):
         return False
     return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
 

@@ -5,7 +5,8 @@ column 0 is the most significant bit and a row reads left-to-right like its
 binary literal: the 12-column row 0x800 has a single 1 in column 0.
 All widths are <= 17 (16-column kernels plus one appended column); a
 coset-distance table holds 2^ell bytes and the cache keeps at most 64 of
-them (4 MiB at ell=16).
+them (4 MiB at ell=16).  Each table is built from the previous one through
+an index array of all words, which is made once per width and shared.
 
 ``eliminate`` is the one Gaussian elimination; bases, subcode tests,
 shortened codes, the complexity model's w/v representatives and the
@@ -18,19 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 MAX_COLS = 17
-
-
-def pack_row(bits: Sequence[int]) -> int:
-    """Pack a left-to-right bit sequence into an int (column 0 = MSB)."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
 
 
 def unpack_row(row: int, ncols: int) -> list[int]:
@@ -95,6 +88,14 @@ def rank(rows: Iterable[int]) -> int:
     return len(row_basis(rows))
 
 
+@lru_cache(maxsize=None)
+def _words(ncols: int) -> np.ndarray:
+    """Read-only array of every width-ncols word, ascending: the index of a table."""
+    words = np.arange(1 << ncols)
+    words.flags.writeable = False
+    return words
+
+
 @lru_cache(maxsize=64)
 def coset_distances(ncols: int, rows: tuple[int, ...] = ()) -> np.ndarray:
     """Read-only uint8 table whose entry x is the Hamming distance from x
@@ -102,7 +103,7 @@ def coset_distances(ncols: int, rows: tuple[int, ...] = ()) -> np.ndarray:
     ``rows[:-1]`` where x may also reach the span through x ^ rows[-1]."""
     if rows:
         prev = coset_distances(ncols, rows[:-1])
-        table = np.minimum(prev, prev[np.arange(1 << ncols) ^ rows[-1]])
+        table = np.minimum(prev, prev.take(_words(ncols) ^ rows[-1]))
     else:
         table = np.zeros(1 << ncols, dtype=np.uint8)
         for b in range(ncols):

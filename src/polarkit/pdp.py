@@ -99,10 +99,6 @@ def target_exponent(ell: int) -> float:
     return _TARGETS[ell][1]
 
 
-def supported_sizes() -> list[int]:
-    return sorted(_TARGETS)
-
-
 def meets_target(kernel: BitMatrix, target: PartialDistanceProfile) -> bool:
     if kernel.ncols != target.ell:
         raise ValueError("kernel size and target size differ")

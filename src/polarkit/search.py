@@ -160,12 +160,17 @@ def random_trial(
 
     Rows are grown bottom-up by picking unset bit positions uniformly; a
     row that reaches its target weight at the wrong distance is cleared
-    and retried.  The trial fails once the placement cap is hit.
+    and retried.  The trial fails once the placement cap is hit, or at
+    once when no word is valid for the next row: such a prefix never
+    completes, and retrying it would only spend draws up to the cap.
     """
     left = PLACEMENTS_PER_COLUMN * ell  # placements left before the trial fails
     rows: tuple[int, ...] = ()  # bottom row first
     while len(rows) < ell:
         want = target.distances[ell - 1 - len(rows)]
+        valid = valid_rows(ell, rows, want)
+        if not valid.any():
+            return None
         row = 0
         free = list(range(ell))  # unset bit positions, ascending
         for _ in range(want):
@@ -173,7 +178,7 @@ def random_trial(
                 return None
             row |= 1 << free.pop(int(rng.integers(len(free))))
             left -= 1
-        if valid_rows(ell, rows, want)[row]:
+        if valid[row]:
             rows += (row,)
     return BitMatrix(ell, rows[::-1])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from polarkit.complexity import (
     split_point,
 )
 from polarkit.gf2 import (
+    MAX_COLS,
     BitMatrix,
     coset_distances,
     eliminate,
@@ -32,11 +33,32 @@ from polarkit.gf2 import (
     rank,
     row_basis,
 )
-from polarkit.pdp import PartialDistanceProfile, kernel_record
+from polarkit.pdp import PartialDistanceProfile, kernel_record, target_profile
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 from polarkit.zero.env import EnvState, legal_actions, step_env
 from polarkit.zero.mcts import SearchSpec
 from polarkit.zero.train import value_scale_of
+
+
+def pack_row(bits: Sequence[int]) -> int:
+    """Pack a left-to-right bit sequence into an int (column 0 = MSB), the
+    inverse of `gf2.unpack_row`."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | (b & 1)
+    return value
+
+
+def supported_sizes() -> list[int]:
+    """The widths `pdp.target_profile` has a target for, found by asking it."""
+    sizes = []
+    for ell in range(1, MAX_COLS + 1):
+        try:
+            target_profile(ell)
+        except ValueError:
+            continue
+        sizes.append(ell)
+    return sizes
 
 
 def naive_rank(bit_rows: list[list[int]]) -> int:

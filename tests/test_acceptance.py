@@ -41,7 +41,7 @@ from polarkit.pdp import (
     target_exponent,
     target_profile,
 )
-from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16
+from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16, BEST16_COMPLEXITY
 from polarkit.search import BruteConfig, KernelRecord, brute_force_search, random_agent_search
 from polarkit.zero.env import default_reward_config, trans_reward
 from polarkit.zero.train import TrainConfig, train_loop
@@ -78,7 +78,7 @@ def test_criterion_1_golden_complexity_totals():
     t16 = _best_time(lambda: total_complexity(BEST16, policy))
     assert t12 < 0.1 and t16 < 0.1
     c16 = total_complexity(BEST16, policy).total
-    assert c16 == 1396
+    assert c16 == BEST16_COMPLEXITY
 
 
 def test_criterion_2_profiles_and_exponents():
@@ -140,7 +140,7 @@ def test_criterion_6_reward_arithmetic(rng):
     cfg16 = default_reward_config(16)
     assert trans_reward(cfg16.comp_min, cfg16) == pytest.approx(cfg16.r_max)
     assert trans_reward(cfg16.comp_max, cfg16) == pytest.approx(cfg16.r_min)
-    assert trans_reward(1396, cfg16) == pytest.approx(3604**2 / 3700, abs=1e-6)
+    assert trans_reward(BEST16_COMPLEXITY, cfg16) == pytest.approx(3604**2 / 3700, abs=1e-6)
     # episode sum == closed form, 100 random successful episodes
     from polarkit.complexity import total_complexity_cached
     from polarkit.zero.env import closed_form_return, episode_return

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from polarkit import codec, complexity
@@ -192,6 +196,34 @@ def test_reuse_eligible_matches_literal_rule(rng):
             for p, n in zip(_nodes(prev), _nodes(nxt)):
                 assert reuse_eligible(p, n) == oracle_reuse_eligible(p, n), (kernel, p.phase)
                 decided += not p.is_leaf
+    assert decided >= 1000
+
+
+def test_widened_sections_fail_reuse_by_the_phase_column(rng):
+    """`widened` is the rank comparison from scratch: rows phase.. against
+    rows phase+1.., both taken on the section's columns.  A widened
+    section's v-representatives (built from scratch) carry the phase
+    column, so the literal rule rejects it without reading them."""
+    decided = 0  # widened pairs that reach the representatives' test
+    for ell in range(2, 17):
+        for _ in range(4):
+            kernel = random_kernel(ell, rng)
+            trees = section_trees(kernel)
+            oracle = oracle_section_trees(kernel)
+            for phase, (tree, want) in enumerate(zip(trees, oracle)):
+                bits = extend_kernel(kernel, phase).to_bits()
+                for n, o in zip(_nodes(tree), _nodes(want)):
+                    section = [row[n.x : n.y] for row in bits]
+                    assert n.widened == (naive_rank(section) > naive_rank(section[1:]))
+                    if n.widened:
+                        assert any(r & 1 for r in o.v_reps), (kernel, phase, n.x, n.y)
+            for prev, tree, nxt in zip(oracle, trees[1:], oracle[1:]):
+                for p, n, o in zip(_nodes(prev), _nodes(tree), _nodes(nxt)):
+                    if n.widened:
+                        assert not oracle_reuse_eligible(p, o), (kernel, n.phase, n.x, n.y)
+                        decided += not o.is_leaf and all(
+                            a.s_basis == b.s_basis for a, b in zip(p.children, o.children)
+                        )
     assert decided >= 1000
 
 
@@ -401,6 +433,28 @@ def test_one_walk_matches_two_walk_oracle(rng):
         for policy in ReuseMode:
             report = total_complexity(kernel, policy).to_json_dict()
             assert report == oracle_total_complexity(kernel, policy), (kernel, policy)
+
+
+#: sha256 of the reports below, recorded before `widened` took part in reuse
+PINNED_WIDE_REPORTS = "deb404021f4880630def545fc18b9c5d9c16c8461adaf376e2d46f76c8c841b6"
+
+
+def test_wide_reports_pinned():
+    """The literal rule at ell 13..16, beyond the oracle comparison of
+    `test_reuse_eligible_matches_literal_rule`: reports of seeded random
+    kernels under the two policies that read the representatives."""
+    digest = hashlib.sha256()
+    reused = 0
+    for ell in range(13, 17):
+        rng = np.random.default_rng([17, ell])
+        for _ in range(25):
+            kernel = random_kernel(ell, rng)
+            for policy in (ReuseMode.TOP_SECTIONS, ReuseMode.ALL_CONTIGUOUS):
+                report = total_complexity(kernel, policy)
+                reused += sum(len(p.reused) for p in report.per_phase)
+                digest.update(json.dumps(report.to_json_dict()).encode())
+    assert reused >= 500  # the reports do reuse sections
+    assert digest.hexdigest() == PINNED_WIDE_REPORTS
 
 
 def test_cached_total_matches_report(rng):

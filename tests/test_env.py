@@ -7,6 +7,7 @@ import pytest
 
 from polarkit.complexity import total_complexity_cached
 from polarkit.pdp import compute_pdp, target_profile
+from polarkit.reference import BEST16_COMPLEXITY
 from polarkit.zero.env import (
     RewardConfig,
     Transition,
@@ -105,7 +106,7 @@ def test_trans_reward_endpoints_and_monotonicity():
 
 def test_trans_reward_published_value():
     cfg = default_reward_config(16)
-    assert trans_reward(1396, cfg) == pytest.approx(3604**2 / 3700, abs=1e-6)
+    assert trans_reward(BEST16_COMPLEXITY, cfg) == pytest.approx(3604**2 / 3700, abs=1e-6)
 
 
 def test_closed_form_return_matches_episodes(rng):

@@ -13,7 +13,6 @@ from polarkit.gf2 import (
     eliminate,
     interval_mask,
     is_subcode,
-    pack_row,
     rank,
     unpack_row,
 )
@@ -21,6 +20,7 @@ from tests.conftest import (
     naive_coset_min_distance,
     naive_rank,
     naive_span,
+    pack_row,
     random_kernel,
     reduced_basis,
     shortened_basis,

@@ -16,13 +16,12 @@ from polarkit.pdp import (
     error_exponent,
     kernel_record,
     meets_target,
-    supported_sizes,
     target_exponent,
     target_profile,
     valid_rows,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST16
-from tests.conftest import naive_coset_min_distance, random_kernel
+from tests.conftest import naive_coset_min_distance, random_kernel, supported_sizes
 
 
 def test_arikan_pdp():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from polarkit.gf2 import coset_distances
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, meets_target, target_profile
 from polarkit.search import (
     PLACEMENTS_PER_COLUMN,
@@ -71,27 +72,45 @@ def test_random_results_meet_target():
 
 def _env_random_trial(ell, target, rng):
     """The game of `zero.env` played by a uniform-random agent with the
-    random trial's placement cap: the slow path `random_trial` copies."""
+    random trial's placement cap: the slow path `random_trial` copies.
+    Returns the kernel (None on a give-up) and the generator state at the
+    first start of a row that no word fits, None if play never reached one."""
     cfg = RewardConfig(game_limit=PLACEMENTS_PER_COLUMN * ell)
+    weights = coset_distances(ell)
     state = bare_board(target)
+    dead_end = None
     while not state.done:
+        i = state.current_row
+        if dead_end is None and not state.rows[i]:
+            want = state.targets[i]
+            table = coset_distances(ell, state.rows[:i])
+            if not np.any((weights == want) & (table == want)):
+                dead_end = rng.bit_generator.state
         legal = legal_actions(state)
         state, _, _ = step_env(state, legal[rng.integers(len(legal))], cfg)
-    return state.kernel() if state.current_row == ell else None
+    return (state.kernel() if state.current_row == ell else None), dead_end
 
 
 def test_random_trial_matches_env_game():
+    """The same kernels as the env game, from the same draws: a trial
+    that stops at a dead end has drawn exactly what the game drew before
+    first starting that row, and every other trial all that the game drew."""
     outcomes = set()
-    for ell in range(2, 13):
+    for ell in range(2, 17):
         target = target_profile(ell)
         for seed in range(40):
             fast_rng, slow_rng = (np.random.default_rng([seed, ell]) for _ in range(2))
             fast = random_trial(ell, target, fast_rng)
-            assert fast == _env_random_trial(ell, target, slow_rng), (ell, seed)
-            # the same number of draws, so the same placements up to the cap
-            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-            outcomes.add(fast is None)
-    assert outcomes == {False, True}  # both kernels and give-ups were compared
+            slow, dead_end = _env_random_trial(ell, target, slow_rng)
+            assert fast == slow, (ell, seed)
+            if dead_end is not None:
+                assert fast is None
+                assert fast_rng.bit_generator.state == dead_end, (ell, seed)
+                outcomes.add("dead end")
+            else:
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state, (ell, seed)
+                outcomes.add("cap" if fast is None else "kernel")
+    assert outcomes == {"kernel", "cap", "dead end"}
 
 
 def test_random_nested_monotone():
@@ -194,6 +213,34 @@ PINNED_RANDOM = {
             "1464": 1, "1530": 2, "1584": 1, "1634": 1, "1660": 1, "1666": 1,
             "1680": 1, "1698": 1, "1736": 1, "1744": 1, "1750": 1, "1844": 1,
             "1868": 1, "1888": 1, "1914": 1, "1954": 1, "2004": 1,
+        },
+    },
+    # 191 of the 200 trials give up: 126 at a dead end, 65 at the placement cap
+    (14, 200, 1): {
+        "ell": 14, "iterations": 200, "feasible_count": 9,
+        "min_complexity": 2786, "max_complexity": 3946,
+        "best_kernel_rows": [
+            "0x80", "0x180", "0x440", "0x210", "0x5", "0x470", "0x9a",
+            "0x832", "0x350", "0x2a61", "0x30c5", "0x779", "0x3bd0", "0x3517",
+        ],
+        "histogram": {
+            "2786": 1, "2946": 1, "3032": 1, "3166": 1, "3476": 1, "3652": 1,
+            "3814": 1, "3866": 1, "3946": 1,
+        },
+    },
+    # 274 of the 300 trials give up: 78 at a dead end, 196 at the placement cap
+    (16, 300, 9): {
+        "ell": 16, "iterations": 300, "feasible_count": 26,
+        "min_complexity": 5584, "max_complexity": 7748,
+        "best_kernel_rows": [
+            "0x8000", "0x108", "0x41", "0x8001", "0x101", "0x4052", "0xa11", "0x462",
+            "0x1604", "0x210f", "0x2c70", "0x8db8", "0x6969", "0xcc0f", "0x6ea4", "0xffff",
+        ],
+        "histogram": {
+            "5584": 1, "5888": 1, "6000": 1, "6040": 1, "6176": 1, "6276": 2, "6282": 1,
+            "6442": 1, "6526": 1, "6534": 1, "6540": 1, "6578": 1, "6806": 1, "6830": 1,
+            "6872": 1, "6890": 1, "6970": 1, "7004": 1, "7038": 1, "7116": 1, "7124": 1,
+            "7202": 1, "7630": 1, "7716": 1, "7748": 1,
         },
     },
 }
