@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# The checks every change reports, run from the repository root:
+#   1. the tier-1 test command (the full suite, slow tests included) at
+#      verbose level, logged to test_output.txt;
+#   2. the benchmark's self-test (perfbench/run.py --selftest);
+#   3. the line counts of src/ and tests/.
+# Nothing is deselected or skipped, so the script exits nonzero while any
+# test is red -- criterion 1 is, by design (see README).
+# Usage: scripts/check.sh
+set -uo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+status=0
+
+python -m pytest --continue-on-collection-errors --no-header -v > test_output.txt 2>&1 || status=1
+tail -n 1 test_output.txt
+
+python3 perfbench/run.py --selftest || status=1
+
+echo "src/:   $(find src -name '*.py' -print0 | xargs -0 cat | wc -l) lines"
+echo "tests/: $(find tests -name '*.py' -print0 | xargs -0 cat | wc -l) lines"
+exit "$status"

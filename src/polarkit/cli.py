@@ -39,7 +39,6 @@ from polarkit.pdp import (
     target_profile,
 )
 from polarkit.search import (
-    BruteConfig,
     Infeasible,
     StepLimitExceeded,
     brute_force_search,
@@ -89,10 +88,10 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    cfg = BruteConfig(args.ell, target_profile(args.ell), args.limit)
-    _echo({"command": "brute", "ell": cfg.ell, "target": list(cfg.target.distances),
-           "step_limit": cfg.step_limit})
-    result = brute_force_search(cfg)
+    target = target_profile(args.ell)
+    _echo({"command": "brute", "ell": args.ell, "target": list(target.distances),
+           "step_limit": args.limit})
+    result = brute_force_search(target, args.limit)
     if isinstance(result, Infeasible):
         print(f"infeasible: search space exhausted after {result.steps} steps",
               file=sys.stderr)
@@ -100,15 +99,17 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     if isinstance(result, StepLimitExceeded):
         print(f"step limit reached after {result.steps} steps", file=sys.stderr)
         return EXIT_LIMIT
-    text = format_kernel(result.matrix)
+    text = format_kernel(result)
     if args.out is not None:
-        write_kernel(args.out, result.matrix)
-    summary = {
-        "pdp": list(result.pdp.distances),
-        "exponent": round(result.exponent, 4),
-        "kernel_rows": [f"{r:#x}" for r in result.matrix.rows],
-    }
-    sys.stdout.write(text if args.out is None else json.dumps(summary, indent=2) + "\n")
+        write_kernel(args.out, result)
+        pdp = compute_pdp(result)
+        summary = {
+            "pdp": list(pdp.distances),
+            "exponent": round(error_exponent(pdp), 4),
+            "kernel_rows": [f"{r:#x}" for r in result.rows],
+        }
+        text = json.dumps(summary, indent=2) + "\n"
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -17,22 +17,15 @@ class SingularKernelError(ValueError):
 
 @dataclass(frozen=True)
 class PartialDistanceProfile:
-    ell: int
     distances: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.distances) != self.ell:
-            raise ValueError("profile length must equal ell")
         if any(not 1 <= d <= self.ell for d in self.distances):
             raise ValueError("every partial distance must lie in [1, ell]")
 
-
-@dataclass(frozen=True)
-class KernelRecord:
-    matrix: BitMatrix
-    pdp: PartialDistanceProfile
-    exponent: float
-    complexity: int | None = None
+    @property
+    def ell(self) -> int:
+        return len(self.distances)
 
 
 # Relaxed target profiles for widths 5..16 with their exponents (4 decimals).
@@ -67,7 +60,7 @@ def compute_pdp(kernel: BitMatrix) -> PartialDistanceProfile:
     distances = tuple(int(coset_distances(ell, b)[r]) for b, r in zip(below, kernel.rows))
     if 0 in distances:
         raise SingularKernelError("kernel must be non-singular")
-    return PartialDistanceProfile(ell, distances)
+    return PartialDistanceProfile(distances)
 
 
 @lru_cache(maxsize=64)
@@ -89,7 +82,7 @@ def error_exponent(pdp: PartialDistanceProfile) -> float:
 def target_profile(ell: int) -> PartialDistanceProfile:
     if ell not in _TARGETS:
         raise ValueError(f"unsupported kernel size ell={ell}; supported range is [2, 16]")
-    return PartialDistanceProfile(ell, _TARGETS[ell][0])
+    return PartialDistanceProfile(_TARGETS[ell][0])
 
 
 def target_exponent(ell: int) -> float:
@@ -103,8 +96,3 @@ def meets_target(kernel: BitMatrix, target: PartialDistanceProfile) -> bool:
     if kernel.ncols != target.ell:
         raise ValueError("kernel size and target size differ")
     return compute_pdp(kernel).distances == target.distances
-
-
-def kernel_record(kernel: BitMatrix, complexity: int | None = None) -> KernelRecord:
-    pdp = compute_pdp(kernel)
-    return KernelRecord(kernel, pdp, error_exponent(pdp), complexity)

@@ -18,13 +18,7 @@ import numpy as np
 
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
 from polarkit.gf2 import BitMatrix
-from polarkit.pdp import (
-    KernelRecord,
-    PartialDistanceProfile,
-    compute_pdp,
-    kernel_record,
-    valid_rows,
-)
+from polarkit.pdp import PartialDistanceProfile, compute_pdp, valid_rows
 
 
 #: Candidates within a row are visited in a deterministic seeded
@@ -37,19 +31,6 @@ ORDER_SEED = 1234
 RESTARTS = 10
 #: A random trial fails after this many bit placements per column.
 PLACEMENTS_PER_COLUMN = 50
-
-
-@dataclass(frozen=True)
-class BruteConfig:
-    ell: int
-    target: PartialDistanceProfile
-    step_limit: int = 10**7
-
-    def __post_init__(self) -> None:
-        if self.step_limit <= 0:
-            raise ValueError("step_limit must be positive")
-        if self.target.ell != self.ell:
-            raise ValueError("target profile size must match ell")
 
 
 @dataclass(frozen=True)
@@ -69,7 +50,7 @@ class RandomSearchStats:
     ell: int
     iterations: int
     histogram: dict[int, int]  # complexity -> feasible trials
-    best_kernel: KernelRecord | None  # the first of lowest complexity, in trial order
+    best_kernel: BitMatrix | None  # the first of complexity min_complexity, in trial order
 
     @property
     def feasible_count(self) -> int:
@@ -91,7 +72,7 @@ class RandomSearchStats:
             "min_complexity": self.min_complexity,
             "max_complexity": self.max_complexity,
             "best_kernel_rows": (
-                [f"{r:#x}" for r in self.best_kernel.matrix.rows]
+                [f"{r:#x}" for r in self.best_kernel.rows]
                 if self.best_kernel
                 else None
             ),
@@ -107,7 +88,9 @@ class RandomSearchStats:
         return "\n".join(lines) + "\n"
 
 
-def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimitExceeded:
+def brute_force_search(
+    target: PartialDistanceProfile, step_limit: int = 10**7
+) -> BitMatrix | Infeasible | StepLimitExceeded:
     """Backtracking enumeration, bottom row first.
 
     One step is one candidate distance test; the step budget is shared
@@ -116,11 +99,13 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
     (within any single attempt, which is a complete enumeration), or the
     step limit.
     """
-    ell = cfg.ell
-    wants = cfg.target.distances[::-1]  # wants[level] is the distance of row ell-1-level
+    if step_limit <= 0:
+        raise ValueError("step_limit must be positive")
+    ell = target.ell
+    wants = target.distances[::-1]  # wants[level] is the distance of row ell-1-level
     steps = 0
     for a in range(RESTARTS):
-        end = min(steps + max(1, cfg.step_limit // RESTARTS), cfg.step_limit)
+        end = min(steps + max(1, step_limit // RESTARTS), step_limit)
         # each level's candidates: every word of weight D_i, in a seeded order
         orders = [
             np.random.default_rng([ORDER_SEED, a, level])
@@ -140,9 +125,9 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
             if hits.size:
                 rows.append(int(window[hits[0]]))
                 if len(rows) == ell:
-                    record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
-                    assert record.pdp == cfg.target
-                    return record
+                    kernel = BitMatrix(ell, tuple(reversed(rows)))
+                    assert compute_pdp(kernel) == target
+                    return kernel
             elif not window.size:  # every candidate under this prefix was tested
                 if not rows:
                     return Infeasible(steps)  # a full enumeration: truly infeasible
@@ -151,11 +136,7 @@ def brute_force_search(cfg: BruteConfig) -> KernelRecord | Infeasible | StepLimi
     return StepLimitExceeded(steps)
 
 
-def random_trial(
-    ell: int,
-    target: PartialDistanceProfile,
-    rng: np.random.Generator,
-) -> BitMatrix | None:
+def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> BitMatrix | None:
     """One uniform-sampling construction attempt.
 
     Rows are grown bottom-up by picking unset bit positions uniformly; a
@@ -164,6 +145,7 @@ def random_trial(
     once when no word is valid for the next row: such a prefix never
     completes, and retrying it would only spend draws up to the cap.
     """
+    ell = target.ell
     left = PLACEMENTS_PER_COLUMN * ell  # placements left before the trial fails
     rows: tuple[int, ...] = ()  # bottom row first
     while len(rows) < ell:
@@ -196,11 +178,13 @@ def random_agent_search(
     (seed, global trial index), so runs shard and nest deterministically."""
     if iterations <= 0:
         raise ValueError("iterations must be positive")
+    if target.ell != ell:
+        raise ValueError(f"target profile has {target.ell} rows, not ell={ell}")
     histogram: dict[int, int] = {}
     best: tuple[int, BitMatrix] | None = None
     for t in range(trial_offset, trial_offset + iterations):
         rng = np.random.default_rng([seed, t])
-        kernel = random_trial(ell, target, rng)
+        kernel = random_trial(target, rng)
         if kernel is None:
             continue
         assert compute_pdp(kernel).distances == target.distances
@@ -208,8 +192,7 @@ def random_agent_search(
         histogram[comp] = histogram.get(comp, 0) + 1
         if best is None or comp < best[0]:
             best = (comp, kernel)
-    record = kernel_record(best[1], best[0]) if best else None
-    return RandomSearchStats(ell, iterations, histogram, record)
+    return RandomSearchStats(ell, iterations, histogram, best[1] if best else None)
 
 
 def merge_stats(parts: list[RandomSearchStats]) -> RandomSearchStats:
@@ -220,7 +203,7 @@ def merge_stats(parts: list[RandomSearchStats]) -> RandomSearchStats:
     for p in parts:
         for c, n in p.histogram.items():
             histogram[c] = histogram.get(c, 0) + n
-    # min keeps the first of equal minima: the shard earliest in trial order
-    bests = [p.best_kernel for p in parts if p.best_kernel is not None]
-    best = min(bests, key=lambda b: b.complexity, default=None)
+    # the first shard in trial order that reaches the overall minimum
+    low = min(histogram, default=None)
+    best = next((p.best_kernel for p in parts if p.min_complexity == low), None)
     return RandomSearchStats(parts[0].ell, sum(p.iterations for p in parts), histogram, best)

@@ -60,12 +60,15 @@ def default_reward_config(ell: int) -> RewardConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    ell: int
     rows: tuple[int, ...]  # row-reversed: rows[0] is the bottom kernel row
     current_row: int
     steps: int
     targets: tuple[int, ...]  # row-reversed distance targets
     done: bool
+
+    @property
+    def ell(self) -> int:
+        return len(self.rows)
 
     def kernel(self) -> BitMatrix:
         return BitMatrix(self.ell, tuple(reversed(self.rows)))
@@ -116,11 +119,12 @@ def reset_env(
         cols = rng.choice(ell, size=presets, replace=False)
         for j in cols:
             rows[forced] |= 1 << int(j)
-    return EnvState(ell, tuple(rows), forced, 0, reversed_targets, forced == ell)
+    return EnvState(tuple(rows), forced, 0, reversed_targets, forced == ell)
 
 
 def legal_actions(state: EnvState) -> list[int]:
-    """Unset bit positions of the current row (bit j = kernel column)."""
+    """Unset bit positions of the current row.  Action j sets bit j, which
+    is kernel column ell-1-j (column 0 is a row's most significant bit)."""
     if state.done:
         return []
     row = state.rows[state.current_row]
@@ -150,7 +154,7 @@ def step_env(state: EnvState, action: int, cfg: RewardConfig) -> tuple[EnvState,
                 done = True
         else:
             rows[i] = 0
-    return EnvState(state.ell, tuple(rows), i, steps, state.targets, done), reward, done
+    return EnvState(tuple(rows), i, steps, state.targets, done), reward, done
 
 
 def episode_return(transitions: list[Transition]) -> float:

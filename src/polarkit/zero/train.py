@@ -150,6 +150,8 @@ def self_play_episode(
     ell: int,
     preset_bits: int = 1,
 ) -> EpisodeRecord:
+    if ell != network.spec.ell:
+        raise ValueError(f"network plays ell={network.spec.ell}, not ell={ell}")
     spec = make_search_spec(network, reward_cfg)
     state = reset_env(target_profile(ell), rng, preset_bits)
     transitions: list[Transition] = []

@@ -33,7 +33,7 @@ from polarkit.gf2 import (
     rank,
     row_basis,
 )
-from polarkit.pdp import PartialDistanceProfile, kernel_record, target_profile
+from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 from polarkit.zero.env import EnvState, legal_actions, step_env
 from polarkit.zero.mcts import SearchSpec
@@ -287,21 +287,21 @@ def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
     }
 
 
-def oracle_brute_force_search(cfg):
+def oracle_brute_force_search(target, step_limit):
     """``search.brute_force_search`` as a stack of per-level candidate
     iterators, testing each candidate against the coset-distance table
     directly.  Returns the outcome and the steps spent; for a kernel,
     the steps up to and including the test that placed its top row."""
-    ell = cfg.ell
-    target = cfg.target.distances
+    ell = target.ell
+    wants = target.distances
     total_steps = 0
-    per_attempt = max(1, cfg.step_limit // RESTARTS)
+    per_attempt = max(1, step_limit // RESTARTS)
     for a in range(RESTARTS):
-        budget = min(per_attempt, cfg.step_limit - total_steps)
+        budget = min(per_attempt, step_limit - total_steps)
 
         def candidates(level: int):
             # every word of weight D_i, ascending, then shuffled
-            vs = np.flatnonzero(coset_distances(ell) == target[ell - 1 - level]).tolist()
+            vs = np.flatnonzero(coset_distances(ell) == wants[ell - 1 - level]).tolist()
             np.random.default_rng([ORDER_SEED, a, level]).shuffle(vs)
             return iter(vs)
 
@@ -310,7 +310,7 @@ def oracle_brute_force_search(cfg):
         steps = 0
         capped = False
         while iters and not capped:
-            want = target[ell - len(iters)]  # filling kernel row ell - len(iters)
+            want = wants[ell - len(iters)]  # filling kernel row ell - len(iters)
             table = coset_distances(ell, tuple(rows))
             advanced = False
             for cand in iters[-1]:
@@ -318,9 +318,9 @@ def oracle_brute_force_search(cfg):
                 if table[cand] == want:
                     rows.append(cand)
                     if len(rows) == ell:
-                        record = kernel_record(BitMatrix(ell, tuple(reversed(rows))))
-                        assert record.pdp == cfg.target
-                        return record, total_steps + steps
+                        kernel = BitMatrix(ell, tuple(reversed(rows)))
+                        assert compute_pdp(kernel) == target
+                        return kernel, total_steps + steps
                     iters.append(candidates(len(rows)))
                     advanced = True
                 if advanced or steps >= budget:
@@ -334,7 +334,7 @@ def oracle_brute_force_search(cfg):
         if not capped:
             # a full enumeration finished without a kernel: truly infeasible
             return Infeasible(total_steps), total_steps
-        if total_steps >= cfg.step_limit:
+        if total_steps >= step_limit:
             break
     return StepLimitExceeded(total_steps), total_steps
 
@@ -351,7 +351,7 @@ def bare_board(target: PartialDistanceProfile) -> EnvState:
     """The empty board of `target`'s game, without `env.reset_env`'s forced
     rows and presets: the agent plays every bit itself, so a successful
     episode's total equals `env.closed_form_return` exactly."""
-    return EnvState(target.ell, (0,) * target.ell, 0, 0, tuple(reversed(target.distances)), False)
+    return EnvState((0,) * target.ell, 0, 0, tuple(reversed(target.distances)), False)
 
 
 def uncached_search_spec(network, reward_cfg) -> SearchSpec:

@@ -33,7 +33,7 @@ from polarkit.codec import (
     simulate_bler,
 )
 from polarkit.complexity import ReuseMode, total_complexity
-from polarkit.gf2 import rank
+from polarkit.gf2 import BitMatrix, rank
 from polarkit.pdp import (
     SingularKernelError,
     compute_pdp,
@@ -42,7 +42,7 @@ from polarkit.pdp import (
     target_profile,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16, BEST16_COMPLEXITY
-from polarkit.search import BruteConfig, KernelRecord, brute_force_search, random_agent_search
+from polarkit.search import brute_force_search, random_agent_search
 from polarkit.zero.env import default_reward_config, trans_reward
 from polarkit.zero.train import TrainConfig, train_loop
 from tests.conftest import kernel_phase_metric_exhaustive, random_kernel
@@ -114,9 +114,9 @@ def test_criterion_3_decoder_oracle_equivalence():
 @pytest.mark.slow
 def test_criterion_4_brute_force_feasibility():
     for ell in range(5, 17):
-        result = brute_force_search(BruteConfig(ell, target_profile(ell)))
-        assert isinstance(result, KernelRecord), ell
-        assert compute_pdp(result.matrix).distances == target_profile(ell).distances
+        result = brute_force_search(target_profile(ell))
+        assert isinstance(result, BitMatrix), ell
+        assert compute_pdp(result).distances == target_profile(ell).distances
 
 
 @pytest.mark.slow

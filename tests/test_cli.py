@@ -119,12 +119,42 @@ def test_complexity_reuse_aliases(capsys, kernel_file):
     assert exc.value.code == EXIT_USAGE
 
 
+# `brute --ell 8 --out K.txt` prints this summary, byte for byte
+PINNED_BRUTE8_SUMMARY = """\
+{
+  "pdp": [
+    1,
+    2,
+    2,
+    2,
+    4,
+    4,
+    4,
+    8
+  ],
+  "exponent": 0.5,
+  "kernel_rows": [
+    "0x20",
+    "0x3",
+    "0x5",
+    "0x28",
+    "0x53",
+    "0x74",
+    "0x3a",
+    "0xff"
+  ]
+}
+"""
+
+
 def test_brute_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "k8.txt"
-    code, _ = _run(capsys, ["brute", "--ell", "8", "--out", str(out_path)])
+    code, out = _run(capsys, ["brute", "--ell", "8", "--out", str(out_path)])
     assert code == EXIT_OK
+    assert out == PINNED_BRUTE8_SUMMARY
     kernel = read_kernel(out_path)
     assert compute_pdp(kernel).distances == target_profile(8).distances
+    assert [f"{r:#x}" for r in kernel.rows] == json.loads(out)["kernel_rows"]
 
 
 def test_brute_step_limit_exit_1(capsys):

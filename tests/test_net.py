@@ -23,7 +23,7 @@ def test_encode_state_shape_and_content(rng):
         for _ in range(10):
             rows = tuple(int(r) for r in rng.integers(0, 1 << ell, size=ell))
             current = int(rng.integers(0, ell + 1))  # ell: every row placed
-            state = EnvState(ell, rows, current, 0, (1,) * ell, current == ell)
+            state = EnvState(rows, current, 0, (1,) * ell, current == ell)
             board = [(row >> j) & 1 for row in rows for j in range(ell)]
             onehot = [int(i == current) for i in range(ell)]
             x = encode_state(state)

@@ -14,7 +14,6 @@ from polarkit.pdp import (
     SingularKernelError,
     compute_pdp,
     error_exponent,
-    kernel_record,
     meets_target,
     target_exponent,
     target_profile,
@@ -102,7 +101,7 @@ def test_exponent_strictly_increases_with_any_distance():
             continue
         bumped = list(base.distances)
         bumped[i] += 1
-        e1 = error_exponent(PartialDistanceProfile(base.ell, tuple(bumped)))
+        e1 = error_exponent(PartialDistanceProfile(tuple(bumped)))
         assert e1 > e0
 
 
@@ -112,18 +111,11 @@ def test_exponent_closed_form():
     assert error_exponent(pdp) == pytest.approx(expected, abs=1e-15)
 
 
-def test_kernel_record_fields():
-    record = kernel_record(ARIKAN, complexity=6)
-    assert record.matrix is ARIKAN
-    assert record.pdp.distances == (1, 2)
-    assert record.complexity == 6
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
-        PartialDistanceProfile(3, (1, 2))
+        PartialDistanceProfile((0, 1, 2))
     with pytest.raises(ValueError):
-        PartialDistanceProfile(3, (0, 1, 2))
+        PartialDistanceProfile((1, 3))  # a distance above the width
     with pytest.raises(ValueError):
         target_profile(17)
 

@@ -6,14 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polarkit.gf2 import coset_distances
+from polarkit.complexity import total_complexity_cached
+from polarkit.gf2 import BitMatrix, coset_distances
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, meets_target, target_profile
 from polarkit.search import (
     PLACEMENTS_PER_COLUMN,
     RESTARTS,
-    BruteConfig,
     Infeasible,
-    KernelRecord,
     RandomSearchStats,
     StepLimitExceeded,
     brute_force_search,
@@ -26,34 +25,34 @@ from tests.conftest import bare_board, oracle_brute_force_search
 
 
 def test_brute_ell2_finds_arikan_profile():
-    result = brute_force_search(BruteConfig(2, target_profile(2)))
-    assert isinstance(result, KernelRecord)
-    assert result.pdp.distances == (1, 2)
+    result = brute_force_search(target_profile(2))
+    assert isinstance(result, BitMatrix)
+    assert compute_pdp(result).distances == (1, 2)
 
 
 def test_brute_infeasible_target():
-    result = brute_force_search(BruteConfig(2, PartialDistanceProfile(2, (2, 2))))
+    result = brute_force_search(PartialDistanceProfile((2, 2)))
     assert isinstance(result, Infeasible)
     assert result.steps > 0
 
 
 def test_brute_step_limit():
-    result = brute_force_search(BruteConfig(8, target_profile(8), step_limit=3))
+    result = brute_force_search(target_profile(8), step_limit=3)
     assert isinstance(result, StepLimitExceeded)
     assert result.steps == 3
 
 
 def test_brute_result_reverified_independently():
     for ell in (4, 6, 8):
-        result = brute_force_search(BruteConfig(ell, target_profile(ell)))
-        assert isinstance(result, KernelRecord)
-        assert compute_pdp(result.matrix).distances == target_profile(ell).distances
+        result = brute_force_search(target_profile(ell))
+        assert isinstance(result, BitMatrix)
+        assert compute_pdp(result).distances == target_profile(ell).distances
 
 
 def test_brute_deterministic():
-    a = brute_force_search(BruteConfig(6, target_profile(6)))
-    b = brute_force_search(BruteConfig(6, target_profile(6)))
-    assert a.matrix == b.matrix
+    a = brute_force_search(target_profile(6))
+    b = brute_force_search(target_profile(6))
+    assert a == b
 
 
 def test_random_seed_reproducible():
@@ -65,16 +64,17 @@ def test_random_seed_reproducible():
 def test_random_results_meet_target():
     stats = random_agent_search(5, target_profile(5), 100, seed=9)
     assert stats.feasible_count > 0
-    assert meets_target(stats.best_kernel.matrix, target_profile(5))
-    assert stats.best_kernel.complexity == stats.min_complexity
+    assert meets_target(stats.best_kernel, target_profile(5))
+    assert total_complexity_cached(stats.best_kernel) == stats.min_complexity
     assert sum(stats.histogram.values()) == stats.feasible_count
 
 
-def _env_random_trial(ell, target, rng):
+def _env_random_trial(target, rng):
     """The game of `zero.env` played by a uniform-random agent with the
     random trial's placement cap: the slow path `random_trial` copies.
     Returns the kernel (None on a give-up) and the generator state at the
     first start of a row that no word fits, None if play never reached one."""
+    ell = target.ell
     cfg = RewardConfig(game_limit=PLACEMENTS_PER_COLUMN * ell)
     weights = coset_distances(ell)
     state = bare_board(target)
@@ -100,8 +100,8 @@ def test_random_trial_matches_env_game():
         target = target_profile(ell)
         for seed in range(40):
             fast_rng, slow_rng = (np.random.default_rng([seed, ell]) for _ in range(2))
-            fast = random_trial(ell, target, fast_rng)
-            slow, dead_end = _env_random_trial(ell, target, slow_rng)
+            fast = random_trial(target, fast_rng)
+            slow, dead_end = _env_random_trial(target, slow_rng)
             assert fast == slow, (ell, seed)
             if dead_end is not None:
                 assert fast is None
@@ -156,7 +156,7 @@ def test_merge_stats_empty_shard_and_tied_minimum(seed, bounds):
         None, None, None
     )
     tied = [p.best_kernel for p in parts if p.min_complexity == whole.min_complexity]
-    assert len(tied) == 2 and tied[0].matrix != tied[1].matrix
+    assert len(tied) == 2 and tied[0] != tied[1]
     assert merge_stats(parts).to_json() == whole.to_json()
     assert whole.best_kernel == tied[0]
 
@@ -176,12 +176,14 @@ def test_stats_serialization():
 
 
 def test_invalid_configs():
-    with pytest.raises(ValueError):
-        BruteConfig(4, target_profile(5))
-    with pytest.raises(ValueError):
-        BruteConfig(4, target_profile(4), step_limit=0)
+    with pytest.raises(ValueError, match="step_limit must be positive"):
+        brute_force_search(target_profile(4), step_limit=0)
     with pytest.raises(ValueError):
         random_agent_search(4, target_profile(4), 0, seed=0)
+    # the profile fixes the width: a different ell is refused before any trial
+    for ell, target in ((8, target_profile(12)), (12, target_profile(8))):
+        with pytest.raises(ValueError, match="not ell="):
+            random_agent_search(ell, target, 20, seed=1)
 
 
 # Seeded outputs are pinned across implementations, not only compared
@@ -266,17 +268,17 @@ def test_random_seeded_output_pinned(ell, iterations, seed):
 
 def test_brute_seeded_output_pinned():
     for ell, rows in PINNED_BRUTE_ROWS.items():
-        result = brute_force_search(BruteConfig(ell, target_profile(ell)))
-        assert isinstance(result, KernelRecord), ell
-        assert result.matrix.rows == rows, ell
+        result = brute_force_search(target_profile(ell))
+        assert isinstance(result, BitMatrix), ell
+        assert result.rows == rows, ell
 
 
 def test_brute_step_counts_pinned():
     # ell=14 exhausts every restart's budget share without a kernel
-    result = brute_force_search(BruteConfig(14, target_profile(14), step_limit=20_000))
+    result = brute_force_search(target_profile(14), step_limit=20_000)
     assert result == StepLimitExceeded(20_000)
     # a full enumeration of an infeasible profile counts every distance test
-    result = brute_force_search(BruteConfig(4, PartialDistanceProfile(4, (2, 2, 2, 4))))
+    result = brute_force_search(PartialDistanceProfile((2, 2, 2, 4)))
     assert result == Infeasible(187)
 
 
@@ -284,19 +286,18 @@ def test_brute_step_counts_pinned():
 def test_brute_complete_on_known_feasible_targets():
     """Criterion 4 core: every shipped target in [5, 16] is reachable."""
     for ell in range(5, 17):
-        result = brute_force_search(BruteConfig(ell, target_profile(ell)))
-        assert isinstance(result, KernelRecord), ell
-        assert compute_pdp(result.matrix).distances == target_profile(ell).distances
+        result = brute_force_search(target_profile(ell))
+        assert isinstance(result, BitMatrix), ell
+        assert compute_pdp(result).distances == target_profile(ell).distances
 
 
-def _assert_brute_matches_oracle(ell, distances, step_limit=10**7):
-    cfg = BruteConfig(ell, PartialDistanceProfile(ell, distances), step_limit)
-    got = brute_force_search(cfg)
-    want, steps = oracle_brute_force_search(cfg)
-    if isinstance(want, KernelRecord):
-        assert isinstance(got, KernelRecord) and got.matrix == want.matrix, (cfg, steps)
+def _assert_brute_matches_oracle(target, step_limit=10**7):
+    got = brute_force_search(target, step_limit)
+    want, steps = oracle_brute_force_search(target, step_limit)
+    if isinstance(want, BitMatrix):
+        assert isinstance(got, BitMatrix) and got == want, (target, steps)
     else:
-        assert got == want, cfg
+        assert got == want, target
     return steps
 
 
@@ -305,15 +306,15 @@ INFEASIBLE = [(2, 2), (2, 2, 2, 4)]
 
 def test_brute_matches_oracle_on_targets_and_infeasible_profiles():
     for ell in range(2, 11):
-        _assert_brute_matches_oracle(ell, target_profile(ell).distances)
+        _assert_brute_matches_oracle(target_profile(ell))
     for distances in INFEASIBLE:
-        _assert_brute_matches_oracle(len(distances), distances)
+        _assert_brute_matches_oracle(PartialDistanceProfile(distances))
 
 
 @pytest.mark.parametrize("ell", [6, 8])
 def test_brute_matches_oracle_at_every_small_step_limit(ell):
     for limit in range(1, 301):
-        _assert_brute_matches_oracle(ell, target_profile(ell).distances, limit)
+        _assert_brute_matches_oracle(target_profile(ell), limit)
 
 
 @pytest.mark.parametrize("distances", [target_profile(8).distances,
@@ -323,10 +324,10 @@ def test_brute_matches_oracle_at_attempt_budget_boundaries(distances):
     first attempt needs: capped one test short, ending on its last test,
     and with a test to spare (exhaustion at exactly the budget is a cap,
     not a proof of infeasibility)."""
-    ell = len(distances)
-    needed = _assert_brute_matches_oracle(ell, distances)
+    target = PartialDistanceProfile(distances)
+    needed = _assert_brute_matches_oracle(target)
     for per_attempt in (needed - 1, needed, needed + 1):
         for limit in (RESTARTS * per_attempt, RESTARTS * per_attempt + RESTARTS - 1):
-            _assert_brute_matches_oracle(ell, distances, limit)
+            _assert_brute_matches_oracle(target, limit)
     for limit in (needed - 1, needed, needed + 1):
-        _assert_brute_matches_oracle(ell, distances, limit)
+        _assert_brute_matches_oracle(target, limit)

@@ -122,6 +122,17 @@ def test_self_play_episode_pinned(ell, seed):
     assert (len(record.transitions), record.succeeded, digest) == PINNED_EPISODES[(ell, seed)]
 
 
+def test_self_play_episode_rejects_other_width():
+    """A network for one width cannot play another: refused before the
+    board is reset, so the generator draws nothing."""
+    network = Network(NetworkSpec(8), seed=0)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="network plays ell=8, not ell=12"):
+        self_play_episode(network, default_reward_config(12), MctsConfig(), rng, 12)
+    assert rng.bit_generator.state == before
+
+
 def test_smoke_run_pinned():
     result = train_loop(SMOKE)
     assert result.log_rows == PINNED_SMOKE_ROWS
