@@ -3,7 +3,8 @@
 #   1. the tier-1 test command (the full suite, slow tests included) at
 #      verbose level, logged to test_output.txt;
 #   2. the benchmark's self-test (perfbench/run.py --selftest);
-#   3. the line counts of src/ and tests/.
+#   3. the line counts of src/ and tests/, each with its change against
+#      the same files at HEAD (the work tree's uncommitted delta).
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README).
 # Usage: scripts/check.sh
@@ -17,6 +18,10 @@ tail -n 1 test_output.txt
 
 python3 perfbench/run.py --selftest || status=1
 
-echo "src/:   $(find src -name '*.py' -print0 | xargs -0 cat | wc -l) lines"
-echo "tests/: $(find tests -name '*.py' -print0 | xargs -0 cat | wc -l) lines"
+for dir in src tests; do
+    now=$(find "$dir" -name '*.py' -print0 | xargs -0 cat | wc -l)
+    head=$(git ls-tree -r --name-only HEAD -- "$dir" | grep '\.py$' | sed 's/^/HEAD:/' \
+        | xargs -r git show | wc -l)
+    printf '%-7s %d lines (%+d against HEAD)\n' "$dir/:" "$now" "$((now - head))"
+done
 exit "$status"

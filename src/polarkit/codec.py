@@ -7,7 +7,7 @@ IEEE Trans. IT 2009).  The SC decoder re-encodes through a running
 codeword of each block's decided phases, updated once per phase.
 
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
-decisions and the ell channel LLRs) come from a trellis built from the
+decisions and the ell channel LLRs) come from a trellis evaluated on the
 section trees of the complexity model, with max-approximation
 correlation metrics.  The tests check it against exhaustive
 max-marginalization.
@@ -91,24 +91,16 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
 # Phase metrics
 
 
-@dataclass(frozen=True)
-class _LeafPlan:
-    column: int
-    v: int  # 0: single known-bit entry; 1: two entries [bit0, bit1]
-    s: int  # 1: the column is free inside the code -> entry is max(m0, m1)
+_Plans = tuple[tuple[SectionNode, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]], ...]
 
 
-@dataclass(frozen=True)
-class _NodePlan:
-    link_a: np.ndarray  # (2^v, 2^w) child-L coset indices
-    link_b: np.ndarray
-    children: tuple["_NodePlan | _LeafPlan", "_NodePlan | _LeafPlan"]
-
-
-def _build_plan(node: SectionNode, ncols: int) -> "_NodePlan | _LeafPlan":
+def _add_links(node: SectionNode, ncols: int, links: dict) -> dict:
+    """Adds to `links` the (2^v, 2^w) child-coset index arrays of `node` and
+    of every internal node below it, and returns it."""
     if node.is_leaf:
-        return _LeafPlan(node.x, node.v, node.k_s)
-    plans = tuple(_build_plan(c, ncols) for c in node.children)
+        return links
+    for child in node.children:
+        _add_links(child, ncols, links)
     # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
     words = [0]
     for g in node.w_reps + node.v_reps:
@@ -117,49 +109,52 @@ def _build_plan(node: SectionNode, ncols: int) -> "_NodePlan | _LeafPlan":
     # v-representative k carrying coefficient bit ncols + k above them, so a
     # word's residual holds its v-coordinates once its columns cancel.
     low = (1 << ncols) - 1
-    links = []
+    pair = []
     for child in node.children:
         seeds = [(1 << (ncols + k)) | (r & child.mask) for k, r in enumerate(child.v_reps)]
         seeds += child.s_basis
         residuals = eliminate({}, seeds + [word & child.mask for word in words], low)[len(seeds):]
         if any(r & low for r in residuals):
             raise ValueError("word outside the punctured code")
-        links.append(np.array([r >> ncols for r in residuals], dtype=np.int64))
+        pair.append(np.array([r >> ncols for r in residuals], dtype=np.int64))
     shape = (1 << node.v, 1 << node.w)
-    return _NodePlan(links[0].reshape(shape), links[1].reshape(shape), plans)
+    links[node.x, node.y] = (pair[0].reshape(shape), pair[1].reshape(shape))
+    return links
 
 
 @lru_cache(maxsize=64)
-def build_link_tables(kernel: BitMatrix) -> tuple["_NodePlan | _LeafPlan", ...]:
-    """Per-phase decoding plans for one kernel."""
+def build_link_tables(kernel: BitMatrix) -> _Plans:
+    """Per phase: the section tree, and each internal node's two link
+    arrays keyed by the node's (x, y)."""
     ncols = kernel.ncols + 1  # the extended matrix's appended phase column
-    return tuple(_build_plan(tree, ncols) for tree in section_trees(kernel))
+    return tuple((tree, _add_links(tree, ncols, {})) for tree in section_trees(kernel))
 
 
-def _eval_plan(plan: "_NodePlan | _LeafPlan", half_llrs: np.ndarray) -> np.ndarray:
+def _eval_node(node: SectionNode, links: dict, half_llrs: np.ndarray) -> np.ndarray:
     """Table of max correlation metrics per coset: (batch, 2^v)."""
-    if isinstance(plan, _LeafPlan):
-        lam = half_llrs[:, plan.column]
-        if plan.s:
+    if not node.children:  # is_leaf and k_s read as fields: this runs per node per call
+        lam = half_llrs[:, node.x]
+        if node.s_basis:  # k_s = 1: the column is free inside the code: max(m0, m1)
             return np.abs(lam)[:, None]
-        if plan.v:
+        if node.v:  # two entries [bit0, bit1]; else one known-bit entry
             return np.stack([lam, -lam], axis=1)
         return lam[:, None]
-    t_left = _eval_plan(plan.children[0], half_llrs)
-    t_right = _eval_plan(plan.children[1], half_llrs)
-    cand = t_left[:, plan.link_a] + t_right[:, plan.link_b]  # (batch, 2^v, 2^w)
+    t_left = _eval_node(node.children[0], links, half_llrs)
+    t_right = _eval_node(node.children[1], links, half_llrs)
+    link_a, link_b = links[node.x, node.y]
+    cand = t_left[:, link_a] + t_right[:, link_b]  # (batch, 2^v, 2^w)
     return cand.max(axis=2)
 
 
 def phase_llrs_trellis(
-    plans: tuple["_NodePlan | _LeafPlan", ...], phase: int, prefix: np.ndarray, llrs: np.ndarray
+    plans: _Plans, phase: int, prefix: np.ndarray, llrs: np.ndarray
 ) -> np.ndarray:
     """Batched phase LLRs: prefix (batch, ell) is the codeword of the
     decided symbols u_0 .. u_{phase-1}, llrs (batch, ell)."""
     llrs = np.asarray(llrs, dtype=np.float64)
     # the known prefix's codeword offset flips the signs of its 1-columns
     signs = 1.0 - 2.0 * prefix
-    table = _eval_plan(plans[phase], 0.5 * signs * llrs)
+    table = _eval_node(*plans[phase], 0.5 * signs * llrs)
     assert table.shape[1] == 2
     return table[:, 0] - table[:, 1]
 
@@ -169,7 +164,7 @@ def phase_llrs_trellis(
 
 
 def _sc_decode_rec(
-    plans: tuple["_NodePlan | _LeafPlan", ...],
+    plans: _Plans,
     bits: np.ndarray,
     frozen: frozenset[int],
     llrs: np.ndarray,

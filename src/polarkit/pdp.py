@@ -20,6 +20,8 @@ class PartialDistanceProfile:
     distances: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not 2 <= self.ell <= 16:
+            raise ValueError(f"profile width {self.ell} outside supported range [2, 16]")
         if any(not 1 <= d <= self.ell for d in self.distances):
             raise ValueError("every partial distance must lie in [1, ell]")
 

@@ -22,9 +22,9 @@ BEST12 = BitMatrix(12, (
 ))
 
 #: The width-12 matrix as printed, rows 5 (0xA50) and 9 (0xE4B) included.
-#: It is singular, so the published width-12 total (BEST12_COMPLEXITY)
-#: belongs to a matrix no complexity can be computed for, and no
-#: published total exists for the repaired BEST12.
+#: It is singular, so the published width-12 total (652) belongs to a
+#: matrix no complexity can be computed for, and no published total
+#: exists for the repaired BEST12.
 BEST12_PRINTED = BitMatrix(12, (
     0x800, 0x210, 0xA00, 0x240, 0x003, 0xA50,
     0x162, 0x868, 0x464, 0xE4B, 0x78C, 0xFFF,
@@ -36,11 +36,9 @@ BEST16 = BitMatrix(16, (
     0x33F0, 0xF036, 0x9A65, 0xFFFF,
 ))
 
-#: Published complexity totals for the printed width-12 matrix
-#: (BEST12_PRINTED) and for BEST16.  The evaluator in polarkit.complexity
-#: does not reproduce 1396 under any reuse policy; see the README section
-#: "Complexity-model calibration caveat".
-BEST12_COMPLEXITY = 652
+#: Published complexity total for BEST16.  The evaluator in
+#: polarkit.complexity does not reproduce it under any reuse policy; see
+#: the README section "Complexity-model calibration caveat".
 BEST16_COMPLEXITY = 1396
 
 ARIKAN = BitMatrix(2, (0b10, 0b11))

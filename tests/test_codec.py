@@ -24,8 +24,9 @@ from polarkit.codec import (
 )
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
-from polarkit.reference import ARIKAN, BEST16
+from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import kernel_phase_metric_exhaustive, naive_kronecker_power, random_kernel
+from tests.test_complexity import _nodes
 
 
 def _spec(ell, m, kernel, k=None):
@@ -109,19 +110,26 @@ def test_arikan_phase_metric_closed_form(rng):
 
 
 def test_trellis_matches_exhaustive_oracle(rng):
-    """Acceptance criterion 3: >= 200 random cases across ell in {2,4,8}."""
+    """Acceptance criterion 3: >= 200 random cases at every width 2..12
+    (odd widths split sections into unequal halves) and on BEST12.  Every
+    internal node's link arrays are (2^v, 2^w), the model's 2^(w+v) sums."""
     cases = 0
     worst = 0.0
-    for ell in (2, 4, 8):
-        for _ in range(15):
-            kernel = random_kernel(ell, rng)
-            for phase in range(ell):
-                prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
-                llrs = rng.normal(size=ell)
-                got = _phase_metric(kernel, phase, prior, llrs)
-                want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
-                worst = max(worst, abs(got - want))
-                cases += 1
+    kernels = [random_kernel(ell, rng) for ell in range(2, 13) for _ in range(15)]
+    for kernel in kernels + [BEST12]:
+        ell = kernel.ncols
+        for tree, links in build_link_tables(kernel):
+            internal = [n for n in _nodes(tree) if not n.is_leaf]
+            assert sorted(links) == sorted((n.x, n.y) for n in internal)
+            for n in internal:
+                assert all(a.shape == (1 << n.v, 1 << n.w) for a in links[n.x, n.y])
+        for phase in range(ell):
+            prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
+            llrs = rng.normal(size=ell)
+            got = _phase_metric(kernel, phase, prior, llrs)
+            want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
+            worst = max(worst, abs(got - want))
+            cases += 1
     assert cases >= 200
     assert worst <= 1e-9
 

@@ -75,10 +75,12 @@ def _node_fields(tree) -> list[tuple]:
 
 
 def _plan_fields(plan) -> list:
-    if isinstance(plan, codec._LeafPlan):
-        return [plan]
-    fields = [plan.link_a.tolist(), plan.link_b.tolist()]
-    return fields + [f for child in plan.children for f in _plan_fields(child)]
+    """What the decoder reads: leaf (x, v, k_s), internal nodes' link arrays."""
+    tree, links = plan
+    return [
+        (n.x, n.v, n.k_s) if n.is_leaf else [a.tolist() for a in links[n.x, n.y]]
+        for n in _nodes(tree)
+    ]
 
 
 def _reports_and_plans(kernel: BitMatrix) -> tuple[list, list]:

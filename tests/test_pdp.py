@@ -20,6 +20,7 @@ from polarkit.pdp import (
     valid_rows,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST16
+from polarkit.search import brute_force_search
 from tests.conftest import naive_coset_min_distance, random_kernel, supported_sizes
 
 
@@ -116,6 +117,13 @@ def test_profile_validation():
         PartialDistanceProfile((0, 1, 2))
     with pytest.raises(ValueError):
         PartialDistanceProfile((1, 3))  # a distance above the width
+    # widths outside [2, 16]: no search, exponent or matrix can use them
+    with pytest.raises(ValueError):
+        brute_force_search(PartialDistanceProfile(()))
+    with pytest.raises(ValueError):
+        error_exponent(PartialDistanceProfile((1,)))
+    with pytest.raises(ValueError):
+        PartialDistanceProfile((1,) * 18)
     with pytest.raises(ValueError):
         target_profile(17)
 
