@@ -4,7 +4,11 @@ kernels.
 The transform x = u * K^(x)m is computed as m butterfly levels of one
 kernel-multiply step over the ell axis (Arikan, "Channel polarization",
 IEEE Trans. IT 2009).  The SC decoder re-encodes through a running
-codeword of each block's decided phases, updated once per phase.
+codeword of each block's decided phases, updated once per phase.  A
+sub-block whose indices are all frozen is decided zero without running
+its phase metric or the recursion below it (a rate-0 node: Alamdar-Yazdi
+and Kschischang, IEEE Comm. Letters 2011); the genie construction of
+`select_frozen_set` freezes every index, so it still decodes every block.
 
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
 decisions and the ell channel LLRs) come from a trellis evaluated on the
@@ -172,8 +176,10 @@ def _sc_decode_rec(
     errors: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (decisions u, re-encoded block v) for a length-n' block of
-    the recursion, batched over axis 0; leaves add their counts of
-    negative LLRs to `errors` when it is given."""
+    the recursion, batched over axis 0.  When `errors` is given, leaves
+    add their counts of negative LLRs to it and every block is decoded;
+    otherwise a block whose indices are all frozen is decided zero
+    without evaluating its phase."""
     batch, length = llrs.shape
     if length == 1:
         if errors is not None:
@@ -191,8 +197,14 @@ def _sc_decode_rec(
     x = np.zeros((batch * sub, ell), dtype=np.uint8)
     u_blocks = []
     for a in range(ell):
+        start = base + a * sub
+        if errors is None and frozen.issuperset(range(start, start + sub)):
+            # rate-0 block: its decisions and re-encoding are zero, and no
+            # other phase reads its LLRs, so x stays as it is
+            u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
+            continue
         phase_llr = phase_llrs_trellis(plans, a, x, flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(plans, bits, frozen, phase_llr, base + a * sub, errors)
+        u_a, v_a = _sc_decode_rec(plans, bits, frozen, phase_llr, start, errors)
         u_blocks.append(u_a)
         x ^= v_a.reshape(batch * sub, 1) & bits[a]
     u = np.concatenate(u_blocks, axis=1)

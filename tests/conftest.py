@@ -8,13 +8,14 @@ they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
+from polarkit.codec import build_link_tables, phase_llrs_trellis
 from polarkit.complexity import (
     ReuseMode,
     comb_cost,
@@ -34,6 +35,7 @@ from polarkit.gf2 import (
     row_basis,
 )
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
+from polarkit.reference import BEST12
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 from polarkit.zero.env import EnvState, legal_actions, step_env
 from polarkit.zero.mcts import SearchSpec
@@ -137,6 +139,36 @@ def kernel_phase_metric_exhaustive(
         )
 
     return best(0) - best(1)
+
+
+def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], llrs) -> float:
+    """`codec.phase_llrs_trellis` on one case: the prior decisions given as
+    bits, re-encoded into the prefix codeword here."""
+    prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
+    prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
+    plans = build_link_tables(kernel)
+    return float(phase_llrs_trellis(plans, phase, prefix, np.atleast_2d(llrs))[0])
+
+
+@cache
+def trellis_oracle_cases() -> tuple[tuple[BitMatrix, ...], tuple[float, ...]]:
+    """Acceptance criterion 3's cases: 15 random kernels at every width
+    2..12 (odd widths split sections into unequal halves) and BEST12, and
+    for each phase of each kernel, with random prior decisions and channel
+    LLRs, |trellis phase LLR - kernel_phase_metric_exhaustive|.  Returns
+    (kernels, deviations); computed once per session, since the codec test
+    and the acceptance gate read the same cases."""
+    rng = np.random.default_rng(33)
+    kernels = tuple(random_kernel(ell, rng) for ell in range(2, 13) for _ in range(15))
+    kernels += (BEST12,)
+    deviations = []
+    for kernel in kernels:
+        for phase in range(kernel.ncols):
+            prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
+            llrs = rng.normal(size=kernel.ncols)
+            got = trellis_phase_metric(kernel, phase, prior, llrs)
+            deviations.append(abs(got - kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)))
+    return kernels, tuple(deviations)
 
 
 def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:

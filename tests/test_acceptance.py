@@ -25,13 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from polarkit.codec import (
-    PolarCodeSpec,
-    build_link_tables,
-    phase_llrs_trellis,
-    select_frozen_set,
-    simulate_bler,
-)
+from polarkit.codec import PolarCodeSpec, select_frozen_set, simulate_bler
 from polarkit.complexity import ReuseMode, total_complexity
 from polarkit.gf2 import BitMatrix, rank
 from polarkit.pdp import (
@@ -45,7 +39,7 @@ from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16, BEST16_CO
 from polarkit.search import brute_force_search, random_agent_search
 from polarkit.zero.env import default_reward_config, trans_reward
 from polarkit.zero.train import TrainConfig, train_loop
-from tests.conftest import kernel_phase_metric_exhaustive, random_kernel
+from tests.conftest import trellis_oracle_cases
 from tests.test_env import _random_episode
 
 
@@ -93,22 +87,11 @@ def test_criterion_2_profiles_and_exponents():
 
 
 def test_criterion_3_decoder_oracle_equivalence():
-    rng = np.random.default_rng(33)
-    cases = 0
-    for ell in (2, 4, 8):
-        for _ in range(15):
-            kernel = random_kernel(ell, rng)
-            plans = build_link_tables(kernel)
-            bits = np.array(kernel.to_bits(), dtype=np.uint8)
-            for phase in range(ell):
-                prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
-                llrs = rng.normal(size=ell)
-                prefix = (np.array(prior, dtype=np.uint8) @ bits[:phase]) % 2
-                got = float(phase_llrs_trellis(plans, phase, prefix[None], llrs[None])[0])
-                want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
-                assert abs(got - want) <= 1e-9
-                cases += 1
-    assert cases >= 200
+    """The trellis phase LLRs equal exhaustive max-marginalization on
+    conftest's cases (every width 2..12 and BEST12)."""
+    _, deviations = trellis_oracle_cases()
+    assert len(deviations) >= 200
+    assert max(deviations) <= 1e-9
 
 
 @pytest.mark.slow

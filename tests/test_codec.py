@@ -6,13 +6,17 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
 
+from polarkit import codec
 from polarkit.codec import (
     PolarCodeSpec,
     _batch_sizes,
+    _kernel_bits,
+    _sc_decode_rec,
     bler_csv,
     build_link_tables,
     encode,
@@ -24,8 +28,13 @@ from polarkit.codec import (
 )
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
-from polarkit.reference import ARIKAN, BEST12, BEST16
-from tests.conftest import kernel_phase_metric_exhaustive, naive_kronecker_power, random_kernel
+from polarkit.reference import ARIKAN, BEST16
+from tests.conftest import (
+    naive_kronecker_power,
+    random_kernel,
+    trellis_oracle_cases,
+    trellis_phase_metric,
+)
 from tests.test_complexity import _nodes
 
 
@@ -34,13 +43,6 @@ def _spec(ell, m, kernel, k=None):
     k = n if k is None else k
     frozen = frozenset(range(n - k))
     return PolarCodeSpec(ell, m, k, kernel, frozen)
-
-
-def _phase_metric(kernel, phase, prior, llrs) -> float:
-    prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
-    prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
-    plans = build_link_tables(kernel)
-    return float(phase_llrs_trellis(plans, phase, prefix, np.atleast_2d(llrs))[0])
 
 
 def test_encode_matches_kronecker_oracle(rng):
@@ -99,39 +101,29 @@ def test_arikan_phase_metric_closed_form(rng):
     """For the 2x2 kernel the phase-0 LLR difference equals the min-sum
     box-plus up to the exact max-correlation form."""
     llrs = rng.normal(size=2)
-    diff = _phase_metric(ARIKAN, 0, (), llrs)
+    diff = trellis_phase_metric(ARIKAN, 0, (), llrs)
     a, b = llrs
     expected = 0.5 * (abs(a + b) - abs(a - b))
     assert diff == pytest.approx(expected, abs=1e-12)
     # phase 1 given u0: LLR combining g = b + (1-2u0) a
     for u0 in (0, 1):
-        diff1 = _phase_metric(ARIKAN, 1, (u0,), llrs)
+        diff1 = trellis_phase_metric(ARIKAN, 1, (u0,), llrs)
         assert diff1 == pytest.approx(b + (1 - 2 * u0) * a, abs=1e-12)
 
 
-def test_trellis_matches_exhaustive_oracle(rng):
-    """Acceptance criterion 3: >= 200 random cases at every width 2..12
-    (odd widths split sections into unequal halves) and on BEST12.  Every
-    internal node's link arrays are (2^v, 2^w), the model's 2^(w+v) sums."""
-    cases = 0
-    worst = 0.0
-    kernels = [random_kernel(ell, rng) for ell in range(2, 13) for _ in range(15)]
-    for kernel in kernels + [BEST12]:
-        ell = kernel.ncols
+def test_trellis_matches_exhaustive_oracle():
+    """Acceptance criterion 3's cases (`trellis_oracle_cases`): >= 200 at
+    every width 2..12 and on BEST12.  Every internal node's link arrays are
+    (2^v, 2^w), the model's 2^(w+v) sums."""
+    kernels, deviations = trellis_oracle_cases()
+    for kernel in kernels:
         for tree, links in build_link_tables(kernel):
             internal = [n for n in _nodes(tree) if not n.is_leaf]
             assert sorted(links) == sorted((n.x, n.y) for n in internal)
             for n in internal:
                 assert all(a.shape == (1 << n.v, 1 << n.w) for a in links[n.x, n.y])
-        for phase in range(ell):
-            prior = tuple(int(b) for b in rng.integers(0, 2, size=phase))
-            llrs = rng.normal(size=ell)
-            got = _phase_metric(kernel, phase, prior, llrs)
-            want = kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)
-            worst = max(worst, abs(got - want))
-            cases += 1
-    assert cases >= 200
-    assert worst <= 1e-9
+    assert len(deviations) >= 200
+    assert max(deviations) <= 1e-9
 
 
 def test_noiseless_decode_inverts_encode(rng):
@@ -285,3 +277,73 @@ def test_noisy_decode_reencodes_its_decisions(rng):
         decoded, recoded = sc_decode_batch(spec, llrs)
         assert not decoded[:, sorted(frozen)].any()
         np.testing.assert_array_equal(recoded, encode(spec, decoded))
+
+
+@cache
+def _bench_spec(name: str) -> PolarCodeSpec:
+    """The (256,128) code of perfbench's bler-256 workload for `name`: the
+    frozen set from 512 genie codewords at its selection SNR, seed 1."""
+    kernel, m, snr_db = {"BEST16": (BEST16, 2, 2.0), "ARIKAN": (ARIKAN, 8, 3.0)}[name]
+    ell = kernel.ncols
+    frozen = select_frozen_set(ell, m, 128, kernel, snr_db, 512, 1)
+    return PolarCodeSpec(ell, m, 128, kernel, frozen)
+
+
+def _decode_every_block(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder without the all-frozen skip: given `errors`, as in genie
+    selection, `_sc_decode_rec` decodes every block."""
+    plans = build_link_tables(spec.kernel)
+    errors = np.zeros(spec.n, dtype=np.int64)
+    return _sc_decode_rec(plans, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, errors)
+
+
+def test_frozen_block_skip_matches_full_decode(rng):
+    """Skipping all-frozen blocks leaves every decision and re-encoding
+    bit-identical to decoding every block: random kernels at widths 2..16
+    with n <= 256, under random, empty, all-but-one and prefix frozen sets,
+    and on the perfbench codes."""
+    specs = [_bench_spec("BEST16"), _bench_spec("ARIKAN")]
+    for ell in range(2, 17):
+        m = max(m for m in range(1, 9) if ell**m <= 256)
+        kernel = random_kernel(ell, rng)
+        n = ell**m
+        keep = int(rng.integers(n))
+        prefix = int(rng.integers(1, n))
+        frozen_sets = [
+            frozenset(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()),
+            frozenset(),
+            frozenset(range(n)) - {keep},
+            frozenset(range(prefix)),
+        ]
+        specs += [PolarCodeSpec(ell, m, n - len(f), kernel, f) for f in frozen_sets]
+    for spec in specs:
+        llrs = rng.normal(scale=2.0, size=(5, spec.n))
+        got_u, got_x = sc_decode_batch(spec, llrs)
+        want_u, want_x = _decode_every_block(spec, llrs)
+        np.testing.assert_array_equal(got_u, want_u)
+        np.testing.assert_array_equal(got_x, want_x)
+
+
+@pytest.mark.parametrize("name, calls", [("BEST16", 140), ("ARIKAN", 287)])
+def test_decode_skips_trellis_on_frozen_blocks(monkeypatch, rng, name, calls):
+    """One decode evaluates one phase metric per block (sizes ell^(m-1)
+    down to 1) that holds an information index; genie selection, which
+    freezes every index, still evaluates all of them."""
+    spec = _bench_spec(name)
+    ell, n = spec.ell, spec.n
+    sizes = [ell**j for j in range(spec.m)]
+    blocks = [range(s, s + size) for size in sizes for s in range(0, n, size)]
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return phase_llrs_trellis(*args)
+
+    monkeypatch.setattr(codec, "phase_llrs_trellis", counted)
+    llrs = rng.normal(scale=2.0, size=(3, n))
+    sc_decode_batch(spec, llrs)
+    assert count == sum(not spec.frozen.issuperset(b) for b in blocks) == calls
+    count = 0
+    _decode_every_block(spec, llrs)
+    assert count == len(blocks)
