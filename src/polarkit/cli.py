@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="decoding-complexity report of a kernel file")
     p.add_argument("--kernel", required=True)
     p.add_argument("--reuse", type=_reuse_mode, default=CALIBRATED_MODE,
-                   help="trellis-reuse policy: none | top-sections | all-contiguous | section-tables")
+                   help="trellis-reuse policy: none | all-contiguous | section-tables")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_complexity, outputs=("out",))
 

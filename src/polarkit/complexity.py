@@ -22,6 +22,8 @@ from itertools import compress
 from typing import Callable
 
 from polarkit.gf2 import (
+    MAX_ELL,
+    MIN_ELL,
     BitMatrix,
     eliminate,
     interval_mask,
@@ -34,7 +36,6 @@ from polarkit.pdp import SingularKernelError
 
 class ReuseMode(str, Enum):
     NONE = "none"
-    TOP_SECTIONS = "top_sections"
     ALL_CONTIGUOUS = "all_contiguous"
     SECTION_TABLES = "section_tables"
 
@@ -267,11 +268,11 @@ def _phase_cost(
     internal node charges ``comb_cost``.  ``prev_reused`` is what the
     previous phase reused.
 
-    ``NONE`` reuses nothing.  ``TOP_SECTIONS`` and ``ALL_CONTIGUOUS`` apply
-    ``reuse_eligible``, the first to the root's children only.  The root
-    itself never passes it: its v-representative carries the phase column,
-    which the previous phase can form only from its own phase row, and that
-    row lies outside the span of the later rows of a non-singular kernel.
+    ``NONE`` reuses nothing.  ``ALL_CONTIGUOUS`` applies ``reuse_eligible``.
+    The root itself never passes it: its v-representative carries the phase
+    column, which the previous phase can form only from its own phase row,
+    and that row lies outside the span of the later rows of a non-singular
+    kernel.
 
     ``SECTION_TABLES`` judges reuse on the section's own codes.  A section's
     table has one entry per coset of its shortened code S in its punctured
@@ -337,8 +338,6 @@ def _phase_cost(
                 reused.append(key)
                 return 0
             held = held and key not in prev_reused
-            if policy is ReuseMode.TOP_SECTIONS:
-                p = None
         left, right = n.children
         if p is None:
             return walk(None, left, held) + walk(None, right, held) + n.comb_cost
@@ -358,8 +357,8 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
     """Per-phase section-tree costs summed over all ell phases, with the
     requested trellis-reuse policy applied between consecutive phases."""
     ell = kernel.ncols
-    if not 2 <= ell <= 16:
-        raise ValueError(f"kernel size {ell} outside supported range [2, 16]")
+    if not MIN_ELL <= ell <= MAX_ELL:
+        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
     trees = section_trees(kernel)
     per_phase = []
     reused: tuple[tuple[int, int], ...] = ()

@@ -23,7 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-MAX_COLS = 17
+#: Supported kernel widths; a phase's extended matrix appends one column.
+MIN_ELL, MAX_ELL = 2, 16
+MAX_COLS = MAX_ELL + 1
 
 
 def unpack_row(row: int, ncols: int) -> list[int]:

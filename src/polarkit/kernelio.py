@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from polarkit.gf2 import BitMatrix
+from polarkit.gf2 import MAX_ELL, MIN_ELL, BitMatrix
 
 
 class KernelFileError(ValueError):
@@ -25,8 +25,8 @@ def parse_kernel_text(text: str) -> BitMatrix:
         ell = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise KernelFileError(f"bad ell header: {lines[0]!r}") from exc
-    if not 2 <= ell <= 16:
-        raise KernelFileError(f"ell {ell} outside the supported range [2, 16]")
+    if not MIN_ELL <= ell <= MAX_ELL:
+        raise KernelFileError(f"ell {ell} outside the supported range [{MIN_ELL}, {MAX_ELL}]")
     if len(lines) - 1 != ell:
         raise KernelFileError(f"expected {ell} rows, found {len(lines) - 1}")
     rows = []

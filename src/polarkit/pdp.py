@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from polarkit.gf2 import BitMatrix, coset_distances
+from polarkit.gf2 import MAX_ELL, MIN_ELL, BitMatrix, coset_distances
 
 
 class SingularKernelError(ValueError):
@@ -20,8 +20,10 @@ class PartialDistanceProfile:
     distances: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 2 <= self.ell <= 16:
-            raise ValueError(f"profile width {self.ell} outside supported range [2, 16]")
+        if not MIN_ELL <= self.ell <= MAX_ELL:
+            raise ValueError(
+                f"profile width {self.ell} outside supported range [{MIN_ELL}, {MAX_ELL}]"
+            )
         if any(not 1 <= d <= self.ell for d in self.distances):
             raise ValueError("every partial distance must lie in [1, ell]")
 
@@ -30,25 +32,25 @@ class PartialDistanceProfile:
         return len(self.distances)
 
 
-# Relaxed target profiles for widths 5..16 with their exponents (4 decimals).
-# Widths 2..4 were filled in by one-off exhaustive enumeration over all
-# non-singular matrices, maximizing the exponent (see tests for the oracle).
-_TARGETS: dict[int, tuple[tuple[int, ...], float]] = {
-    2: ((1, 2), 0.5000),
-    3: ((1, 2, 2), 0.4206),
-    4: ((1, 2, 2, 4), 0.5000),
-    5: ((1, 2, 2, 2, 4), 0.4307),
-    6: ((1, 2, 2, 2, 4, 4), 0.4513),
-    7: ((1, 2, 2, 2, 4, 4, 4), 0.4580),
-    8: ((1, 2, 2, 2, 4, 4, 4, 8), 0.5000),
-    9: ((1, 2, 2, 2, 2, 4, 4, 6, 6), 0.4616),
-    10: ((1, 2, 2, 2, 2, 4, 4, 4, 6, 8), 0.4692),
-    11: ((1, 2, 2, 2, 2, 4, 4, 4, 6, 6, 8), 0.4775),
-    12: ((1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 12), 0.4825),
-    13: ((1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 10), 0.4883),
-    14: ((1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8), 0.4910),
-    15: ((1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8, 8), 0.4978),
-    16: ((1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8, 8, 16), 0.5183),
+# Relaxed target profiles for widths 5..16.  Widths 2..4 were filled in by
+# one-off exhaustive enumeration over all non-singular matrices, maximizing
+# the exponent (see tests for the oracle).
+_TARGETS: dict[int, tuple[int, ...]] = {
+    2: (1, 2),
+    3: (1, 2, 2),
+    4: (1, 2, 2, 4),
+    5: (1, 2, 2, 2, 4),
+    6: (1, 2, 2, 2, 4, 4),
+    7: (1, 2, 2, 2, 4, 4, 4),
+    8: (1, 2, 2, 2, 4, 4, 4, 8),
+    9: (1, 2, 2, 2, 2, 4, 4, 6, 6),
+    10: (1, 2, 2, 2, 2, 4, 4, 4, 6, 8),
+    11: (1, 2, 2, 2, 2, 4, 4, 4, 6, 6, 8),
+    12: (1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 12),
+    13: (1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 10),
+    14: (1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8),
+    15: (1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8, 8),
+    16: (1, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 8, 8, 8, 8, 16),
 }
 
 
@@ -83,15 +85,10 @@ def error_exponent(pdp: PartialDistanceProfile) -> float:
 
 def target_profile(ell: int) -> PartialDistanceProfile:
     if ell not in _TARGETS:
-        raise ValueError(f"unsupported kernel size ell={ell}; supported range is [2, 16]")
-    return PartialDistanceProfile(_TARGETS[ell][0])
-
-
-def target_exponent(ell: int) -> float:
-    """Tabulated exponent of the shipped target profile (4-decimal print)."""
-    if ell not in _TARGETS:
-        raise ValueError(f"unsupported kernel size ell={ell}; supported range is [2, 16]")
-    return _TARGETS[ell][1]
+        raise ValueError(
+            f"unsupported kernel size ell={ell}; supported range is [{MIN_ELL}, {MAX_ELL}]"
+        )
+    return PartialDistanceProfile(_TARGETS[ell])
 
 
 def meets_target(kernel: BitMatrix, target: PartialDistanceProfile) -> bool:

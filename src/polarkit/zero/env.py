@@ -22,6 +22,10 @@ from polarkit.gf2 import BitMatrix
 from polarkit.pdp import PartialDistanceProfile, valid_rows
 from polarkit.reference import RANDOM_SEARCH_REFERENCE
 
+#: Random bits `reset_env` sets in the first free row (fewer if its
+#: target weight leaves no room).
+PRESET_BITS = 1
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -99,12 +103,10 @@ def forced_row_count(target: PartialDistanceProfile) -> int:
 
 
 def reset_env(
-    target: PartialDistanceProfile,
-    seed: int | np.random.Generator | None = None,
-    preset_bits: int = 1,
+    target: PartialDistanceProfile, seed: int | np.random.Generator | None = None
 ) -> EnvState:
-    """Install the forced bottom rows, then preset a few random bits of
-    the first free row.  Presets do not count as steps."""
+    """Install the forced bottom rows, then preset ``PRESET_BITS`` random
+    bits of the first free row.  Presets do not count as steps."""
     ell = target.ell
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     reversed_targets = tuple(reversed(target.distances))
@@ -115,7 +117,7 @@ def reset_env(
         rows[i] = all_ones
     if forced < ell:
         want = reversed_targets[forced]
-        presets = min(preset_bits, max(want - 1, 0))
+        presets = min(PRESET_BITS, max(want - 1, 0))
         cols = rng.choice(ell, size=presets, replace=False)
         for j in cols:
             rows[forced] |= 1 << int(j)
@@ -159,10 +161,3 @@ def step_env(state: EnvState, action: int, cfg: RewardConfig) -> tuple[EnvState,
 
 def episode_return(transitions: list[Transition]) -> float:
     return float(sum(t.reward for t in transitions))
-
-
-def closed_form_return(steps: int, ell: int, comp: int, cfg: RewardConfig) -> float:
-    """Total of a successful episode that played every bit itself: step
-    penalties on non-completing steps, one row reward per row, and the
-    shaped terminal bonus."""
-    return -cfg.step_penalty * (steps - ell) + trans_reward(comp, cfg) + ell * cfg.row_reward

@@ -15,6 +15,8 @@ import numpy as np
 from polarkit.zero.env import EnvState
 
 CHECKPOINT_VERSION = 1
+#: SGD momentum: the step is lr times a decaying sum of past gradients.
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,9 @@ class Network:
         grads["b1"] = d_h1.sum(axis=0)
         return loss, grads
 
-    def sgd_step(self, grads: dict[str, np.ndarray], lr: float, momentum: float = 0.9) -> None:
+    def sgd_step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         for k in self.params:
-            self.momentum_buf[k] = momentum * self.momentum_buf[k] + grads[k]
+            self.momentum_buf[k] = MOMENTUM * self.momentum_buf[k] + grads[k]
             self.params[k] -= lr * self.momentum_buf[k]
 
     def save(self, path: str) -> None:

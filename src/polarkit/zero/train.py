@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
@@ -37,40 +36,37 @@ from polarkit.zero.mcts import MctsConfig, SearchSpec, mcts_select
 from polarkit.zero.net import Network, NetworkSpec, encode_state
 
 
+#: Replay buffer length, in transitions.
+REPLAY_CAPACITY = 100_000
+#: Initial SGD step size; the divergence guard halves it.
+LEARNING_RATE = 3e-3
+#: Iterations between checkpoints (the last iteration is always saved).
+CHECKPOINT_INTERVAL = 10
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     ell: int = 12
     total_episodes: int = 20_000
     update_interval: int = 200  # episodes per iteration (reference runs use 2000)
-    replay_capacity: int = 100_000
     batch_size: int = 256
-    learning_rate: float = 3e-3
-    momentum: float = 0.9
     updates_per_iteration: int = 64
-    checkpoint_interval: int = 10  # iterations between checkpoints
     simulations: int = 32
     sampled_actions: int = 16
-    preset_bits: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         target_profile(self.ell)  # rejects kernel sizes without a target
-        for key in ("update_interval", "batch_size", "checkpoint_interval", "replay_capacity"):
+        for key in ("update_interval", "batch_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
-        for key in ("updates_per_iteration", "preset_bits", "seed"):
+        for key in ("updates_per_iteration", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if not 0 < self.learning_rate < math.inf:  # also rejects nan
-            raise ValueError("learning_rate must be positive and finite")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
         if self.total_episodes < self.update_interval or self.total_episodes % self.update_interval:
             raise ValueError("total_episodes must be a positive multiple of update_interval")
-        if self.batch_size > self.replay_capacity:
-            raise ValueError("batch_size must not exceed replay_capacity")
-        if self.replay_capacity > sys.maxsize:  # the replay deque's maxlen is a C ssize_t
-            raise ValueError(f"replay_capacity must not exceed {sys.maxsize}")
+        if self.batch_size > REPLAY_CAPACITY:
+            raise ValueError(f"batch_size must not exceed the replay capacity {REPLAY_CAPACITY}")
         self.mcts_config  # MctsConfig rejects simulations < sampled_actions or < 1
 
     @property
@@ -79,25 +75,24 @@ class TrainConfig:
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    """Flat key=value text; unknown, repeated and unparsable keys are
-    rejected with their line number."""
-    values: dict[str, object] = {}
-    types = {f.name: f.type for f in fields(TrainConfig)}
+    """Flat key=value text of integers; unknown, repeated and unparsable
+    keys are rejected with their line number."""
+    values: dict[str, int] = {}
+    keys = {f.name for f in fields(TrainConfig)}
     for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in types:
+        if key not in keys:
             raise ValueError(f"line {number}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"line {number}: {key} is set twice")
-        parse, kind = (float, "a number") if types[key] == "float" else (int, "an integer")
         try:
-            values[key] = parse(val)
+            values[key] = int(val)
         except ValueError:
-            raise ValueError(f"line {number}: {key} expects {kind}, got {val!r}") from None
+            raise ValueError(f"line {number}: {key} expects an integer, got {val!r}") from None
     return TrainConfig(**values)
 
 
@@ -148,12 +143,11 @@ def self_play_episode(
     mcts_cfg: MctsConfig,
     rng: np.random.Generator,
     ell: int,
-    preset_bits: int = 1,
 ) -> EpisodeRecord:
     if ell != network.spec.ell:
         raise ValueError(f"network plays ell={network.spec.ell}, not ell={ell}")
     spec = make_search_spec(network, reward_cfg)
-    state = reset_env(target_profile(ell), rng, preset_bits)
+    state = reset_env(target_profile(ell), rng)
     transitions: list[Transition] = []
     policies: list[np.ndarray] = []
     while not state.done:
@@ -180,20 +174,20 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
     rng = np.random.default_rng(cfg.seed)
     network = Network(NetworkSpec(ell), seed=cfg.seed)
     vscale = value_scale_of(reward_cfg, ell)
-    replay: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.replay_capacity)
+    replay: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=REPLAY_CAPACITY)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "train_config.txt").write_text(dump_train_config(cfg))
     best: tuple[int, BitMatrix] | None = None
     log_rows: list[dict] = []
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     running_loss: float | None = None
     iterations = cfg.total_episodes // cfg.update_interval
     for iteration in range(1, iterations + 1):
         returns = []
         for _ in range(cfg.update_interval):
-            record = self_play_episode(network, reward_cfg, mcts_cfg, rng, ell, cfg.preset_bits)
+            record = self_play_episode(network, reward_cfg, mcts_cfg, rng, ell)
             returns.append(episode_return(list(record.transitions)))
             if record.succeeded:
                 kernel = record.final_state.kernel()
@@ -216,7 +210,7 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
             if not math.isfinite(loss) or (running_loss is not None and loss > 10 * running_loss):
                 lr /= 2  # divergence guard; noted in the log row below
             else:
-                network.sgd_step(grads, lr, cfg.momentum)
+                network.sgd_step(grads, lr)
                 running_loss = loss if running_loss is None else 0.99 * running_loss + 0.01 * loss
         row = {
             "iteration": iteration,
@@ -230,7 +224,7 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
         log_rows.append(row)
         if out is not None:
             _write_log(out / "training_log.csv", log_rows)
-            if iteration % cfg.checkpoint_interval == 0 or iteration == iterations:
+            if iteration % CHECKPOINT_INTERVAL == 0 or iteration == iterations:
                 network.save(str(out / f"checkpoint_{iteration:04d}.npz"))
             if best is not None:
                 write_kernel(out / "best_kernel.txt", best[1])

@@ -37,7 +37,7 @@ from polarkit.gf2 import (
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.reference import BEST12
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
-from polarkit.zero.env import EnvState, legal_actions, step_env
+from polarkit.zero.env import EnvState, RewardConfig, legal_actions, step_env, trans_reward
 from polarkit.zero.mcts import SearchSpec
 from polarkit.zero.train import value_scale_of
 
@@ -49,6 +49,14 @@ def pack_row(bits: Sequence[int]) -> int:
     for b in bits:
         value = (value << 1) | (b & 1)
     return value
+
+
+#: The exponent of each width's `pdp.target_profile`, as tabulated (4 decimals).
+TARGET_EXPONENTS = {
+    2: 0.5000, 3: 0.4206, 4: 0.5000, 5: 0.4307, 6: 0.4513, 7: 0.4580, 8: 0.5000,
+    9: 0.4616, 10: 0.4692, 11: 0.4775, 12: 0.4825, 13: 0.4883, 14: 0.4910,
+    15: 0.4978, 16: 0.5183,
+}
 
 
 def supported_sizes() -> list[int]:
@@ -289,7 +297,7 @@ def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
                 )
             if fits:
                 out.append(key)
-            elif policy is not ReuseMode.TOP_SECTIONS:
+            else:
                 for pc, nc in zip(p.children, n.children):
                     walk(pc, nc, held and key not in prev_reused)
 
@@ -382,8 +390,15 @@ def random_kernel(ell: int, rng: np.random.Generator) -> BitMatrix:
 def bare_board(target: PartialDistanceProfile) -> EnvState:
     """The empty board of `target`'s game, without `env.reset_env`'s forced
     rows and presets: the agent plays every bit itself, so a successful
-    episode's total equals `env.closed_form_return` exactly."""
+    episode's total equals `closed_form_return` exactly."""
     return EnvState((0,) * target.ell, 0, 0, tuple(reversed(target.distances)), False)
+
+
+def closed_form_return(steps: int, ell: int, comp: int, cfg: RewardConfig) -> float:
+    """Total of a successful episode that played every bit itself: step
+    penalties on non-completing steps, one row reward per row, and the
+    shaped terminal bonus."""
+    return -cfg.step_penalty * (steps - ell) + trans_reward(comp, cfg) + ell * cfg.row_reward
 
 
 def uncached_search_spec(network, reward_cfg) -> SearchSpec:

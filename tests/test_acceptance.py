@@ -32,14 +32,13 @@ from polarkit.pdp import (
     SingularKernelError,
     compute_pdp,
     error_exponent,
-    target_exponent,
     target_profile,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST12_PRINTED, BEST16, BEST16_COMPLEXITY
 from polarkit.search import brute_force_search, random_agent_search
 from polarkit.zero.env import default_reward_config, trans_reward
 from polarkit.zero.train import TrainConfig, train_loop
-from tests.conftest import trellis_oracle_cases
+from tests.conftest import TARGET_EXPONENTS, closed_form_return, trellis_oracle_cases
 from tests.test_env import _random_episode
 
 
@@ -82,7 +81,7 @@ def test_criterion_2_profiles_and_exponents():
     assert error_exponent(compute_pdp(BEST12)) == pytest.approx(0.4825, abs=5e-4)
     for ell in range(5, 17):
         assert error_exponent(target_profile(ell)) == pytest.approx(
-            target_exponent(ell), abs=5e-4
+            TARGET_EXPONENTS[ell], abs=5e-4
         ), ell
 
 
@@ -126,7 +125,7 @@ def test_criterion_6_reward_arithmetic(rng):
     assert trans_reward(BEST16_COMPLEXITY, cfg16) == pytest.approx(3604**2 / 3700, abs=1e-6)
     # episode sum == closed form, 100 random successful episodes
     from polarkit.complexity import total_complexity_cached
-    from polarkit.zero.env import closed_form_return, episode_return
+    from polarkit.zero.env import episode_return
 
     cfg = default_reward_config(4)
     checked = 0

@@ -114,9 +114,11 @@ def test_complexity_reuse_aliases(capsys, kernel_file):
     report = json.loads(out)
     jsonschema.validate(report, _schema("complexity_report.schema.json"))
     assert report["policy"] == "section_tables"
-    with pytest.raises(SystemExit) as exc:
-        main(["complexity", "--kernel", kernel_file, "--reuse", "bogus"])
-    assert exc.value.code == EXIT_USAGE
+    for mode in ("bogus", "top-sections"):
+        with pytest.raises(SystemExit) as exc:
+            main(["complexity", "--kernel", kernel_file, "--reuse", mode])
+        assert exc.value.code == EXIT_USAGE
+        assert "choose from none, all-contiguous, section-tables" in capsys.readouterr().err
 
 
 # `brute --ell 8 --out K.txt` prints this summary, byte for byte
@@ -286,10 +288,11 @@ def test_train_smoke(capsys, tmp_path):
     assert (out_dir / "training_log.csv").exists()
 
 
-# one out-of-range value per key (below one, negative, or not positive)
+# one out-of-range value per key (below one, negative, or not positive); the
+# last four keys are module constants now, refused as unknown config keys
 BAD_TRAIN_VALUES = {
-    "ell": 0, "update_interval": 0, "batch_size": 0, "checkpoint_interval": 0,
-    "replay_capacity": 0, "updates_per_iteration": -1, "preset_bits": -1, "learning_rate": 0.0,
+    "ell": 0, "update_interval": 0, "batch_size": 0, "updates_per_iteration": -1,
+    "checkpoint_interval": 0, "replay_capacity": 0, "preset_bits": -1, "learning_rate": 0.0,
 }
 
 
@@ -304,25 +307,26 @@ def test_train_config_below_one_exit_2(capsys, tmp_path, key):
     assert "Traceback" not in err
 
 
-# settings each key accepts alone that the run cannot honour, over a base
-# of ell=4, total_episodes=10, update_interval=5
+# settings the run cannot honour, over a base of ell=4, total_episodes=10,
+# update_interval=5, each with a fragment of the message that names it
 BAD_TRAIN_SETTINGS = [
     ("simulations", {"simulations": 0}),
     ("sampled_actions", {"sampled_actions": 64}),
-    ("momentum", {"momentum": "nan"}),
-    ("momentum", {"momentum": 1.0}),
-    ("momentum", {"momentum": -0.5}),
-    ("learning_rate", {"learning_rate": "inf"}),
     ("total_episodes", {"total_episodes": 12}),
-    ("batch_size", {"batch_size": 600, "replay_capacity": 500}),
-    ("replay_capacity", {"replay_capacity": 2**63}),
+    ("batch_size must not exceed the replay capacity 100000", {"batch_size": 100001}),
+    # keys that are module constants, not settings: unknown whatever the value
+    *[(f"line 4: unknown config key {key!r}", {key: value}) for key, value in [
+        ("momentum", "nan"), ("momentum", 1.0), ("momentum", -0.5),
+        ("learning_rate", "inf"), ("replay_capacity", 2**63),
+        ("checkpoint_interval", 10), ("preset_bits", 1),
+    ]],
 ]
 
 
-@pytest.mark.parametrize("key, values", BAD_TRAIN_SETTINGS, ids=[
+@pytest.mark.parametrize("message, values", BAD_TRAIN_SETTINGS, ids=[
     ",".join(f"{k}={x}" for k, x in values.items()) for _, values in BAD_TRAIN_SETTINGS
 ])
-def test_train_settings_rejected_before_echo(capsys, tmp_path, key, values):
+def test_train_settings_rejected_before_echo(capsys, tmp_path, message, values):
     settings = {"ell": 4, "total_episodes": 10, "update_interval": 5, **values}
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
@@ -330,7 +334,7 @@ def test_train_settings_rejected_before_echo(capsys, tmp_path, key, values):
     code = main(["train", "--config", str(cfg), "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert key in captured.err
+    assert message in captured.err
     assert captured.out == ""  # no resolved config was echoed
     assert not (out_dir / "train_config.txt").exists()
 

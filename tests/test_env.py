@@ -11,7 +11,6 @@ from polarkit.reference import BEST16_COMPLEXITY
 from polarkit.zero.env import (
     RewardConfig,
     Transition,
-    closed_form_return,
     default_reward_config,
     episode_return,
     forced_row_count,
@@ -20,7 +19,7 @@ from polarkit.zero.env import (
     step_env,
     trans_reward,
 )
-from tests.conftest import bare_board
+from tests.conftest import bare_board, closed_form_return
 
 
 def _random_episode(ell, cfg, rng, install_forced=True):

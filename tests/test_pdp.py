@@ -15,13 +15,17 @@ from polarkit.pdp import (
     compute_pdp,
     error_exponent,
     meets_target,
-    target_exponent,
     target_profile,
     valid_rows,
 )
 from polarkit.reference import ARIKAN, BEST12, BEST16
 from polarkit.search import brute_force_search
-from tests.conftest import naive_coset_min_distance, random_kernel, supported_sizes
+from tests.conftest import (
+    TARGET_EXPONENTS,
+    naive_coset_min_distance,
+    random_kernel,
+    supported_sizes,
+)
 
 
 def test_arikan_pdp():
@@ -51,7 +55,7 @@ def test_target_exponents_match_table():
         if ell < 5:
             continue
         computed = error_exponent(target_profile(ell))
-        assert computed == pytest.approx(target_exponent(ell), abs=5e-4), ell
+        assert computed == pytest.approx(TARGET_EXPONENTS[ell], abs=5e-4), ell
 
 
 def test_small_targets_are_optimal_by_enumeration():
@@ -65,7 +69,7 @@ def test_small_targets_are_optimal_by_enumeration():
             except SingularKernelError:
                 continue
             best = max(best, error_exponent(pdp))
-        assert best == pytest.approx(target_exponent(ell), abs=5e-4)
+        assert best == pytest.approx(TARGET_EXPONENTS[ell], abs=5e-4)
 
 
 def test_pdp_bounded_by_row_weight(rng):
