@@ -6,7 +6,8 @@
 #   3. the line counts of src/ and tests/, each with its change against
 #      the same files at HEAD (the work tree's uncommitted delta);
 #   4. the settable options, each with its change against HEAD: the CLI
-#      flags of all subcommands, the train-config keys, the reuse policies.
+#      flags of all subcommands and of each one, the train-config keys,
+#      the reuse policies.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README).
 # Usage: scripts/check.sh
@@ -27,10 +28,12 @@ for dir in src tests; do
     printf '%-7s %d lines (%+d against HEAD)\n' "$dir/:" "$now" "$((now - head))"
 done
 
-# prints "<CLI flags> <train-config keys> <reuse policies>" of the polarkit on PYTHONPATH
+# prints the settable options of the polarkit on PYTHONPATH as JSON: the
+# CLI flags per subcommand, the train-config keys and the reuse policies
 count_options() {
     python - <<'PY'
 import argparse
+import json
 from dataclasses import fields
 
 from polarkit.cli import build_parser
@@ -38,18 +41,30 @@ from polarkit.complexity import ReuseMode
 from polarkit.zero.train import TrainConfig
 
 sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-flags = sum(
-    not isinstance(a, argparse._HelpAction) for p in sub.choices.values() for a in p._actions
-)
-print(flags, len(fields(TrainConfig)), len(ReuseMode))
+flags = {
+    name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+    for name, p in sub.choices.items()
+}
+print(json.dumps({"flags": flags, "keys": len(fields(TrainConfig)), "policies": len(ReuseMode)}))
 PY
 }
 head_src=$(mktemp -d)
 git archive HEAD src | tar -x -C "$head_src"
-read -r flags keys policies < <(count_options)
-read -r head_flags head_keys head_policies < <(PYTHONPATH="$head_src/src" count_options)
+now_options=$(count_options)
+head_options=$(PYTHONPATH="$head_src/src" count_options)
 rm -rf "$head_src"
-printf 'options: %d CLI flags (%+d), %d train-config keys (%+d), %d reuse policies (%+d) against HEAD\n' \
-    "$flags" "$((flags - head_flags))" "$keys" "$((keys - head_keys))" \
-    "$policies" "$((policies - head_policies))"
+python - "$now_options" "$head_options" <<'PY'
+import json
+import sys
+
+now, head = (json.loads(arg) for arg in sys.argv[1:])
+flags, head_flags = now["flags"], head["flags"]
+total, head_total = sum(flags.values()), sum(head_flags.values())
+print(f"options: {total} CLI flags ({total - head_total:+d}), "
+      f"{now['keys']} train-config keys ({now['keys'] - head['keys']:+d}), "
+      f"{now['policies']} reuse policies ({now['policies'] - head['policies']:+d}) against HEAD")
+print("flags:   " + ", ".join(
+    f"{name} {count} ({count - head_flags.get(name, 0):+d})" for name, count in flags.items()
+))
+PY
 exit "$status"

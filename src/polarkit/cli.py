@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import asdict
 from itertools import repeat
 from pathlib import Path
 
@@ -31,9 +31,8 @@ from polarkit.codec import (
     simulate_bler,
 )
 from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity
-from polarkit.kernelio import KernelFileError, format_kernel, read_kernel, write_kernel
+from polarkit.kernelio import format_kernel, read_kernel, write_kernel
 from polarkit.pdp import (
-    SingularKernelError,
     compute_pdp,
     error_exponent,
     target_profile,
@@ -45,7 +44,7 @@ from polarkit.search import (
     merge_stats,
     random_agent_search,
 )
-from polarkit.zero.train import TrainConfig, dump_train_config, load_train_config, train_loop
+from polarkit.zero.train import load_train_config, train_loop
 
 EXIT_OK = 0
 EXIT_LIMIT = 1
@@ -135,16 +134,12 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.config is None and args.ell is None:
-        raise ValueError("train requires --ell or --config")
-    cfg = TrainConfig() if args.config is None else load_train_config(args.config)
-    overrides = {key: getattr(args, key) for key in ("ell", "seed")}
-    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    cfg = load_train_config(args.config)
     if args.out is not None:  # a directory train creates: no file may stand in its way
         for path in (Path(args.out), *Path(args.out).parents):
             if path.exists() and not path.is_dir():
                 raise ValueError(f"--out: {path} exists and is not a directory")
-    sys.stdout.write(dump_train_config(cfg))
+    _echo({"command": "train", **asdict(cfg)})
     result = train_loop(cfg, out_dir=args.out)
     summary = {
         "iterations": len(result.log_rows),
@@ -162,7 +157,7 @@ def _cmd_bler(args: argparse.Namespace) -> int:
     ell = kernel.ncols
     n = code_length(ell, args.m, kernel)
     if not 1 <= args.k <= n:
-        raise KernelFileError(f"k={args.k} outside [1, {n}] for n={n}")
+        raise ValueError(f"k={args.k} outside [1, {n}] for n={n}")
     select_snr = args.snr[0] if args.select_snr is None else args.select_snr
     for snr_db in [*args.snr, select_snr]:
         noise_sigma(snr_db, args.k / n)
@@ -217,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    outputs=("out", "hist_out"))
 
     p = sub.add_parser("train", help="self-play training loop")
-    p.add_argument("--ell", type=int, help="kernel size (overrides the config file)")
-    p.add_argument("--config", help="flat key=value training config file")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p.add_argument("--config", required=True, help="flat key=value training config file")
     p.add_argument("--out", help="output directory for logs, checkpoints, best kernel")
     p.set_defaults(func=_cmd_train)
 
@@ -255,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             if (path := getattr(args, key)) is not None and not Path(path).parent.is_dir():
                 raise ValueError(f"{_flag(key)}: directory {Path(path).parent} does not exist")
         return args.func(args)
-    except (KernelFileError, SingularKernelError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # KernelFileError, SingularKernelError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -273,6 +273,14 @@ def test_random_hist_out(capsys, tmp_path):
     assert hist.read_text().splitlines()[0] == "complexity,count"
 
 
+def _assert_train_rejected(captured, out_dir):
+    """A rejected train run reports only its error: no summary on stdout,
+    no config echo on stderr and no `train_config.txt`."""
+    assert captured.out == ""
+    assert '{"config"' not in captured.err
+    assert not (out_dir / "train_config.txt").exists()
+
+
 def test_train_smoke(capsys, tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(
@@ -280,31 +288,35 @@ def test_train_smoke(capsys, tmp_path):
         "updates_per_iteration=2\nsimulations=4\nsampled_actions=4\nseed=2\n"
     )
     out_dir = tmp_path / "run"
-    code, out = _run(
-        capsys, ["train", "--config", str(cfg), "--out", str(out_dir)]
-    )
+    code = main(["train", "--config", str(cfg), "--out", str(out_dir)])
+    captured = capsys.readouterr()
     assert code == EXIT_OK
-    assert "ell=4" in out  # resolved config is echoed
+    assert json.loads(captured.out)["iterations"] == 2  # stdout is the run summary alone
+    assert json.loads(captured.err.splitlines()[0]) == {"config": {
+        "command": "train", "ell": 4, "total_episodes": 10, "update_interval": 5,
+        "batch_size": 16, "updates_per_iteration": 2, "simulations": 4,
+        "sampled_actions": 4, "seed": 2,
+    }}
+    # the run directory keeps the config a rerun takes: here the input itself
+    assert (out_dir / "train_config.txt").read_text() == cfg.read_text()
     assert (out_dir / "training_log.csv").exists()
 
 
-# one out-of-range value per key (below one, negative, or not positive); the
-# last four keys are module constants now, refused as unknown config keys
-BAD_TRAIN_VALUES = {
-    "ell": 0, "update_interval": 0, "batch_size": 0, "updates_per_iteration": -1,
-    "checkpoint_interval": 0, "replay_capacity": 0, "preset_bits": -1, "learning_rate": 0.0,
-}
+# one out-of-range value per key (below one, or negative)
+BAD_TRAIN_VALUES = {"ell": 0, "update_interval": 0, "batch_size": 0, "updates_per_iteration": -1}
 
 
 @pytest.mark.parametrize("key", list(BAD_TRAIN_VALUES))
 def test_train_config_below_one_exit_2(capsys, tmp_path, key):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(f"ell=4\ntotal_episodes=10\nupdate_interval=5\n{key}={BAD_TRAIN_VALUES[key]}\n")
-    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    err = capsys.readouterr().err
+    out_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--out", str(out_dir)])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert key in err
-    assert "Traceback" not in err
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+    _assert_train_rejected(captured, out_dir)
 
 
 # settings the run cannot honour, over a base of ell=4, total_episodes=10,
@@ -316,8 +328,7 @@ BAD_TRAIN_SETTINGS = [
     ("batch_size must not exceed the replay capacity 100000", {"batch_size": 100001}),
     # keys that are module constants, not settings: unknown whatever the value
     *[(f"line 4: unknown config key {key!r}", {key: value}) for key, value in [
-        ("momentum", "nan"), ("momentum", 1.0), ("momentum", -0.5),
-        ("learning_rate", "inf"), ("replay_capacity", 2**63),
+        ("momentum", "nan"), ("learning_rate", "inf"), ("replay_capacity", 2**63),
         ("checkpoint_interval", 10), ("preset_bits", 1),
     ]],
 ]
@@ -335,8 +346,7 @@ def test_train_settings_rejected_before_echo(capsys, tmp_path, message, values):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert message in captured.err
-    assert captured.out == ""  # no resolved config was echoed
-    assert not (out_dir / "train_config.txt").exists()
+    _assert_train_rejected(captured, out_dir)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -350,27 +360,35 @@ def test_train_config_parse_errors_name_line_and_key(capsys, tmp_path, text, mes
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert f"error: {message}" in err
+    assert f"error: {message}" in captured.err
+    _assert_train_rejected(captured, tmp_path / "run")
     assert not (tmp_path / "run").exists()  # rejected before training starts
 
 
+def _train_exit(argv):
+    """Exit code of `polarkit train`, also where argparse exits."""
+    try:
+        return main(["train", *argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+# `source` says where the bad value is given: in the config file, or as a
+# flag, which train refuses since the config file is its one source of values
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_train_unsupported_ell_exit_2_before_writing(capsys, tmp_path, source):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"ell={17 if source == 'config' else 4}\ntotal_episodes=10\nupdate_interval=5\n")
+    flag = ["--ell", "1"] if source == "flag" else []
     out_dir = tmp_path / "run"
-    if source == "flag":
-        args = ["train", "--ell", "1"]
-    else:
-        cfg = tmp_path / "big.cfg"
-        cfg.write_text("ell=17\ntotal_episodes=10\nupdate_interval=5\n")
-        args = ["train", "--config", str(cfg)]
-    code = main([*args, "--out", str(out_dir)])
+    code = _train_exit(["--config", str(cfg), *flag, "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert not (out_dir / "train_config.txt").exists()
-    assert captured.out == ""  # no resolved config was echoed
-    assert "unsupported kernel size ell=" in captured.err
+    expected = "unrecognized arguments: --ell 1" if flag else "unsupported kernel size ell=17"
+    assert expected in captured.err
+    _assert_train_rejected(captured, out_dir)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -378,31 +396,37 @@ def test_train_negative_seed_exit_2_before_writing(capsys, tmp_path, source):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("ell=4\ntotal_episodes=10\nupdate_interval=5\n"
                    + ("seed=-1\n" if source == "config" else ""))
-    seed = ["--seed", "-1"] if source == "flag" else []
+    flag = ["--seed", "-1"] if source == "flag" else []
     out_dir = tmp_path / "run"
-    code = main(["train", "--config", str(cfg), *seed, "--out", str(out_dir)])
+    code = _train_exit(["--config", str(cfg), *flag, "--out", str(out_dir)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "error: seed must be nonnegative" in captured.err
-    assert captured.out == ""  # no resolved config was echoed
-    assert not (out_dir / "train_config.txt").exists()
+    expected = "unrecognized arguments: --seed -1" if flag else "error: seed must be nonnegative"
+    assert expected in captured.err
+    _assert_train_rejected(captured, out_dir)
 
 
 @pytest.mark.parametrize("below", ["", "run"])
 def test_train_out_existing_file_exit_2_before_echo(capsys, tmp_path, below):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("ell=4\ntotal_episodes=10\nupdate_interval=5\n")
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
-    code = main(["train", "--ell", "4", "--out", str(afile / below)])
+    code = main(["train", "--config", str(cfg), "--out", str(afile / below)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert f"error: --out: {afile} exists and is not a directory" in captured.err
-    assert captured.out == ""  # no resolved config was echoed
+    _assert_train_rejected(captured, afile / below)
     assert afile.read_text() == "kept\n"
 
 
-def test_train_requires_ell_or_config(capsys):
-    code, _ = _run(capsys, ["train"])
-    assert code == EXIT_USAGE
+def test_train_requires_config(capsys):
+    """The config file is train's one source of values: without it, train
+    is the same argparse usage error as `complexity` without `--kernel`."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train"])
+    assert exc.value.code == EXIT_USAGE
+    assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 def test_bler_command(capsys, tmp_path):
@@ -453,6 +477,23 @@ def test_bler_m_below_one_exit_2(capsys, tmp_path, m):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert f"error: m must be at least 1, got {m}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k", ["0", "9"])
+def test_bler_k_outside_code_exit_2_before_echo(capsys, tmp_path, k):
+    path = tmp_path / "f2.txt"
+    write_kernel(path, ARIKAN)
+    code = main(
+        [
+            "bler", "--kernel", str(path), "--m", "3", "--k", k,
+            "--snr", "2.0", "--trials", "1", "--select-trials", "1",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: k={k} outside [1, 8] for n=8" in captured.err
+    assert "config" not in captured.err  # rejected before the configuration is echoed
     assert captured.out == ""
 
 

@@ -97,6 +97,15 @@ def test_encode_rejects_frozen_violation():
         encode(spec, u)
 
 
+def test_encode_and_decode_reject_other_lengths():
+    spec = _spec(2, 2, ARIKAN)
+    for length in (3, 5):
+        with pytest.raises(ValueError, match="message length must be n"):
+            encode(spec, np.zeros(length, dtype=np.uint8))
+        with pytest.raises(ValueError, match="LLR length must be n"):
+            sc_decode_batch(spec, np.ones((2, length)))
+
+
 def test_arikan_phase_metric_closed_form(rng):
     """For the 2x2 kernel the phase-0 LLR difference equals the min-sum
     box-plus up to the exact max-correlation form."""

@@ -46,6 +46,9 @@ def test_extend_kernel_shape_and_flag():
     assert ext.rows == (0b101, 0b110)  # appended column set only on the phase row
     ext = extend_kernel(ARIKAN, 1)
     assert ext.rows == (0b111,)
+    for phase in (-1, 2):
+        with pytest.raises(ValueError, match=f"phase {phase} out of range for ell=2"):
+            extend_kernel(ARIKAN, phase)
 
 
 def test_section_trees_rejects_singular():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,10 @@ def test_illegal_action_rejected():
         step_env(state, 2, cfg)
     with pytest.raises(ValueError):
         step_env(state, 9, cfg)
+    finished = replace(state, done=True)  # a finished state offers no action
+    assert legal_actions(finished) == []
+    with pytest.raises(ValueError, match="episode is finished"):
+        step_env(finished, 0, cfg)
 
 
 def test_failed_row_is_cleared():

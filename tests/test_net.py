@@ -92,8 +92,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert value_a == value_b
 
 
-def _save_params(path, net, **params):
-    np.savez(path, version=CHECKPOINT_VERSION, ell=net.spec.ell, hidden=net.spec.hidden, **params)
+def _save_params(path, net, version=CHECKPOINT_VERSION, **params):
+    np.savez(path, version=version, ell=net.spec.ell, hidden=net.spec.hidden, **params)
 
 
 def test_checkpoint_wrong_shape_rejected(tmp_path):
@@ -109,4 +109,13 @@ def test_checkpoint_missing_array_rejected(tmp_path):
     path = str(tmp_path / "short.npz")
     _save_params(path, net, **{k: v for k, v in net.params.items() if k != "bv"})
     with pytest.raises(ValueError, match="no 'bv' array"):
+        Network.load(path)
+
+
+def test_checkpoint_other_version_rejected(tmp_path):
+    net = Network(NetworkSpec(5), seed=4)
+    path = str(tmp_path / "old.npz")
+    newer = CHECKPOINT_VERSION + 1
+    _save_params(path, net, version=newer, **net.params)
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {newer}"):
         Network.load(path)

@@ -48,6 +48,8 @@ def test_singular_kernel_rejected():
 def test_reference_kernels_meet_targets():
     assert meets_target(BEST12, target_profile(12))
     assert meets_target(BEST16, target_profile(16))
+    with pytest.raises(ValueError, match="kernel size and target size differ"):
+        meets_target(BEST12, target_profile(16))
 
 
 def test_target_exponents_match_table():

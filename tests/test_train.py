@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,46 @@ def test_smoke_run_pinned():
     result = train_loop(SMOKE)
     assert result.log_rows == PINNED_SMOKE_ROWS
     assert result.best_complexity == 48
+
+
+@pytest.mark.parametrize("spike", ["nan", "tenfold"])
+def test_divergence_guard_skips_update_and_halves_step(monkeypatch, spike):
+    """A non-finite loss, or one above ten times the running loss, skips
+    its update and halves the step size.  The spike is the second and last
+    update of the run; the first sets the running loss to its own loss."""
+    losses, at_spike = [], {}
+    loss_and_grads = Network.loss_and_grads
+
+    def spiking(self, *batch):
+        loss, grads = loss_and_grads(self, *batch)
+        losses.append(loss)
+        if len(losses) == 2:
+            at_spike.update({k: v.copy() for k, v in self.params.items()})
+            loss = math.nan if spike == "nan" else 11 * losses[0]
+        return loss, grads
+
+    monkeypatch.setattr(Network, "loss_and_grads", spiking)
+    result = train_loop(replace(SMOKE, total_episodes=10, updates_per_iteration=2))
+    assert len(losses) == 2
+    assert [row["learningRate"] for row in result.log_rows] == [train.LEARNING_RATE / 2]
+    fresh = Network(NetworkSpec(SMOKE.ell), seed=SMOKE.seed).params
+    assert any(not np.array_equal(at_spike[k], fresh[k]) for k in fresh)  # first update ran
+    for key, value in result.network.params.items():
+        np.testing.assert_array_equal(value, at_spike[key], err_msg=key)
+
+
+def test_no_update_before_the_replay_holds_a_batch():
+    """One ell=4 episode ends within its game limit, so it gives fewer
+    transitions than a batch of 401 and the network stays as initialised."""
+    cfg = TrainConfig(ell=4, total_episodes=1, update_interval=1, batch_size=401,
+                      simulations=8, sampled_actions=4, seed=1)
+    assert default_reward_config(4).game_limit < cfg.batch_size
+    result = train_loop(cfg)
+    fresh = Network(NetworkSpec(4), seed=1).params
+    assert result.network.params.keys() == fresh.keys()
+    for key, value in result.network.params.items():
+        np.testing.assert_array_equal(value, fresh[key], err_msg=key)
+    assert result.log_rows[0]["learningRate"] == train.LEARNING_RATE
 
 
 # Untrained ell=12 episodes stall until the game limit; a 200-step limit
