@@ -4,7 +4,9 @@
 #      verbose level, logged to test_output.txt;
 #   2. the benchmark's self-test (perfbench/run.py --selftest);
 #   3. the line counts of src/ and tests/, each with its change against
-#      the same files at HEAD (the work tree's uncommitted delta);
+#      the same files at HEAD (the work tree's uncommitted delta) and the
+#      lines added and removed (git diff --numstat, untracked files
+#      counted as added), so that moved code is told apart from removed;
 #   4. the settable options, each with its change against HEAD: the CLI
 #      flags of all subcommands and of each one, the train-config keys,
 #      the reuse policies.
@@ -25,7 +27,11 @@ for dir in src tests; do
     now=$(find "$dir" -name '*.py' -print0 | xargs -0 cat | wc -l)
     head=$(git ls-tree -r --name-only HEAD -- "$dir" | grep '\.py$' | sed 's/^/HEAD:/' \
         | xargs -r git show | wc -l)
-    printf '%-7s %d lines (%+d against HEAD)\n' "$dir/:" "$now" "$((now - head))"
+    read -r added removed < <(git diff --numstat HEAD -- "$dir/*.py" \
+        | awk '{a += $1; r += $2} END {print a + 0, r + 0}')
+    untracked=$(git ls-files -z --others --exclude-standard -- "$dir/*.py" | xargs -0r cat | wc -l)
+    printf '%-7s %d lines (%+d against HEAD: +%d/-%d)\n' "$dir/:" "$now" "$((now - head))" \
+        "$((added + untracked))" "$removed"
 done
 
 # prints the settable options of the polarkit on PYTHONPATH as JSON: the

@@ -230,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_bler, floors={"seed": 0, "trials": 1, "select_trials": 1},
                    outputs=("out",))
+    for p in sub.choices.values():  # main reports unrecognised arguments through it
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -239,7 +241,9 @@ def _flag(dest: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # the subcommand's own usage line, which lists its flags
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         for key, low in getattr(args, "floors", {}).items():
             if (value := getattr(args, key)) < low:

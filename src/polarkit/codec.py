@@ -18,9 +18,9 @@ max-marginalization.
 
 The trellis tables of a section node are indexed by the cosets of the
 shortened code inside the punctured code (2^v entries); a parent entry is
-the max over 2^w combinations of linked child entries.  Coset indices are
-coordinates over the canonical v-representative rows that the section
-tree already carries.
+the max over 2^w combinations of linked child entries.  The links live on
+the section node (`SectionNode.links`): per child, coset coordinates over
+the canonical v-representative rows that the tree already carries.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from polarkit.complexity import SectionNode, section_trees
-from polarkit.gf2 import BitMatrix, eliminate, rank
+from polarkit.gf2 import BitMatrix, rank
 from polarkit.pdp import SingularKernelError
 
 
@@ -95,46 +95,14 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
 # Phase metrics
 
 
-_Plans = tuple[tuple[SectionNode, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]], ...]
-
-
-def _add_links(node: SectionNode, ncols: int, links: dict) -> dict:
-    """Adds to `links` the (2^v, 2^w) child-coset index arrays of `node` and
-    of every internal node below it, and returns it."""
-    if node.is_leaf:
-        return links
-    for child in node.children:
-        _add_links(child, ncols, links)
-    # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
-    words = [0]
-    for g in node.w_reps + node.v_reps:
-        words += [word ^ g for word in words]
-    # Coset coordinates in a child: eliminate on its ncols columns, with
-    # v-representative k carrying coefficient bit ncols + k above them, so a
-    # word's residual holds its v-coordinates once its columns cancel.
-    low = (1 << ncols) - 1
-    pair = []
-    for child in node.children:
-        seeds = [(1 << (ncols + k)) | (r & child.mask) for k, r in enumerate(child.v_reps)]
-        seeds += child.s_basis
-        residuals = eliminate({}, seeds + [word & child.mask for word in words], low)[len(seeds):]
-        if any(r & low for r in residuals):
-            raise ValueError("word outside the punctured code")
-        pair.append(np.array([r >> ncols for r in residuals], dtype=np.int64))
-    shape = (1 << node.v, 1 << node.w)
-    links[node.x, node.y] = (pair[0].reshape(shape), pair[1].reshape(shape))
-    return links
-
-
 @lru_cache(maxsize=64)
-def build_link_tables(kernel: BitMatrix) -> _Plans:
-    """Per phase: the section tree, and each internal node's two link
-    arrays keyed by the node's (x, y)."""
-    ncols = kernel.ncols + 1  # the extended matrix's appended phase column
-    return tuple((tree, _add_links(tree, ncols, {})) for tree in section_trees(kernel))
+def build_link_tables(kernel: BitMatrix) -> tuple[SectionNode, ...]:
+    """The section trees of all phases; each internal node builds its link
+    arrays (`SectionNode.links`) on first use."""
+    return tuple(section_trees(kernel))
 
 
-def _eval_node(node: SectionNode, links: dict, half_llrs: np.ndarray) -> np.ndarray:
+def _eval_node(node: SectionNode, half_llrs: np.ndarray) -> np.ndarray:
     """Table of max correlation metrics per coset: (batch, 2^v)."""
     if not node.children:  # is_leaf and k_s read as fields: this runs per node per call
         lam = half_llrs[:, node.x]
@@ -143,22 +111,22 @@ def _eval_node(node: SectionNode, links: dict, half_llrs: np.ndarray) -> np.ndar
         if node.v:  # two entries [bit0, bit1]; else one known-bit entry
             return np.stack([lam, -lam], axis=1)
         return lam[:, None]
-    t_left = _eval_node(node.children[0], links, half_llrs)
-    t_right = _eval_node(node.children[1], links, half_llrs)
-    link_a, link_b = links[node.x, node.y]
+    t_left = _eval_node(node.children[0], half_llrs)
+    t_right = _eval_node(node.children[1], half_llrs)
+    link_a, link_b = node.links
     cand = t_left[:, link_a] + t_right[:, link_b]  # (batch, 2^v, 2^w)
     return cand.max(axis=2)
 
 
 def phase_llrs_trellis(
-    plans: _Plans, phase: int, prefix: np.ndarray, llrs: np.ndarray
+    trees: tuple[SectionNode, ...], phase: int, prefix: np.ndarray, llrs: np.ndarray
 ) -> np.ndarray:
     """Batched phase LLRs: prefix (batch, ell) is the codeword of the
     decided symbols u_0 .. u_{phase-1}, llrs (batch, ell)."""
     llrs = np.asarray(llrs, dtype=np.float64)
     # the known prefix's codeword offset flips the signs of its 1-columns
     signs = 1.0 - 2.0 * prefix
-    table = _eval_node(*plans[phase], 0.5 * signs * llrs)
+    table = _eval_node(trees[phase], 0.5 * signs * llrs)
     assert table.shape[1] == 2
     return table[:, 0] - table[:, 1]
 
@@ -168,7 +136,7 @@ def phase_llrs_trellis(
 
 
 def _sc_decode_rec(
-    plans: _Plans,
+    trees: tuple[SectionNode, ...],
     bits: np.ndarray,
     frozen: frozenset[int],
     llrs: np.ndarray,
@@ -203,8 +171,8 @@ def _sc_decode_rec(
             # other phase reads its LLRs, so x stays as it is
             u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
             continue
-        phase_llr = phase_llrs_trellis(plans, a, x, flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(plans, bits, frozen, phase_llr, start, errors)
+        phase_llr = phase_llrs_trellis(trees, a, x, flat).reshape(batch, sub)
+        u_a, v_a = _sc_decode_rec(trees, bits, frozen, phase_llr, start, errors)
         u_blocks.append(u_a)
         x ^= v_a.reshape(batch * sub, 1) & bits[a]
     u = np.concatenate(u_blocks, axis=1)
@@ -216,8 +184,8 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    plans = build_link_tables(spec.kernel)
-    return _sc_decode_rec(plans, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, None)
+    trees = build_link_tables(spec.kernel)
+    return _sc_decode_rec(trees, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +234,14 @@ def select_frozen_set(
     (ties toward the smaller index)."""
     sizes = _batch_sizes(trials)
     n = code_length(ell, m, kernel)
-    plans, bits = build_link_tables(kernel), _kernel_bits(kernel)
+    trees, bits = build_link_tables(kernel), _kernel_bits(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
     for b in sizes:
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
-        _sc_decode_rec(plans, bits, frozenset(range(n)), llrs, 0, errors)
+        _sc_decode_rec(trees, bits, frozenset(range(n)), llrs, 0, errors)
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
 

@@ -21,7 +21,10 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress
 from typing import Callable
 
+import numpy as np
+
 from polarkit.gf2 import (
+    MAX_COLS,
     MAX_ELL,
     MIN_ELL,
     BitMatrix,
@@ -100,6 +103,29 @@ class SectionNode:
         # s_basis is reduced echelon and supported inside the section
         pivots = {r.bit_length() - 1: r for r in self.s_basis}
         return tuple(compress(code_basis, eliminate(pivots, [r & self.mask for r in code_basis])))
+
+    @cached_property
+    def links(self) -> tuple[np.ndarray, ...]:
+        """Per child, the (2^v, 2^w) int64 array of the child coset that each
+        of the node's 2^(w+v) sums reads; the decoder's trellis merge."""
+        # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
+        words = [0]
+        for g in self.w_reps + self.v_reps:
+            words += [word ^ g for word in words]
+        # Coset coordinates in a child: eliminate on the MAX_COLS columns, with
+        # v-representative k carrying coefficient bit MAX_COLS + k above them, so
+        # a word's residual holds its v-coordinates once its columns cancel.
+        low = (1 << MAX_COLS) - 1
+        arrays = []
+        for child in self.children:
+            seeds = [(1 << (MAX_COLS + k)) | (r & child.mask) for k, r in enumerate(child.v_reps)]
+            seeds += child.s_basis
+            residuals = eliminate({}, seeds + [word & child.mask for word in words], low)[len(seeds):]
+            if any(r & low for r in residuals):
+                raise ValueError("word outside the punctured code")
+            coords = np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
+            arrays.append(coords.reshape(1 << self.v, 1 << self.w))
+        return tuple(arrays)
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,8 @@ def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], 
     bits, re-encoded into the prefix codeword here."""
     prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
     prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
-    plans = build_link_tables(kernel)
-    return float(phase_llrs_trellis(plans, phase, prefix, np.atleast_2d(llrs))[0])
+    trees = build_link_tables(kernel)
+    return float(phase_llrs_trellis(trees, phase, prefix, np.atleast_2d(llrs))[0])
 
 
 @cache

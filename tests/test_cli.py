@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -12,7 +13,7 @@ import pytest
 from polarkit import cli
 from polarkit.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main
 from polarkit.kernelio import read_kernel, write_kernel
-from polarkit.pdp import compute_pdp, target_profile
+from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.reference import ARIKAN, BEST12
 
 
@@ -164,6 +165,17 @@ def test_brute_step_limit_exit_1(capsys):
     assert code == EXIT_LIMIT
 
 
+def test_brute_infeasible_exit_1(capsys, monkeypatch):
+    # the last row must be 11, the only weight-2 row, and no row lies at
+    # distance 2 from its span {00, 11}
+    monkeypatch.setattr(cli, "target_profile", lambda ell: PartialDistanceProfile((2, 2)))
+    code = main(["brute", "--ell", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_LIMIT
+    assert re.search(r"^infeasible: search space exhausted after \d+ steps$", captured.err, re.M)
+    assert captured.out == ""
+
+
 def test_random_reproducible_and_schema(capsys):
     argv = ["random", "--ell", "4", "--iters", "150", "--seed", "3"]
     code, out1 = _run(capsys, argv)
@@ -233,6 +245,16 @@ def test_random_and_brute_out_of_range_exit_2(capsys, argv, message):
     assert code == EXIT_USAGE
     assert message in err
     assert "config" not in err  # rejected before the configuration is echoed
+
+
+def test_random_unrecognized_argument_exit_2_with_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--ell", "4", "--iters", "10", "--bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.err.startswith("usage: polarkit random")
+    assert "polarkit random: error: unrecognized arguments: --bogus" in captured.err
+    assert captured.out == ""
 
 
 def test_random_no_feasible_trial_exit_1(capsys):
@@ -388,6 +410,8 @@ def test_train_unsupported_ell_exit_2_before_writing(capsys, tmp_path, source):
     assert code == EXIT_USAGE
     expected = "unrecognized arguments: --ell 1" if flag else "unsupported kernel size ell=17"
     assert expected in captured.err
+    if flag:  # train's own parser reports it, with its usage line
+        assert captured.err.startswith("usage: polarkit train")
     _assert_train_rejected(captured, out_dir)
 
 
@@ -403,6 +427,8 @@ def test_train_negative_seed_exit_2_before_writing(capsys, tmp_path, source):
     assert code == EXIT_USAGE
     expected = "unrecognized arguments: --seed -1" if flag else "error: seed must be nonnegative"
     assert expected in captured.err
+    if flag:  # train's own parser reports it, with its usage line
+        assert captured.err.startswith("usage: polarkit train")
     _assert_train_rejected(captured, out_dir)
 
 

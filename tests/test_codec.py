@@ -126,11 +126,10 @@ def test_trellis_matches_exhaustive_oracle():
     (2^v, 2^w), the model's 2^(w+v) sums."""
     kernels, deviations = trellis_oracle_cases()
     for kernel in kernels:
-        for tree, links in build_link_tables(kernel):
-            internal = [n for n in _nodes(tree) if not n.is_leaf]
-            assert sorted(links) == sorted((n.x, n.y) for n in internal)
-            for n in internal:
-                assert all(a.shape == (1 << n.v, 1 << n.w) for a in links[n.x, n.y])
+        for tree in build_link_tables(kernel):
+            for n in _nodes(tree):
+                if not n.is_leaf:
+                    assert [a.shape for a in n.links] == [(1 << n.v, 1 << n.w)] * 2
     assert len(deviations) >= 200
     assert max(deviations) <= 1e-9
 
@@ -301,9 +300,9 @@ def _bench_spec(name: str) -> PolarCodeSpec:
 def _decode_every_block(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder without the all-frozen skip: given `errors`, as in genie
     selection, `_sc_decode_rec` decodes every block."""
-    plans = build_link_tables(spec.kernel)
+    trees = build_link_tables(spec.kernel)
     errors = np.zeros(spec.n, dtype=np.int64)
-    return _sc_decode_rec(plans, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, errors)
+    return _sc_decode_rec(trees, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, errors)
 
 
 def test_frozen_block_skip_matches_full_decode(rng):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from polarkit import codec, complexity
+from polarkit import complexity
 from polarkit.complexity import (
     CALIBRATED_MODE,
     ReuseMode,
@@ -21,7 +21,7 @@ from polarkit.complexity import (
     total_complexity,
     total_complexity_cached,
 )
-from polarkit.gf2 import BitMatrix, interval_mask, row_basis
+from polarkit.gf2 import BitMatrix, interval_mask, is_subcode, row_basis
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import (
@@ -77,20 +77,9 @@ def _node_fields(tree) -> list[tuple]:
     ]
 
 
-def _plan_fields(plan) -> list:
-    """What the decoder reads: leaf (x, v, k_s), internal nodes' link arrays."""
-    tree, links = plan
-    return [
-        (n.x, n.v, n.k_s) if n.is_leaf else [a.tolist() for a in links[n.x, n.y]]
-        for n in _nodes(tree)
-    ]
-
-
-def _reports_and_plans(kernel: BitMatrix) -> tuple[list, list]:
-    """Report JSON under every policy and, for ell <= 12, the link tables."""
-    reports = [total_complexity(kernel, policy).to_json() for policy in ReuseMode]
-    plans = codec.build_link_tables.__wrapped__(kernel) if kernel.ncols <= 12 else ()
-    return reports, [_plan_fields(p) for p in plans]
+def _reports(kernel: BitMatrix) -> list[str]:
+    """Report JSON under every policy."""
+    return [total_complexity(kernel, policy).to_json() for policy in ReuseMode]
 
 
 def test_section_trees_match_per_phase_oracle(rng, monkeypatch):
@@ -110,12 +99,45 @@ def test_section_trees_match_per_phase_oracle(rng, monkeypatch):
             for n in _nodes(tree):
                 assert n.mask == interval_mask(kernel.ncols + 1, n.x, n.y)
                 assert n.code_basis() == code_basis, (kernel, phase)
-        new[kernel] = _reports_and_plans(kernel)
+        new[kernel] = _reports(kernel)
     monkeypatch.setattr(complexity, "section_trees", oracle.__getitem__)
     monkeypatch.setattr(complexity, "reuse_eligible", oracle_reuse_eligible)
-    monkeypatch.setattr(codec, "section_trees", oracle.__getitem__)
     for kernel in kernels:
-        assert new[kernel] == _reports_and_plans(kernel), kernel
+        assert new[kernel] == _reports(kernel), kernel
+
+
+def _select(rows: tuple[int, ...], index: int) -> int:
+    """XOR of the rows whose bit is set in `index`."""
+    assert 0 <= index < 1 << len(rows)
+    word = 0
+    for k, r in enumerate(rows):
+        if index >> k & 1:
+            word ^= r
+    return word
+
+
+def test_links_name_each_sums_child_coset(rng):
+    """Every internal node of every phase, on BEST12 and random kernels at
+    widths 2..8: sum alpha * 2^w + beta of a node is the word that selects
+    (w_reps + v_reps)[k] by its bit k, and its entry j in a child's link
+    array names the child coset that holds the word on the child's columns:
+    the word plus the child's v-representatives selected by j lies there in
+    the child's shortened code."""
+    kernels = [BEST12] + [random_kernel(ell, rng) for ell in range(2, 9) for _ in range(4)]
+    checked = 0
+    for kernel in kernels:
+        for tree in section_trees(kernel):
+            for n in _nodes(tree):
+                if n.is_leaf:
+                    continue
+                generators = n.w_reps + n.v_reps
+                for child, link in zip(n.children, n.links, strict=True):
+                    assert link.shape == (1 << n.v, 1 << n.w)
+                    for index, j in enumerate(link.flat):
+                        word = _select(generators, index) ^ _select(child.v_reps, int(j))
+                        assert is_subcode([word & child.mask], child.s_basis), (kernel, n)
+                        checked += 1
+    assert checked > 5000
 
 
 def test_code_basis_built_only_for_representatives(rng, monkeypatch):
