@@ -9,9 +9,13 @@
 #      counted as added), so that moved code is told apart from removed;
 #   4. the settable options, each with its change against HEAD: the CLI
 #      flags of all subcommands and of each one, the train-config keys,
-#      the reuse policies.
+#      the reuse policies;
+#   5. whether the seeded `polarkit bler` CSVs (the (256,128) codes of
+#      BEST16 at m=2 and ARIKAN at m=8, two SNRs, 600 trials) are
+#      byte-identical to HEAD's.
 # Nothing is deselected or skipped, so the script exits nonzero while any
-# test is red -- criterion 1 is, by design (see README).
+# test is red -- criterion 1 is, by design (see README) -- and on any
+# difference in those CSVs.
 # Usage: scripts/check.sh
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -54,11 +58,44 @@ flags = {
 print(json.dumps({"flags": flags, "keys": len(fields(TrainConfig)), "policies": len(ReuseMode)}))
 PY
 }
+# writes into directory $1 the seeded bler CSVs of the polarkit on
+# PYTHONPATH, with each run's configuration echo beside its CSV
+bler_csvs() {
+    python - "$1" <<'PY'
+import sys
+from pathlib import Path
+
+from polarkit.kernelio import write_kernel
+from polarkit.reference import ARIKAN, BEST16
+
+write_kernel(Path(sys.argv[1]) / "best16.txt", BEST16)
+write_kernel(Path(sys.argv[1]) / "arikan.txt", ARIKAN)
+PY
+    for run in "best16 2" "arikan 8"; do
+        read -r name m <<< "$run"
+        python -m polarkit.cli bler --kernel "$1/$name.txt" --m "$m" --k 128 --snr 2.0 3.0 \
+            --trials 600 --select-trials 600 --seed 5 --out "$1/$name.csv" 2> "$1/$name.log"
+    done
+}
 head_src=$(mktemp -d)
 git archive HEAD src | tar -x -C "$head_src"
 now_options=$(count_options)
 head_options=$(PYTHONPATH="$head_src/src" count_options)
-rm -rf "$head_src"
+now_csv=$(mktemp -d)
+head_csv=$(mktemp -d)
+bler_csvs "$now_csv"
+PYTHONPATH="$head_src/src" bler_csvs "$head_csv"
+differ=()
+for name in best16 arikan; do
+    cmp -s "$now_csv/$name.csv" "$head_csv/$name.csv" || differ+=("$name")
+done
+if ((${#differ[@]})); then
+    echo "bler CSVs: ${differ[*]} differ from HEAD"
+    status=1
+else
+    echo "bler CSVs: best16 m=2 and arikan m=8 byte-identical to HEAD"
+fi
+rm -rf "$head_src" "$now_csv" "$head_csv"
 python - "$now_options" "$head_options" <<'PY'
 import json
 import sys

@@ -21,6 +21,17 @@ shortened code inside the punctured code (2^v entries); a parent entry is
 the max over 2^w combinations of linked child entries.  The links live on
 the section node (`SectionNode.links`): per child, coset coordinates over
 the canonical v-representative rows that the tree already carries.
+
+Phases reuse section tables: within a block, a phase gathers the table of
+each node that the `SECTION_TABLES` complexity model reuses from the
+previous phase with an unchanged shortened code, instead of evaluating
+its subtree (Trifonov, "Recursive trellis processing of large
+polarization kernels", ISIT 2021).  The gather re-indexes the previous
+table for the prefix that the previous decision moved, and its output is
+bit-identical to evaluating every node.  The model's other reuse, of the
+previous node's pre-comparison sums, is not done here: such a node is
+evaluated.  A phase after a skipped rate-0 block holds nothing and
+evaluates in full.
 """
 
 from __future__ import annotations
@@ -29,10 +40,11 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from polarkit.complexity import SectionNode, section_trees
+from polarkit.complexity import ReuseMode, SectionNode, phase_costs, section_trees, span_words
 from polarkit.gf2 import BitMatrix, rank
 from polarkit.pdp import SingularKernelError
 
@@ -102,8 +114,59 @@ def build_link_tables(kernel: BitMatrix) -> tuple[SectionNode, ...]:
     return tuple(section_trees(kernel))
 
 
-def _eval_node(node: SectionNode, half_llrs: np.ndarray) -> np.ndarray:
-    """Table of max correlation metrics per coset: (batch, 2^v)."""
+#: Per internal node (x, y) of a phase tree: its table gathered from the
+#: previous phase, or None where the phase stores its evaluated table
+_Tables = dict[tuple[int, int], np.ndarray | None]
+
+
+class _Decoder(NamedTuple):
+    """What the SC recursion reads of one kernel: the phase trees, the
+    kernel as a read-only (ell, ell) uint8 bit array, and per phase the
+    nodes whose tables it gathers from the previous phase.  A gather is
+    the node's (x, y) and, per coset, the index into the previous table
+    read by rows whose previous decision is 0, and 1 (None: the same)."""
+
+    trees: tuple[SectionNode, ...]
+    bits: np.ndarray
+    gathers: tuple[tuple[tuple[tuple[int, int], np.ndarray, np.ndarray | None], ...], ...]
+
+
+def _node_at(tree: SectionNode, x: int, y: int) -> SectionNode:
+    """The node of section [x, y) in a phase tree."""
+    while (tree.x, tree.y) != (x, y):
+        tree = tree.children[x >= tree.children[1].x]
+    return tree
+
+
+@lru_cache(maxsize=64)
+def _decoder(kernel: BitMatrix) -> _Decoder:
+    """A phase gathers a node's table wherever the `SECTION_TABLES` model
+    reuses the previous phase's table of the node: the reused sections
+    whose shortened code is unchanged.  Phase a+1's prefix is phase a's
+    XOR u_a K[a], so coset c of node n reads the previous table at the
+    coordinates of n's coset word c, plus u_a times those of K[a], in the
+    previous node's coset basis."""
+    trees = build_link_tables(kernel)
+    gathers = [()]
+    costs = phase_costs(trees, ReuseMode.SECTION_TABLES)
+    for a, (prev, cost) in enumerate(zip(trees, costs[1:])):
+        plan = []
+        for x, y in cost.reused:
+            p, n = _node_at(prev, x, y), _node_at(trees[a + 1], x, y)
+            if n.s_basis == p.s_basis:  # else the model counts p's sums: evaluated here
+                idx0 = p.coset_indices(span_words(n.v_reps))
+                d = int(p.coset_indices([kernel.rows[a] << 1])[0])
+                plan.append(((x, y), idx0, idx0 ^ d if d else None))
+        gathers.append(tuple(plan))
+    bits = _kernel_bits(kernel)
+    bits.flags.writeable = False
+    return _Decoder(trees, bits, tuple(gathers))
+
+
+def _eval_node(node: SectionNode, half_llrs: np.ndarray, tables: _Tables) -> np.ndarray:
+    """Table of max correlation metrics per coset: (batch, 2^v).  A node
+    gathered in `tables` is not evaluated; one mapped to None stores its
+    table there."""
     if not node.children:  # is_leaf and k_s read as fields: this runs per node per call
         lam = half_llrs[:, node.x]
         if node.s_basis:  # k_s = 1: the column is free inside the code: max(m0, m1)
@@ -111,22 +174,36 @@ def _eval_node(node: SectionNode, half_llrs: np.ndarray) -> np.ndarray:
         if node.v:  # two entries [bit0, bit1]; else one known-bit entry
             return np.stack([lam, -lam], axis=1)
         return lam[:, None]
-    t_left = _eval_node(node.children[0], half_llrs)
-    t_right = _eval_node(node.children[1], half_llrs)
+    key = (node.x, node.y)
+    table = tables.get(key)
+    if table is not None:
+        return table
+    t_left = _eval_node(node.children[0], half_llrs, tables)
+    t_right = _eval_node(node.children[1], half_llrs, tables)
     link_a, link_b = node.links
-    cand = t_left[:, link_a] + t_right[:, link_b]  # (batch, 2^v, 2^w)
-    return cand.max(axis=2)
+    cand = t_left[:, link_a]  # (batch, 2^v, 2^w)
+    cand += t_right[:, link_b]
+    table = cand.max(axis=2)
+    if key in tables:
+        tables[key] = table
+    return table
 
 
 def phase_llrs_trellis(
-    trees: tuple[SectionNode, ...], phase: int, prefix: np.ndarray, llrs: np.ndarray
+    trees: tuple[SectionNode, ...],
+    phase: int,
+    prefix: np.ndarray,
+    llrs: np.ndarray,
+    tables: _Tables | None = None,
 ) -> np.ndarray:
     """Batched phase LLRs: prefix (batch, ell) is the codeword of the
-    decided symbols u_0 .. u_{phase-1}, llrs (batch, ell)."""
+    decided symbols u_0 .. u_{phase-1}, llrs (batch, ell).  `tables` holds
+    the node tables gathered from the previous phase and receives those
+    that the next phase gathers; without it every node is evaluated."""
     llrs = np.asarray(llrs, dtype=np.float64)
     # the known prefix's codeword offset flips the signs of its 1-columns
     signs = 1.0 - 2.0 * prefix
-    table = _eval_node(trees[phase], 0.5 * signs * llrs)
+    table = _eval_node(trees[phase], 0.5 * signs * llrs, {} if tables is None else tables)
     assert table.shape[1] == 2
     return table[:, 0] - table[:, 1]
 
@@ -136,8 +213,7 @@ def phase_llrs_trellis(
 
 
 def _sc_decode_rec(
-    trees: tuple[SectionNode, ...],
-    bits: np.ndarray,
+    dec: _Decoder,
     frozen: frozenset[int],
     llrs: np.ndarray,
     base: int,
@@ -157,6 +233,7 @@ def _sc_decode_rec(
         else:
             u = (llrs < 0).astype(np.uint8)
         return u, u.copy()
+    trees, bits, gathers = dec
     ell = bits.shape[0]
     sub = length // ell
     lam = llrs.reshape(batch, ell, sub).transpose(0, 2, 1)  # (batch, sub, ell)
@@ -164,15 +241,28 @@ def _sc_decode_rec(
     # row b * sub + s: codeword of the phases decided so far, sum_a v_a K[a]
     x = np.zeros((batch * sub, ell), dtype=np.uint8)
     u_blocks = []
+    # the previous phase's tables that this phase gathers; None after a skip
+    held: dict[tuple[int, int], np.ndarray] | None = None
     for a in range(ell):
         start = base + a * sub
         if errors is None and frozen.issuperset(range(start, start + sub)):
             # rate-0 block: its decisions and re-encoding are zero, and no
             # other phase reads its LLRs, so x stays as it is
             u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
+            held = None
             continue
-        phase_llr = phase_llrs_trellis(trees, a, x, flat).reshape(batch, sub)
-        u_a, v_a = _sc_decode_rec(trees, bits, frozen, phase_llr, start, errors)
+        keep = [key for key, _, _ in gathers[a + 1]] if a + 1 < ell else []
+        tables: _Tables = dict.fromkeys(keep)
+        if held:  # rows whose previous decision is 1 read the translated cosets
+            flipped = np.flatnonzero(v_a)
+            for key, idx0, idx1 in gathers[a]:
+                prev = held.pop(key)
+                table = tables[key] = prev[:, idx0]
+                if idx1 is not None:
+                    table[flipped] = prev[flipped[:, None], idx1]
+        phase_llr = phase_llrs_trellis(trees, a, x, flat, tables).reshape(batch, sub)
+        held = {key: tables[key] for key in keep}
+        u_a, v_a = _sc_decode_rec(dec, frozen, phase_llr, start, errors)
         u_blocks.append(u_a)
         x ^= v_a.reshape(batch * sub, 1) & bits[a]
     u = np.concatenate(u_blocks, axis=1)
@@ -184,8 +274,7 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    trees = build_link_tables(spec.kernel)
-    return _sc_decode_rec(trees, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, None)
+    return _sc_decode_rec(_decoder(spec.kernel), spec.frozen, llrs, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +323,14 @@ def select_frozen_set(
     (ties toward the smaller index)."""
     sizes = _batch_sizes(trials)
     n = code_length(ell, m, kernel)
-    trees, bits = build_link_tables(kernel), _kernel_bits(kernel)
+    dec = _decoder(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
     for b in sizes:
         y = 1.0 + sigma * rng.standard_normal((b, n))
         llrs = 2.0 * y / sigma**2
-        _sc_decode_rec(trees, bits, frozenset(range(n)), llrs, 0, errors)
+        _sc_decode_rec(dec, frozenset(range(n)), llrs, 0, errors)
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
 

@@ -15,6 +15,7 @@ walk of the tree, and documents each policy.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, lru_cache
@@ -109,23 +110,33 @@ class SectionNode:
         """Per child, the (2^v, 2^w) int64 array of the child coset that each
         of the node's 2^(w+v) sums reads; the decoder's trellis merge."""
         # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
-        words = [0]
-        for g in self.w_reps + self.v_reps:
-            words += [word ^ g for word in words]
-        # Coset coordinates in a child: eliminate on the MAX_COLS columns, with
-        # v-representative k carrying coefficient bit MAX_COLS + k above them, so
-        # a word's residual holds its v-coordinates once its columns cancel.
+        words = span_words(self.w_reps + self.v_reps)
+        shape = (1 << self.v, 1 << self.w)
+        return tuple(child.coset_indices(words).reshape(shape) for child in self.children)
+
+    def coset_indices(self, words: list[int]) -> np.ndarray:
+        """The int64 table index of each word's coset: its coordinates over
+        ``v_reps`` modulo the shortened code, on the section's columns.
+        ValueError for a word outside the punctured code."""
+        # Eliminate on the MAX_COLS columns, with v-representative k carrying
+        # coefficient bit MAX_COLS + k above them, so a word's residual holds
+        # its v-coordinates once its columns cancel.
         low = (1 << MAX_COLS) - 1
-        arrays = []
-        for child in self.children:
-            seeds = [(1 << (MAX_COLS + k)) | (r & child.mask) for k, r in enumerate(child.v_reps)]
-            seeds += child.s_basis
-            residuals = eliminate({}, seeds + [word & child.mask for word in words], low)[len(seeds):]
-            if any(r & low for r in residuals):
-                raise ValueError("word outside the punctured code")
-            coords = np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
-            arrays.append(coords.reshape(1 << self.v, 1 << self.w))
-        return tuple(arrays)
+        seeds = [(1 << (MAX_COLS + k)) | (r & self.mask) for k, r in enumerate(self.v_reps)]
+        seeds += self.s_basis
+        residuals = eliminate({}, seeds + [word & self.mask for word in words], low)[len(seeds):]
+        if any(r & low for r in residuals):
+            raise ValueError("word outside the punctured code")
+        return np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
+
+
+def span_words(rows: tuple[int, ...]) -> list[int]:
+    """Every word of span(rows); word i is the XOR of the rows[k] whose bit
+    k is set in i."""
+    words = [0]
+    for g in rows:
+        words += [word ^ g for word in words]
+    return words
 
 
 @dataclass(frozen=True)
@@ -385,10 +396,15 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
     ell = kernel.ncols
     if not MIN_ELL <= ell <= MAX_ELL:
         raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
-    trees = section_trees(kernel)
+    return ComplexityReport(phase_costs(section_trees(kernel), policy), policy)
+
+
+def phase_costs(trees: Sequence[SectionNode], policy: ReuseMode) -> tuple[PhaseCost, ...]:
+    """The cost and reused sections of each phase of ``section_trees``'
+    output; the SC decoder reads the ``SECTION_TABLES`` reuse from here."""
     per_phase = []
     reused: tuple[tuple[int, int], ...] = ()
     for prev, tree in zip([None, *trees], trees):
         cost, reused = _phase_cost(prev, tree, policy, reused)
         per_phase.append(PhaseCost(cost, reused))
-    return ComplexityReport(tuple(per_phase), policy)
+    return tuple(per_phase)

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 
+from polarkit import codec
 from polarkit.codec import build_link_tables, phase_llrs_trellis
 from polarkit.complexity import (
     ReuseMode,
@@ -177,6 +178,43 @@ def trellis_oracle_cases() -> tuple[tuple[BitMatrix, ...], tuple[float, ...]]:
             got = trellis_phase_metric(kernel, phase, prior, llrs)
             deviations.append(abs(got - kernel_phase_metric_exhaustive(kernel, phase, prior, llrs)))
     return kernels, tuple(deviations)
+
+
+def stateless_sc_decode(
+    kernel: BitMatrix,
+    frozen: frozenset[int],
+    llrs: np.ndarray,
+    base: int = 0,
+    errors: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Differential oracle of `codec._sc_decode_rec`: the same recursion,
+    rate-0 skips included, with no tables held between phases.  Each
+    evaluated phase calls `codec.phase_llrs_trellis(trees, a, x, flat)`,
+    which evaluates every node of the phase tree."""
+    batch, length = llrs.shape
+    if length == 1:
+        if errors is not None:
+            errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
+        u = np.zeros((batch, 1), dtype=np.uint8) if base in frozen else (llrs < 0).astype(np.uint8)
+        return u, u.copy()
+    trees = build_link_tables(kernel)
+    bits = np.array(kernel.to_bits(), dtype=np.uint8)
+    ell = kernel.ncols
+    sub = length // ell
+    flat = llrs.reshape(batch, ell, sub).transpose(0, 2, 1).reshape(batch * sub, ell)
+    x = np.zeros((batch * sub, ell), dtype=np.uint8)
+    u_blocks = []
+    for a in range(ell):
+        start = base + a * sub
+        if errors is None and frozen.issuperset(range(start, start + sub)):
+            u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
+            continue
+        phase_llr = codec.phase_llrs_trellis(trees, a, x, flat).reshape(batch, sub)
+        u_a, v_a = stateless_sc_decode(kernel, frozen, phase_llr, start, errors)
+        u_blocks.append(u_a)
+        x ^= v_a.reshape(batch * sub, 1) & bits[a]
+    u = np.concatenate(u_blocks, axis=1)
+    return u, x.reshape(batch, sub, ell).transpose(0, 2, 1).reshape(batch, length)
 
 
 def reduced_basis(rows: Iterable[int]) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from polarkit import codec
 from polarkit.codec import (
     PolarCodeSpec,
     _batch_sizes,
-    _kernel_bits,
+    _decoder,
     _sc_decode_rec,
     bler_csv,
     build_link_tables,
@@ -26,12 +26,14 @@ from polarkit.codec import (
     select_frozen_set,
     simulate_bler,
 )
+from polarkit.complexity import ReuseMode, section_trees, total_complexity
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
-from polarkit.reference import ARIKAN, BEST16
+from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import (
     naive_kronecker_power,
     random_kernel,
+    stateless_sc_decode,
     trellis_oracle_cases,
     trellis_phase_metric,
 )
@@ -300,9 +302,8 @@ def _bench_spec(name: str) -> PolarCodeSpec:
 def _decode_every_block(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder without the all-frozen skip: given `errors`, as in genie
     selection, `_sc_decode_rec` decodes every block."""
-    trees = build_link_tables(spec.kernel)
     errors = np.zeros(spec.n, dtype=np.int64)
-    return _sc_decode_rec(trees, _kernel_bits(spec.kernel), spec.frozen, llrs, 0, errors)
+    return _sc_decode_rec(_decoder(spec.kernel), spec.frozen, llrs, 0, errors)
 
 
 def test_frozen_block_skip_matches_full_decode(rng):
@@ -355,3 +356,130 @@ def test_decode_skips_trellis_on_frozen_blocks(monkeypatch, rng, name, calls):
     count = 0
     _decode_every_block(spec, llrs)
     assert count == len(blocks)
+
+
+def test_table_reuse_matches_stateless_oracle(monkeypatch, rng):
+    """Gathering the previous phase's section tables leaves every phase LLR
+    array, decision, re-encoding and genie error count bit-identical to the
+    stateless recursion of conftest: BEST16 and BEST12 at m=2, ARIKAN at
+    m=8, and 3 random kernels at each width 4..16 (m=3 up to width 5, else
+    m=2), on the fast path (frozen set from a small genie run, noisy LLRs
+    that decide both bit values) and on the genie path."""
+    cases = [(BEST16, 2), (BEST12, 2), (ARIKAN, 8)]
+    cases += [
+        (random_kernel(ell, rng), 3 if ell <= 5 else 2) for ell in range(4, 17) for _ in range(3)
+    ]
+    calls = []
+
+    def recorded(*args):
+        calls.append(phase_llrs_trellis(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(codec, "phase_llrs_trellis", recorded)
+    compared = 0
+    for kernel, m in cases:
+        ell = kernel.ncols
+        n = ell**m
+        frozen = select_frozen_set(ell, m, n // 2, kernel, 1.0, 16, seed=int(rng.integers(1 << 30)))
+        llrs = rng.normal(scale=2.0, size=(4, n))
+        for frozen_set, genie in ((frozen, False), (frozenset(range(n)), True)):
+            runs = []
+            for decode, of_kernel in (
+                (_sc_decode_rec, _decoder(kernel)),
+                (stateless_sc_decode, kernel),
+            ):
+                calls.clear()
+                errors = np.zeros(n, dtype=np.int64) if genie else None
+                u, v = decode(of_kernel, frozen_set, llrs, 0, errors)
+                runs.append((list(calls), u, v, errors))
+            (got_llrs, *got), (want_llrs, *want) = runs
+            assert len(got_llrs) == len(want_llrs)
+            assert all(map(np.array_equal, got_llrs, want_llrs)), kernel
+            for got_array, want_array in zip(got, want):
+                np.testing.assert_array_equal(got_array, want_array)
+            compared += len(got_llrs)
+    assert compared > 9_000
+
+
+def _model_gathers(kernel) -> list[set[tuple[int, int]]]:
+    """Per phase, the sections that the `SECTION_TABLES` model reuses with
+    an unchanged shortened code: the previous phase's table itself."""
+    trees = section_trees(kernel)
+    report = total_complexity(kernel, ReuseMode.SECTION_TABLES)
+    per_phase = [set()]
+    for prev, tree, cost in zip(trees, trees[1:], report.per_phase[1:]):
+        nodes = {(n.x, n.y): n for n in _nodes(tree)}
+        prev_nodes = {(p.x, p.y): p for p in _nodes(prev)}
+        per_phase.append({k for k in cost.reused if nodes[k].s_basis == prev_nodes[k].s_basis})
+    return per_phase
+
+
+def test_decoder_gathers_the_tables_the_model_reuses(monkeypatch, rng):
+    """On BEST16 a phase gathers exactly the model's table-case reuse when
+    the previous phase of its block was evaluated: 20 nodes over phases
+    1..15, none on phases 2, 4, 6, 7 and 11.  After a skipped rate-0 block
+    it gathers nothing, also where an earlier phase held the same
+    sections (phase 10 after 9 of a (16, 15) code)."""
+    model = _model_gathers(BEST16)
+    assert sum(map(len, model)) == 20
+    assert [a for a in range(1, 16) if not model[a]] == [2, 4, 6, 7, 11]
+    gathered = []
+
+    def recorded(trees, phase, prefix, llrs, tables):
+        gathered.append((phase, {k for k, t in tables.items() if t is not None}))
+        return phase_llrs_trellis(trees, phase, prefix, llrs, tables)
+
+    monkeypatch.setattr(codec, "phase_llrs_trellis", recorded)
+
+    def expected(spec: PolarCodeSpec, base: int, length: int, genie: bool):
+        """Per call, in decoding order: the phase and whether the previous
+        phase of its block was evaluated."""
+        sub, evaluated = length // spec.ell, False
+        for a in range(spec.ell):
+            start = base + a * sub
+            if not genie and spec.frozen.issuperset(range(start, start + sub)):
+                evaluated = False
+                continue
+            yield a, evaluated
+            if sub > 1:
+                yield from expected(spec, start, sub, genie)
+            evaluated = True
+
+    skip_9 = PolarCodeSpec(16, 1, 15, BEST16, frozenset({9}))
+    bench = _bench_spec("BEST16")
+    for spec, genie in ((bench, True), (bench, False), (skip_9, False)):
+        llrs = rng.normal(scale=2.0, size=(3, spec.n))
+        gathered.clear()
+        if genie:
+            _decode_every_block(spec, llrs)
+        else:
+            sc_decode_batch(spec, llrs)
+        order = list(expected(spec, 0, spec.n, genie))
+        assert gathered == [(a, model[a] if after else set()) for a, after in order]
+    assert (10, False) in order and model[9] == model[10]
+
+
+def test_trellis_summations_per_codeword(monkeypatch, rng):
+    """Summations per codeword, 2^(w+v) per evaluated internal node and
+    row, on perfbench's BEST16 (256,128) code: 23,878 with section-table
+    reuse, 44,034 on the stateless oracle, for any noise."""
+    spec = _bench_spec("BEST16")
+    total = 0
+
+    def counted(node, half_llrs, tables):
+        nonlocal total
+        if node.children and tables.get((node.x, node.y)) is None:
+            total += (1 << (node.w + node.v)) * half_llrs.shape[0]
+        return eval_node(node, half_llrs, tables)
+
+    eval_node = codec._eval_node
+    monkeypatch.setattr(codec, "_eval_node", counted)
+    for batch in (3, 5):
+        llrs = rng.normal(scale=2.0, size=(batch, spec.n))
+        for decode, per_codeword in (
+            (lambda: sc_decode_batch(spec, llrs), 23_878),
+            (lambda: stateless_sc_decode(spec.kernel, spec.frozen, llrs), 44_034),
+        ):
+            total = 0
+            decode()
+            assert total == per_codeword * batch
