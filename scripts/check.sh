@@ -11,8 +11,8 @@
 #      flags of all subcommands and of each one, the train-config keys,
 #      the reuse policies;
 #   5. whether the seeded `polarkit bler` CSVs (the (256,128) codes of
-#      BEST16 at m=2 and ARIKAN at m=8, two SNRs, 600 trials) are
-#      byte-identical to HEAD's.
+#      BEST16 at m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at
+#      m=2, two SNRs, 600 trials) are byte-identical to HEAD's.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
 # difference in those CSVs.
@@ -66,14 +66,15 @@ import sys
 from pathlib import Path
 
 from polarkit.kernelio import write_kernel
-from polarkit.reference import ARIKAN, BEST16
+from polarkit.reference import ARIKAN, BEST12, BEST16
 
 write_kernel(Path(sys.argv[1]) / "best16.txt", BEST16)
 write_kernel(Path(sys.argv[1]) / "arikan.txt", ARIKAN)
+write_kernel(Path(sys.argv[1]) / "best12.txt", BEST12)
 PY
-    for run in "best16 2" "arikan 8"; do
-        read -r name m <<< "$run"
-        python -m polarkit.cli bler --kernel "$1/$name.txt" --m "$m" --k 128 --snr 2.0 3.0 \
+    for run in "best16 2 128" "arikan 8 128" "best12 2 72"; do
+        read -r name m k <<< "$run"
+        python -m polarkit.cli bler --kernel "$1/$name.txt" --m "$m" --k "$k" --snr 2.0 3.0 \
             --trials 600 --select-trials 600 --seed 5 --out "$1/$name.csv" 2> "$1/$name.log"
     done
 }
@@ -86,14 +87,14 @@ head_csv=$(mktemp -d)
 bler_csvs "$now_csv"
 PYTHONPATH="$head_src/src" bler_csvs "$head_csv"
 differ=()
-for name in best16 arikan; do
+for name in best16 arikan best12; do
     cmp -s "$now_csv/$name.csv" "$head_csv/$name.csv" || differ+=("$name")
 done
 if ((${#differ[@]})); then
     echo "bler CSVs: ${differ[*]} differ from HEAD"
     status=1
 else
-    echo "bler CSVs: best16 m=2 and arikan m=8 byte-identical to HEAD"
+    echo "bler CSVs: best16 m=2, arikan m=8 and best12 m=2 byte-identical to HEAD"
 fi
 rm -rf "$head_src" "$now_csv" "$head_csv"
 python - "$now_options" "$head_options" <<'PY'

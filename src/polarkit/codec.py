@@ -3,12 +3,21 @@ kernels.
 
 The transform x = u * K^(x)m is computed as m butterfly levels of one
 kernel-multiply step over the ell axis (Arikan, "Channel polarization",
-IEEE Trans. IT 2009).  The SC decoder re-encodes through a running
-codeword of each block's decided phases, updated once per phase.  A
-sub-block whose indices are all frozen is decided zero without running
-its phase metric or the recursion below it (a rate-0 node: Alamdar-Yazdi
-and Kschischang, IEEE Comm. Letters 2011); the genie construction of
-`select_frozen_set` freezes every index, so it still decodes every block.
+IEEE Trans. IT 2009); each level XORs the inputs where K has a 1.  The SC
+decoder re-encodes through a running codeword of each block's decided
+phases, updated once per phase.  A sub-block whose indices are all frozen
+is decided zero without running its phase metric or the recursion below
+it (a rate-0 node: Alamdar-Yazdi and Kschischang, IEEE Comm. Letters
+2011).  A sub-block with no frozen index is decided by the signs of its
+LLRs, v = (llrs < 0) and u = v (K^-1)^(x)j, through the same butterfly (a
+rate-1 node: Sarkis et al., "Fast polar decoders", IEEE JSAC 2014).  That
+is max-log SC's decision wherever no phase LLR is 0.  An exact-zero LLR
+ties a phase: on [0, -1, 2, 0.5] (ARIKAN, all information) SC returns
+v = [1, 1, 0, 0] and the signs [0, 1, 0, 0]; so does a spread so wide
+that rounding loses an LLR, as in [1, -1e-17].  Such blocks take the
+recursion (`_signs_decide`).  The genie construction of
+`select_frozen_set` freezes every index and counts every decision, so it
+decodes every block.
 
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
 decisions and the ell channel LLRs) come from a trellis evaluated on the
@@ -21,6 +30,10 @@ shortened code inside the punctured code (2^v entries); a parent entry is
 the max over 2^w combinations of linked child entries.  The links live on
 the section node (`SectionNode.links`): per child, coset coordinates over
 the canonical v-representative rows that the tree already carries.
+Tables are coset-major, (2^v, rows), so a link reads whole contiguous
+rows.  Each phase tree compiles once into a flat post-order step list
+(`_program`), with the leaves' entries composed into their parents'
+links as rows of a bank of prefix-signed half LLRs.
 
 Phases reuse section tables: within a block, a phase gathers the table of
 each node that the `SECTION_TABLES` complexity model reuses from the
@@ -31,12 +44,14 @@ table for the prefix that the previous decision moved, and its output is
 bit-identical to evaluating every node.  The model's other reuse, of the
 previous node's pre-comparison sums, is not done here: such a node is
 evaluated.  A phase after a skipped rate-0 block holds nothing and
-evaluates in full.
+evaluates in full: each phase has a step list with its gathers and one
+without.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from polarkit.complexity import ReuseMode, SectionNode, phase_costs, section_trees, span_words
-from polarkit.gf2 import BitMatrix, rank
+from polarkit.gf2 import MAX_COLS, BitMatrix, eliminate, rank, unpack_row
 from polarkit.pdp import SingularKernelError
 
 
@@ -82,9 +97,48 @@ class PolarCodeSpec:
         return self.ell**self.m
 
 
-def _kernel_bits(kernel: BitMatrix) -> np.ndarray:
-    """The kernel as an (ell, ell) uint8 bit array."""
-    return np.array(kernel.to_bits(), dtype=np.uint8)
+def _columns(rows: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], ...]:
+    """Per column j of an ell x ell GF(2) matrix given by its rows, the rows
+    holding a 1 there."""
+    return tuple(tuple(i for i, r in enumerate(rows) if r >> (ell - 1 - j) & 1) for j in range(ell))
+
+
+@lru_cache(maxsize=64)
+def _butterflies(kernel: BitMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The `_butterfly` columns of the kernel K and of its inverse.  Row j of
+    K^-1 holds the coefficients of the rows of K that sum to the unit word
+    of column j; the elimination carries row i's coefficient above the
+    columns, at bit ell + (ell - 1 - i)."""
+    ell = kernel.ncols
+    low = (1 << ell) - 1
+    pivots: dict[int, int] = {}
+    eliminate(pivots, [(1 << (2 * ell - 1 - i)) | r for i, r in enumerate(kernel.rows)], low)
+    units = eliminate(pivots, [1 << (ell - 1 - j) for j in range(ell)], low)
+    return _columns(kernel.rows, ell), _columns(tuple(r >> ell for r in units), ell)
+
+
+def _butterfly(x: np.ndarray, columns: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """x * B^(x)j over GF(2), along the last axis (length ell^j) of the uint8
+    bits x, for the ell x ell matrix B of `columns`.  Level t works on index
+    digit t (base ell, most significant first): output j XORs the inputs i
+    where B[i, j] = 1, y[..., j, r] = sum_i x[..., i, r] B[i, j]."""
+    ell = len(columns)
+    shape = x.shape
+    step = 1
+    while step < shape[-1]:
+        x = x.reshape(*shape[:-1], step, ell, -1)
+        y = np.empty_like(x)
+        for j, (i, *rest) in enumerate(columns):
+            out = y[..., j, :]
+            if not rest:
+                out[...] = x[..., i, :]
+                continue
+            np.bitwise_xor(x[..., i, :], x[..., rest[0], :], out=out)
+            for r in rest[1:]:
+                out ^= x[..., r, :]
+        x = y
+        step *= ell
+    return x.reshape(shape)
 
 
 def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
@@ -94,13 +148,7 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
         raise ValueError("message length must be n")
     if np.any(u[..., sorted(spec.frozen)]):
         raise ValueError("frozen positions must be zero")
-    bits = _kernel_bits(spec.kernel)
-    # level t multiplies index digit t (base ell, most significant first):
-    # y[..., j, r] = sum_i x[..., i, r] K[i, j] over GF(2)
-    x = u % 2
-    for t in range(spec.m):
-        x = (bits.T @ x.reshape(*u.shape[:-1], spec.ell**t, spec.ell, -1)) % 2
-    return x.reshape(u.shape)
+    return _butterfly(u % 2, _butterflies(spec.kernel)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +166,79 @@ def build_link_tables(kernel: BitMatrix) -> tuple[SectionNode, ...]:
 #: previous phase, or None where the phase stores its evaluated table
 _Tables = dict[tuple[int, int], np.ndarray | None]
 
+#: Where a step reads a child table: the leaf bank, the table the previous
+#: steps left on the stack, or (a node's (x, y)) a gathered table
+_BANK, _STACK = "bank", "stack"
+
+
+class _Program(NamedTuple):
+    """A phase tree compiled into a flat post-order step list.  Leaf bank
+    row r reads column cols[r] of the prefix-signed half LLRs: as is (the
+    bit-0 metric of a column in the punctured code, or the known bit's),
+    negated from row `minus` on (its bit-1 metric), and as a magnitude from
+    row `absolute` on (a column free in the shortened code: the max of
+    both).  Only the entries that the phase reads are rows.  A step is a
+    node's (x, y), its children's sources and links (leaf entries composed
+    into bank rows), and whether it maximizes over w > 0 sums; it leaves
+    the node's coset-major table on the stack."""
+
+    cols: np.ndarray
+    minus: int
+    absolute: int
+    steps: tuple[tuple[tuple[int, int], object, np.ndarray, object, np.ndarray, bool], ...]
+
+
+@lru_cache(maxsize=4096)
+def _program(root: SectionNode, gathered: tuple[tuple[int, int], ...]) -> _Program:
+    """The step list of phase tree `root` when the tables of the nodes in
+    `gathered` are given: their subtrees are not evaluated."""
+    steps: list[list] = []
+    bank_links: list[np.ndarray] = []
+
+    def source(child: SectionNode, link: np.ndarray) -> tuple[object, np.ndarray]:
+        if child.children:
+            key = (child.x, child.y)
+            if key in gathered:
+                return key, link
+            visit(child)
+            return _STACK, link
+        # bank entries coded kind * MAX_COLS + column: kind 0 the bit-0
+        # metric, 1 the bit-1 metric, 2 the magnitude
+        x = child.x
+        entries = [2 * MAX_COLS + x] if child.s_basis else [x, MAX_COLS + x][: 1 + child.v]
+        bank_links.append(np.array(entries)[link])
+        return _BANK, bank_links[-1]
+
+    def visit(node: SectionNode) -> None:
+        (left, link_a), (right, link_b) = [source(*c) for c in zip(node.children, node.links)]
+        steps.append([(node.x, node.y), left, link_a, right, link_b, node.w > 0])
+
+    visit(root)
+    codes = sorted({int(code) for link in bank_links for code in link.flat})
+    bank_row = np.zeros(3 * MAX_COLS, dtype=np.int64)
+    bank_row[codes] = range(len(codes))
+    for step in steps:
+        for i in (1, 3):  # composed bank links read bank rows
+            if step[i] == _BANK:
+                step[i + 1] = bank_row[step[i + 1]]
+        if not step[5]:  # w = 0: one sum per coset, nothing to maximize
+            step[2], step[4] = step[2][:, 0], step[4][:, 0]
+    minus, absolute = (bisect_left(codes, kind * MAX_COLS) for kind in (1, 2))
+    cols = np.array(codes, dtype=np.int64) % MAX_COLS
+    return _Program(cols, minus, absolute, tuple(map(tuple, steps)))
+
 
 class _Decoder(NamedTuple):
-    """What the SC recursion reads of one kernel: the phase trees, the
-    kernel as a read-only (ell, ell) uint8 bit array, and per phase the
-    nodes whose tables it gathers from the previous phase.  A gather is
-    the node's (x, y) and, per coset, the index into the previous table
-    read by rows whose previous decision is 0, and 1 (None: the same)."""
+    """What the SC recursion reads of one kernel: the phase trees; per phase
+    a, the columns where kernel row a is 1; the `_butterfly` columns of the
+    kernel's inverse; and per phase the nodes whose tables it gathers from
+    the previous phase.  A gather is the node's (x, y) and, per coset, the
+    row of the previous table read by rows whose previous decision is 0,
+    and 1 (None: the same)."""
 
     trees: tuple[SectionNode, ...]
-    bits: np.ndarray
+    supports: tuple[np.ndarray, ...]
+    inverse: tuple[tuple[int, ...], ...]
     gathers: tuple[tuple[tuple[tuple[int, int], np.ndarray, np.ndarray | None], ...], ...]
 
 
@@ -158,35 +269,8 @@ def _decoder(kernel: BitMatrix) -> _Decoder:
                 d = int(p.coset_indices([kernel.rows[a] << 1])[0])
                 plan.append(((x, y), idx0, idx0 ^ d if d else None))
         gathers.append(tuple(plan))
-    bits = _kernel_bits(kernel)
-    bits.flags.writeable = False
-    return _Decoder(trees, bits, tuple(gathers))
-
-
-def _eval_node(node: SectionNode, half_llrs: np.ndarray, tables: _Tables) -> np.ndarray:
-    """Table of max correlation metrics per coset: (batch, 2^v).  A node
-    gathered in `tables` is not evaluated; one mapped to None stores its
-    table there."""
-    if not node.children:  # is_leaf and k_s read as fields: this runs per node per call
-        lam = half_llrs[:, node.x]
-        if node.s_basis:  # k_s = 1: the column is free inside the code: max(m0, m1)
-            return np.abs(lam)[:, None]
-        if node.v:  # two entries [bit0, bit1]; else one known-bit entry
-            return np.stack([lam, -lam], axis=1)
-        return lam[:, None]
-    key = (node.x, node.y)
-    table = tables.get(key)
-    if table is not None:
-        return table
-    t_left = _eval_node(node.children[0], half_llrs, tables)
-    t_right = _eval_node(node.children[1], half_llrs, tables)
-    link_a, link_b = node.links
-    cand = t_left[:, link_a]  # (batch, 2^v, 2^w)
-    cand += t_right[:, link_b]
-    table = cand.max(axis=2)
-    if key in tables:
-        tables[key] = table
-    return table
+    supports = tuple(np.flatnonzero(unpack_row(r, kernel.ncols)) for r in kernel.rows)
+    return _Decoder(trees, supports, _butterflies(kernel)[1], tuple(gathers))
 
 
 def phase_llrs_trellis(
@@ -199,17 +283,55 @@ def phase_llrs_trellis(
     """Batched phase LLRs: prefix (batch, ell) is the codeword of the
     decided symbols u_0 .. u_{phase-1}, llrs (batch, ell).  `tables` holds
     the node tables gathered from the previous phase and receives those
-    that the next phase gathers; without it every node is evaluated."""
-    llrs = np.asarray(llrs, dtype=np.float64)
+    that the next phase gathers; without it every node is evaluated.
+    Transposed views of coset-major (ell, batch) arrays read fastest."""
+    tables = {} if tables is None else tables
+    prog = _program(trees[phase], tuple(key for key, t in tables.items() if t is not None))
     # the known prefix's codeword offset flips the signs of its 1-columns
-    signs = 1.0 - 2.0 * prefix
-    table = _eval_node(trees[phase], 0.5 * signs * llrs, {} if tables is None else tables)
-    assert table.shape[1] == 2
-    return table[:, 0] - table[:, 1]
+    bank = (np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T))[prog.cols]
+    bit1, free = bank[prog.minus : prog.absolute], bank[prog.absolute :]
+    np.negative(bit1, out=bit1)
+    np.abs(free, out=free)
+    stack: list[np.ndarray] = []
+    for key, left, link_a, right, link_b, maximize in prog.steps:
+        t_right = bank if right == _BANK else stack.pop() if right == _STACK else tables[right]
+        t_left = bank if left == _BANK else stack.pop() if left == _STACK else tables[left]
+        cand = t_left[link_a]  # (2^v, 2^w, batch), or (2^v, batch) for w = 0
+        cand += t_right[link_b]
+        table = cand.max(axis=1) if maximize else cand
+        del cand, t_left, t_right  # before the next step allocates: a lower heap peak
+        if key in tables:
+            tables[key] = table
+        stack.append(table)
+    (table,) = stack
+    assert table.shape[0] == 2
+    return table[0] - table[1]
 
 
 # ---------------------------------------------------------------------------
 # Successive cancellation
+
+#: A rate-1 block is decided by the signs of its LLRs when their magnitudes
+#: lie within this factor of each other (see `_signs_decide`)
+_SIGN_RANGE = 2.0**23
+
+
+def _signs_decide(llrs: np.ndarray) -> bool:
+    """Whether max-log SC decoding of a block without frozen indices
+    returns the signs of its LLRs, read from their spread.  A phase metric
+    is the max over words of a sum along the section tree, and rounding is
+    monotone, so the signs' word keeps the largest rounded sum; a word
+    that differs from it in column i falls short by |LLR_i| less at most
+    8 roundings of 2^-53 times ell times the largest |LLR|.  While the
+    spread stays below 2^46 every phase LLR therefore has the signs' sign,
+    and its magnitude lies between the smallest |LLR| and ell times the
+    largest, so the spread grows at most ell-fold per level: from 2^23 it
+    stays below 2^35 through the 12 levels of n = 4096.  The bounds on
+    the extremes keep every sum normal and finite.  Exact zeros, where the
+    signs' word is not the unique maximiser, and NaN fail the test."""
+    mag = np.abs(llrs)
+    lo, hi = mag.min(), mag.max()
+    return 2.0**-1000 < lo and hi < min(lo * _SIGN_RANGE, 2.0**1000)
 
 
 def _sc_decode_rec(
@@ -222,8 +344,9 @@ def _sc_decode_rec(
     """Returns (decisions u, re-encoded block v) for a length-n' block of
     the recursion, batched over axis 0.  When `errors` is given, leaves
     add their counts of negative LLRs to it and every block is decoded;
-    otherwise a block whose indices are all frozen is decided zero
-    without evaluating its phase."""
+    otherwise a block whose indices are all frozen is decided zero without
+    evaluating its phase, and one without frozen indices is decided by
+    hard decision when `_signs_decide`."""
     batch, length = llrs.shape
     if length == 1:
         if errors is not None:
@@ -233,13 +356,16 @@ def _sc_decode_rec(
         else:
             u = (llrs < 0).astype(np.uint8)
         return u, u.copy()
-    trees, bits, gathers = dec
-    ell = bits.shape[0]
+    if errors is None and frozen.isdisjoint(range(base, base + length)) and _signs_decide(llrs):
+        v = (llrs < 0).view(np.uint8)
+        return _butterfly(v, dec.inverse), v
+    trees, supports, _, gathers = dec
+    ell = len(trees)
     sub = length // ell
-    lam = llrs.reshape(batch, ell, sub).transpose(0, 2, 1)  # (batch, sub, ell)
-    flat = lam.reshape(batch * sub, ell)
-    # row b * sub + s: codeword of the phases decided so far, sum_a v_a K[a]
-    x = np.zeros((batch * sub, ell), dtype=np.uint8)
+    # coset-major: row c of flat and x is kernel column c, entry b * sub + s
+    flat = llrs.reshape(batch, ell, sub).transpose(1, 0, 2).reshape(ell, batch * sub)
+    # the codeword of the phases decided so far, sum_a v_a K[a]
+    x = np.zeros((ell, batch * sub), dtype=np.uint8)
     u_blocks = []
     # the previous phase's tables that this phase gathers; None after a skip
     held: dict[tuple[int, int], np.ndarray] | None = None
@@ -254,19 +380,19 @@ def _sc_decode_rec(
         keep = [key for key, _, _ in gathers[a + 1]] if a + 1 < ell else []
         tables: _Tables = dict.fromkeys(keep)
         if held:  # rows whose previous decision is 1 read the translated cosets
-            flipped = np.flatnonzero(v_a)
+            flip = v_a.reshape(1, -1).view(bool)
             for key, idx0, idx1 in gathers[a]:
                 prev = held.pop(key)
-                table = tables[key] = prev[:, idx0]
+                table = tables[key] = prev[idx0]
                 if idx1 is not None:
-                    table[flipped] = prev[flipped[:, None], idx1]
-        phase_llr = phase_llrs_trellis(trees, a, x, flat, tables).reshape(batch, sub)
+                    np.copyto(table, prev[idx1], where=flip)
+        phase_llr = phase_llrs_trellis(trees, a, x.T, flat.T, tables).reshape(batch, sub)
         held = {key: tables[key] for key in keep}
         u_a, v_a = _sc_decode_rec(dec, frozen, phase_llr, start, errors)
         u_blocks.append(u_a)
-        x ^= v_a.reshape(batch * sub, 1) & bits[a]
+        x[supports[a]] ^= v_a.reshape(1, -1)
     u = np.concatenate(u_blocks, axis=1)
-    return u, x.reshape(batch, sub, ell).transpose(0, 2, 1).reshape(batch, length)
+    return u, x.reshape(ell, batch, sub).transpose(1, 0, 2).reshape(batch, length)
 
 
 def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

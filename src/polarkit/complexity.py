@@ -52,7 +52,9 @@ class ReuseMode(str, Enum):
 CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 
 
-@dataclass  # not frozen: a frozen __init__ costs several times more per node
+# not frozen: a frozen __init__ costs several times more per node; compared
+# and hashed by identity, so the decoder can cache a step list per tree
+@dataclass(eq=False)
 class SectionNode:
     x: int
     y: int
