@@ -10,12 +10,15 @@
 #   4. the settable options, each with its change against HEAD: the CLI
 #      flags of all subcommands and of each one, the train-config keys,
 #      the reuse policies;
-#   5. whether the seeded `polarkit bler` CSVs (the (256,128) codes of
-#      BEST16 at m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at
-#      m=2, two SNRs, 600 trials) are byte-identical to HEAD's.
+#   5. whether these seeded outputs are nonempty and byte-identical to
+#      HEAD's: the `polarkit bler` CSVs (the (256,128) codes of BEST16 at
+#      m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at m=2, two
+#      SNRs, 600 trials), the `polarkit random` JSON at ell 8 and 12
+#      (300 trials, seed 7) under the all-contiguous and section-tables
+#      policies, and the `polarkit brute` kernel at ell 12.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
-# difference in those CSVs.
+# difference in those outputs.
 # Usage: scripts/check.sh
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -58,9 +61,9 @@ flags = {
 print(json.dumps({"flags": flags, "keys": len(fields(TrainConfig)), "policies": len(ReuseMode)}))
 PY
 }
-# writes into directory $1 the seeded bler CSVs of the polarkit on
-# PYTHONPATH, with each run's configuration echo beside its CSV
-bler_csvs() {
+# writes into directory $1 the seeded outputs of the polarkit on
+# PYTHONPATH, with each run's configuration echo beside its output
+seeded_outputs() {
     python - "$1" <<'PY'
 import sys
 from pathlib import Path
@@ -77,26 +80,35 @@ PY
         python -m polarkit.cli bler --kernel "$1/$name.txt" --m "$m" --k "$k" --snr 2.0 3.0 \
             --trials 600 --select-trials 600 --seed 5 --out "$1/$name.csv" 2> "$1/$name.log"
     done
+    for ell in 8 12; do
+        for reuse in all-contiguous section-tables; do
+            python -m polarkit.cli random --ell "$ell" --iters 300 --seed 7 --reuse "$reuse" \
+                > "$1/random-$ell-$reuse.json" 2> "$1/random-$ell-$reuse.log"
+        done
+    done
+    python -m polarkit.cli brute --ell 12 > "$1/brute-12.txt" 2> "$1/brute-12.log"
 }
 head_src=$(mktemp -d)
 git archive HEAD src | tar -x -C "$head_src"
 now_options=$(count_options)
 head_options=$(PYTHONPATH="$head_src/src" count_options)
-now_csv=$(mktemp -d)
-head_csv=$(mktemp -d)
-bler_csvs "$now_csv"
-PYTHONPATH="$head_src/src" bler_csvs "$head_csv"
+now_out=$(mktemp -d)
+head_out=$(mktemp -d)
+seeded_outputs "$now_out"
+PYTHONPATH="$head_src/src" seeded_outputs "$head_out"
 differ=()
-for name in best16 arikan best12; do
-    cmp -s "$now_csv/$name.csv" "$head_csv/$name.csv" || differ+=("$name")
+for name in best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json \
+    brute-12.txt; do
+    [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
 done
 if ((${#differ[@]})); then
-    echo "bler CSVs: ${differ[*]} differ from HEAD"
+    echo "seeded outputs: ${differ[*]} empty or differ from HEAD"
     status=1
 else
-    echo "bler CSVs: best16 m=2, arikan m=8 and best12 m=2 byte-identical to HEAD"
+    echo "seeded outputs: bler CSVs (best16 m=2, arikan m=8, best12 m=2), random JSONs" \
+        "(ell 8 and 12, all-contiguous and section-tables) and brute ell=12 byte-identical to HEAD"
 fi
-rm -rf "$head_src" "$now_csv" "$head_csv"
+rm -rf "$head_src" "$now_out" "$head_out"
 python - "$now_options" "$head_options" <<'PY'
 import json
 import sys

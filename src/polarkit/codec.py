@@ -31,7 +31,7 @@ the max over 2^w combinations of linked child entries.  The links live on
 the section node (`SectionNode.links`): per child, coset coordinates over
 the canonical v-representative rows that the tree already carries.
 Tables are coset-major, (2^v, rows), so a link reads whole contiguous
-rows.  Each phase tree compiles once into a flat post-order step list
+rows.  Each phase tree compiles into flat post-order step lists
 (`_program`), with the leaves' entries composed into their parents'
 links as rows of a bank of prefix-signed half LLRs.
 
@@ -43,9 +43,9 @@ polarization kernels", ISIT 2021).  The gather re-indexes the previous
 table for the prefix that the previous decision moved, and its output is
 bit-identical to evaluating every node.  The model's other reuse, of the
 previous node's pre-comparison sums, is not done here: such a node is
-evaluated.  A phase after a skipped rate-0 block holds nothing and
-evaluates in full: each phase has a step list with its gathers and one
-without.
+evaluated.  `build_link_tables` builds a kernel's decoder once, with two
+programs per phase: `warm` gathers, and `cold` evaluates every node, for
+phase 0 and for a phase after a skipped rate-0 block, which holds nothing.
 """
 
 from __future__ import annotations
@@ -155,17 +155,6 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
 # Phase metrics
 
 
-@lru_cache(maxsize=64)
-def build_link_tables(kernel: BitMatrix) -> tuple[SectionNode, ...]:
-    """The section trees of all phases; each internal node builds its link
-    arrays (`SectionNode.links`) on first use."""
-    return tuple(section_trees(kernel))
-
-
-#: Per internal node (x, y) of a phase tree: its table gathered from the
-#: previous phase, or None where the phase stores its evaluated table
-_Tables = dict[tuple[int, int], np.ndarray | None]
-
 #: Where a step reads a child table: the leaf bank, the table the previous
 #: steps left on the stack, or (a node's (x, y)) a gathered table
 _BANK, _STACK = "bank", "stack"
@@ -180,18 +169,23 @@ class _Program(NamedTuple):
     both).  Only the entries that the phase reads are rows.  A step is a
     node's (x, y), its children's sources and links (leaf entries composed
     into bank rows), and whether it maximizes over w > 0 sums; it leaves
-    the node's coset-major table on the stack."""
+    the node's coset-major table on the stack.  A gather gives a node the
+    previous phase's table instead, with no steps below it: its (x, y)
+    and, per coset, the previous row read by rows whose previous decision
+    is 0, and 1 (None: the same).  `keep` names the nodes whose tables the
+    next phase gathers."""
 
     cols: np.ndarray
     minus: int
     absolute: int
     steps: tuple[tuple[tuple[int, int], object, np.ndarray, object, np.ndarray, bool], ...]
+    gathers: tuple[tuple[tuple[int, int], np.ndarray, np.ndarray | None], ...]
+    keep: frozenset[tuple[int, int]]
 
 
-@lru_cache(maxsize=4096)
-def _program(root: SectionNode, gathered: tuple[tuple[int, int], ...]) -> _Program:
-    """The step list of phase tree `root` when the tables of the nodes in
-    `gathered` are given: their subtrees are not evaluated."""
+def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
+    """The step list of phase tree `root` when the tables of `gathers` are given."""
+    gathered = {key for key, _, _ in gathers}
     steps: list[list] = []
     bank_links: list[np.ndarray] = []
 
@@ -225,21 +219,20 @@ def _program(root: SectionNode, gathered: tuple[tuple[int, int], ...]) -> _Progr
             step[2], step[4] = step[2][:, 0], step[4][:, 0]
     minus, absolute = (bisect_left(codes, kind * MAX_COLS) for kind in (1, 2))
     cols = np.array(codes, dtype=np.int64) % MAX_COLS
-    return _Program(cols, minus, absolute, tuple(map(tuple, steps)))
+    return _Program(cols, minus, absolute, tuple(map(tuple, steps)), gathers, keep)
 
 
 class _Decoder(NamedTuple):
-    """What the SC recursion reads of one kernel: the phase trees; per phase
-    a, the columns where kernel row a is 1; the `_butterfly` columns of the
-    kernel's inverse; and per phase the nodes whose tables it gathers from
-    the previous phase.  A gather is the node's (x, y) and, per coset, the
-    row of the previous table read by rows whose previous decision is 0,
-    and 1 (None: the same)."""
+    """What the SC recursion reads of one kernel: per phase a, the columns
+    where kernel row a is 1; the `_butterfly` columns of the kernel's
+    inverse; and per phase two programs, `cold`, which evaluates every
+    node (phase 0, and a phase after a skipped block), and `warm`, which
+    gathers from the previous phase's tables."""
 
-    trees: tuple[SectionNode, ...]
     supports: tuple[np.ndarray, ...]
     inverse: tuple[tuple[int, ...], ...]
-    gathers: tuple[tuple[tuple[tuple[int, int], np.ndarray, np.ndarray | None], ...], ...]
+    cold: tuple[_Program, ...]
+    warm: tuple[_Program, ...]
 
 
 def _node_at(tree: SectionNode, x: int, y: int) -> SectionNode:
@@ -250,14 +243,16 @@ def _node_at(tree: SectionNode, x: int, y: int) -> SectionNode:
 
 
 @lru_cache(maxsize=64)
-def _decoder(kernel: BitMatrix) -> _Decoder:
-    """A phase gathers a node's table wherever the `SECTION_TABLES` model
+def build_link_tables(kernel: BitMatrix) -> _Decoder:
+    """The decoder of a kernel: its section trees, their link arrays
+    (`SectionNode.links`) and every phase's programs, all built here.  A
+    phase gathers a node's table wherever the `SECTION_TABLES` model
     reuses the previous phase's table of the node: the reused sections
     whose shortened code is unchanged.  Phase a+1's prefix is phase a's
     XOR u_a K[a], so coset c of node n reads the previous table at the
     coordinates of n's coset word c, plus u_a times those of K[a], in the
     previous node's coset basis."""
-    trees = build_link_tables(kernel)
+    trees = section_trees(kernel)
     gathers = [()]
     costs = phase_costs(trees, ReuseMode.SECTION_TABLES)
     for a, (prev, cost) in enumerate(zip(trees, costs[1:])):
@@ -269,24 +264,34 @@ def _decoder(kernel: BitMatrix) -> _Decoder:
                 d = int(p.coset_indices([kernel.rows[a] << 1])[0])
                 plan.append(((x, y), idx0, idx0 ^ d if d else None))
         gathers.append(tuple(plan))
+    keeps = [frozenset(key for key, _, _ in plan) for plan in gathers[1:]] + [frozenset()]
+    cold = tuple(_program(tree, (), keep) for tree, keep in zip(trees, keeps))
+    warm = tuple(map(_program, trees, gathers, keeps))
     supports = tuple(np.flatnonzero(unpack_row(r, kernel.ncols)) for r in kernel.rows)
-    return _Decoder(trees, supports, _butterflies(kernel)[1], tuple(gathers))
+    return _Decoder(supports, _butterflies(kernel)[1], cold, warm)
 
 
 def phase_llrs_trellis(
-    trees: tuple[SectionNode, ...],
+    dec: _Decoder,
     phase: int,
     prefix: np.ndarray,
     llrs: np.ndarray,
-    tables: _Tables | None = None,
-) -> np.ndarray:
-    """Batched phase LLRs: prefix (batch, ell) is the codeword of the
-    decided symbols u_0 .. u_{phase-1}, llrs (batch, ell).  `tables` holds
-    the node tables gathered from the previous phase and receives those
-    that the next phase gathers; without it every node is evaluated.
+    held: dict[tuple[int, int], np.ndarray] | None = None,
+    flip: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Batched phase LLRs and the tables that the next phase gathers:
+    prefix (batch, ell) is the codeword of the decided symbols u_0 ..
+    u_{phase-1}, llrs (batch, ell).  Without `held`, the previous phase's
+    kept tables (popped as they are gathered), every node is evaluated;
+    `flip` (1, batch) marks the rows whose previous decision is 1.
     Transposed views of coset-major (ell, batch) arrays read fastest."""
-    tables = {} if tables is None else tables
-    prog = _program(trees[phase], tuple(key for key, t in tables.items() if t is not None))
+    prog = dec.cold[phase] if held is None else dec.warm[phase]
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for key, idx0, idx1 in prog.gathers:  # flipped rows read the translated cosets
+        prev = held.pop(key)
+        table = tables[key] = prev[idx0]
+        if idx1 is not None:
+            np.copyto(table, prev[idx1], where=flip)
     # the known prefix's codeword offset flips the signs of its 1-columns
     bank = (np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T))[prog.cols]
     bit1, free = bank[prog.minus : prog.absolute], bank[prog.absolute :]
@@ -300,12 +305,12 @@ def phase_llrs_trellis(
         cand += t_right[link_b]
         table = cand.max(axis=1) if maximize else cand
         del cand, t_left, t_right  # before the next step allocates: a lower heap peak
-        if key in tables:
+        if key in prog.keep:
             tables[key] = table
         stack.append(table)
     (table,) = stack
     assert table.shape[0] == 2
-    return table[0] - table[1]
+    return table[0] - table[1], {key: tables[key] for key in prog.keep}
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +364,16 @@ def _sc_decode_rec(
     if errors is None and frozen.isdisjoint(range(base, base + length)) and _signs_decide(llrs):
         v = (llrs < 0).view(np.uint8)
         return _butterfly(v, dec.inverse), v
-    trees, supports, _, gathers = dec
-    ell = len(trees)
+    ell = len(dec.supports)
     sub = length // ell
     # coset-major: row c of flat and x is kernel column c, entry b * sub + s
     flat = llrs.reshape(batch, ell, sub).transpose(1, 0, 2).reshape(ell, batch * sub)
     # the codeword of the phases decided so far, sum_a v_a K[a]
     x = np.zeros((ell, batch * sub), dtype=np.uint8)
     u_blocks = []
-    # the previous phase's tables that this phase gathers; None after a skip
-    held: dict[tuple[int, int], np.ndarray] | None = None
+    # the previous phase's tables that this phase gathers, None after a
+    # skip, and the rows whose previous decision is 1
+    held = flip = None
     for a in range(ell):
         start = base + a * sub
         if errors is None and frozen.issuperset(range(start, start + sub)):
@@ -377,20 +382,11 @@ def _sc_decode_rec(
             u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
             held = None
             continue
-        keep = [key for key, _, _ in gathers[a + 1]] if a + 1 < ell else []
-        tables: _Tables = dict.fromkeys(keep)
-        if held:  # rows whose previous decision is 1 read the translated cosets
-            flip = v_a.reshape(1, -1).view(bool)
-            for key, idx0, idx1 in gathers[a]:
-                prev = held.pop(key)
-                table = tables[key] = prev[idx0]
-                if idx1 is not None:
-                    np.copyto(table, prev[idx1], where=flip)
-        phase_llr = phase_llrs_trellis(trees, a, x.T, flat.T, tables).reshape(batch, sub)
-        held = {key: tables[key] for key in keep}
-        u_a, v_a = _sc_decode_rec(dec, frozen, phase_llr, start, errors)
+        phase_llr, held = phase_llrs_trellis(dec, a, x.T, flat.T, held, flip)
+        u_a, v_a = _sc_decode_rec(dec, frozen, phase_llr.reshape(batch, sub), start, errors)
         u_blocks.append(u_a)
-        x[supports[a]] ^= v_a.reshape(1, -1)
+        x[dec.supports[a]] ^= v_a.reshape(1, -1)
+        flip = v_a.reshape(1, -1).view(bool)
     u = np.concatenate(u_blocks, axis=1)
     return u, x.reshape(ell, batch, sub).transpose(1, 0, 2).reshape(batch, length)
 
@@ -400,7 +396,7 @@ def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, 
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    return _sc_decode_rec(_decoder(spec.kernel), spec.frozen, llrs, 0, None)
+    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +445,7 @@ def select_frozen_set(
     (ties toward the smaller index)."""
     sizes = _batch_sizes(trials)
     n = code_length(ell, m, kernel)
-    dec = _decoder(kernel)
+    dec = build_link_tables(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)

@@ -52,9 +52,8 @@ class ReuseMode(str, Enum):
 CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 
 
-# not frozen: a frozen __init__ costs several times more per node; compared
-# and hashed by identity, so the decoder can cache a step list per tree
-@dataclass(eq=False)
+# not frozen: a frozen __init__ costs several times more per node
+@dataclass
 class SectionNode:
     x: int
     y: int
@@ -244,13 +243,10 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
         ):
             for r in eliminate(outside_pivots, shorten, ~inside):
                 if not r & ~inside:  # the residual vanishes outside: reduce it, join
-                    for p, b in basis.items():
-                        if r >> p & 1:
-                            r ^= b
+                    # every bit of the mask has a pivot, so none is added
+                    (r,) = eliminate(basis, [r], sum(1 << p for p in basis))
                     p = r.bit_length() - 1
-                    for q, b in basis.items():
-                        if b >> p & 1:
-                            basis[q] = b ^ r
+                    basis.update(zip(basis, eliminate({p: r}, basis.values(), 1 << p)))
                     basis[p] = r
                     # distinct leading bits: descending values are echelon order
                     s_bases[j] = tuple(sorted(basis.values(), reverse=True))

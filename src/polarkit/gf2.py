@@ -9,8 +9,8 @@ them (4 MiB at ell=16).  Each table is built from the previous one through
 an index array of all words, which is made once per width and shared.
 
 ``eliminate`` is the one Gaussian elimination; bases, subcode tests,
-shortened codes, the complexity model's w/v representatives and the
-decoder's coset coordinates are all built on it.  A caller may carry
+shortened codes and their reduced bases, the complexity model's w/v
+representatives and the decoder's coset coordinates are all built on it.  A caller may carry
 coefficient bits above the 17 columns and keep them out of the pivot
 search with a mask.
 """

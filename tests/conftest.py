@@ -155,8 +155,8 @@ def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], 
     bits, re-encoded into the prefix codeword here."""
     prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
     prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
-    trees = build_link_tables(kernel)
-    return float(phase_llrs_trellis(trees, phase, prefix, np.atleast_2d(llrs))[0])
+    llr, _ = phase_llrs_trellis(build_link_tables(kernel), phase, prefix, np.atleast_2d(llrs))
+    return float(llr[0])
 
 
 @cache
@@ -189,15 +189,15 @@ def stateless_sc_decode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Differential oracle of `codec._sc_decode_rec`: the same recursion,
     rate-0 skips included, with no tables held between phases.  Each
-    evaluated phase calls `codec.phase_llrs_trellis(trees, a, x, flat)`,
-    which evaluates every node of the phase tree."""
+    evaluated phase calls `codec.phase_llrs_trellis(dec, a, x, flat)`,
+    whose `cold` program evaluates every node of the phase tree."""
     batch, length = llrs.shape
     if length == 1:
         if errors is not None:
             errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
         u = np.zeros((batch, 1), dtype=np.uint8) if base in frozen else (llrs < 0).astype(np.uint8)
         return u, u.copy()
-    trees = build_link_tables(kernel)
+    dec = build_link_tables(kernel)
     bits = np.array(kernel.to_bits(), dtype=np.uint8)
     ell = kernel.ncols
     sub = length // ell
@@ -209,7 +209,7 @@ def stateless_sc_decode(
         if errors is None and frozen.issuperset(range(start, start + sub)):
             u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
             continue
-        phase_llr = codec.phase_llrs_trellis(trees, a, x, flat).reshape(batch, sub)
+        phase_llr = codec.phase_llrs_trellis(dec, a, x, flat)[0].reshape(batch, sub)
         u_a, v_a = stateless_sc_decode(kernel, frozen, phase_llr, start, errors)
         u_blocks.append(u_a)
         x ^= v_a.reshape(batch * sub, 1) & bits[a]

@@ -15,7 +15,6 @@ from polarkit import codec
 from polarkit.codec import (
     PolarCodeSpec,
     _batch_sizes,
-    _decoder,
     _sc_decode_rec,
     bler_csv,
     build_link_tables,
@@ -26,7 +25,7 @@ from polarkit.codec import (
     select_frozen_set,
     simulate_bler,
 )
-from polarkit.complexity import ReuseMode, section_trees, total_complexity
+from polarkit.complexity import ReuseMode, SectionNode, section_trees, total_complexity
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
@@ -129,7 +128,7 @@ def test_trellis_matches_exhaustive_oracle():
     (2^v, 2^w), the model's 2^(w+v) sums."""
     kernels, deviations = trellis_oracle_cases()
     for kernel in kernels:
-        for tree in build_link_tables(kernel):
+        for tree in section_trees(kernel):
             for n in _nodes(tree):
                 if not n.is_leaf:
                     assert [a.shape for a in n.links] == [(1 << n.v, 1 << n.w)] * 2
@@ -304,7 +303,7 @@ def _decode_every_block(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarr
     """The decoder without the all-frozen skip: given `errors`, as in genie
     selection, `_sc_decode_rec` decodes every block."""
     errors = np.zeros(spec.n, dtype=np.int64)
-    return _sc_decode_rec(_decoder(spec.kernel), spec.frozen, llrs, 0, errors)
+    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, errors)
 
 
 def test_frozen_block_skip_matches_full_decode(rng):
@@ -438,11 +437,12 @@ def test_table_reuse_matches_stateless_oracle(monkeypatch, rng):
     calls: dict[tuple[int, int], np.ndarray] = {}
     blocks: list[tuple[int, int]] = []  # (base, length) of the blocks being decoded
 
-    def recorded(trees, phase, prefix, llrs, tables=None):
+    def recorded(dec, phase, prefix, llrs, held=None, flip=None):
         base, length = blocks[-1]
-        sub = length // len(trees)
-        calls[base + phase * sub, sub] = phase_llrs_trellis(trees, phase, prefix, llrs, tables)
-        return calls[base + phase * sub, sub]
+        sub = length // len(dec.supports)
+        out = phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
+        calls[base + phase * sub, sub] = out[0]
+        return out
 
     def entered(decode):
         def run(of_kernel, frozen, llrs, base, errors):
@@ -466,7 +466,7 @@ def test_table_reuse_matches_stateless_oracle(monkeypatch, rng):
         llrs = rng.normal(scale=2.0, size=(4, n))
         for frozen_set, genie in ((frozen, False), (frozenset(range(n)), True)):
             runs = []
-            for decode, of_kernel in ((fast, _decoder(kernel)), (stateless, kernel)):
+            for decode, of_kernel in ((fast, build_link_tables(kernel)), (stateless, kernel)):
                 calls.clear()
                 errors = np.zeros(n, dtype=np.int64) if genie else None
                 u, v = decode(of_kernel, frozen_set, llrs, 0, errors)
@@ -506,9 +506,12 @@ def test_decoder_gathers_the_tables_the_model_reuses(monkeypatch, rng):
     assert [a for a in range(1, 16) if not model[a]] == [2, 4, 6, 7, 11]
     gathered = []
 
-    def recorded(trees, phase, prefix, llrs, tables):
-        gathered.append((phase, {k for k, t in tables.items() if t is not None}))
-        return phase_llrs_trellis(trees, phase, prefix, llrs, tables)
+    def recorded(dec, phase, prefix, llrs, held, flip):
+        keys = set(held or ())
+        out = phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
+        assert not held  # every held table was gathered
+        gathered.append((phase, keys))
+        return out
 
     monkeypatch.setattr(codec, "phase_llrs_trellis", recorded)
 
@@ -551,12 +554,11 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
     spec = _bench_spec("BEST16")
     total = 0
 
-    def counted(trees, phase, prefix, llrs, tables=None):
+    def counted(dec, phase, prefix, llrs, held=None, flip=None):
         nonlocal total
-        gathered = tuple(k for k, t in (tables or {}).items() if t is not None)
-        program = codec._program(trees[phase], gathered)
+        program = (dec.cold if held is None else dec.warm)[phase]
         total += sum(link_a.size for _, _, link_a, *_ in program.steps) * len(llrs)
-        return phase_llrs_trellis(trees, phase, prefix, llrs, tables)
+        return phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
 
     monkeypatch.setattr(codec, "phase_llrs_trellis", counted)
     for batch in (3, 5):
@@ -568,3 +570,22 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
             total = 0
             decode()
             assert total == per_codeword * batch
+
+
+@pytest.mark.parametrize("kernel, m", [(BEST16, 2), (ARIKAN, 8)], ids=["BEST16", "ARIKAN"])
+def test_build_link_tables_builds_the_whole_decoder(monkeypatch, kernel, m):
+    """`build_link_tables` builds every link array, gather and step list of
+    a kernel: after it, frozen-set selection and BLER simulation of a
+    (256,128) code compute no coset index and compile no program."""
+    build_link_tables.cache_clear()
+    build_link_tables(kernel)
+
+    def built_late(*args):
+        raise AssertionError("built after build_link_tables")
+
+    monkeypatch.setattr(SectionNode, "coset_indices", built_late)
+    monkeypatch.setattr(codec, "_program", built_late)
+    ell = kernel.ncols
+    frozen = select_frozen_set(ell, m, 128, kernel, 2.0, 16, seed=1)
+    (result,) = simulate_bler(PolarCodeSpec(ell, m, 128, kernel, frozen), [2.0], 16, seed=1)
+    assert result.trials == 16
