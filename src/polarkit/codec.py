@@ -33,7 +33,12 @@ the canonical v-representative rows that the tree already carries.
 Tables are coset-major, (2^v, rows), so a link reads whole contiguous
 rows.  Each phase tree compiles into flat post-order step lists
 (`_program`), with the leaves' entries composed into their parents'
-links as rows of a bank of prefix-signed half LLRs.
+links as rows of a bank of prefix-signed half LLRs.  A step list comes
+with a buffer plan: each array that a call forms has a fixed offset in
+one float64 workspace, from the arrays' lifetimes (`_plan`), and every
+numpy operation writes there through `out=`.  So a call allocates only
+what outlives it, the phase LLRs and the tables kept for the next phase.
+Calls never nest, and one workspace serves every decoder.
 
 Phases reuse section tables: within a block, a phase gathers the table of
 each node that the `SECTION_TABLES` complexity model reuses from the
@@ -155,71 +160,173 @@ def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
 # Phase metrics
 
 
-#: Where a step reads a child table: the leaf bank, the table the previous
-#: steps left on the stack, or (a node's (x, y)) a gathered table
-_BANK, _STACK = "bank", "stack"
+class _Step(NamedTuple):
+    """One node of a phase tree, as slices of workspace rows: the left and
+    right child tables and the (2^v, 2^w) links into them, flattened; where
+    the left links' gather and then the sums go, where the right links'
+    gather goes, and where the node's (2^v, rows) table goes, the max over
+    the 2^w sums (the sums themselves when w = 0)."""
+
+    key: tuple[int, int]
+    left: slice
+    left_link: np.ndarray
+    right: slice
+    right_link: np.ndarray
+    sums: slice
+    other: slice
+    out: slice
+    shape: tuple[int, int]
+
+
+class _Gather(NamedTuple):
+    """A node given the previous phase's table instead of steps: per coset,
+    the previous row read by rows whose previous decision is 0, and 1
+    (None: the same), and the workspace rows of the two reads; the second
+    one's rows then take the place of the first's where `mask` is set."""
+
+    key: tuple[int, int]
+    idx0: np.ndarray
+    idx1: np.ndarray | None
+    out: slice
+    other: slice | None
 
 
 class _Program(NamedTuple):
-    """A phase tree compiled into a flat post-order step list.  Leaf bank
-    row r reads column cols[r] of the prefix-signed half LLRs: as is (the
-    bit-0 metric of a column in the punctured code, or the known bit's),
-    negated from row `minus` on (its bit-1 metric), and as a magnitude from
-    row `absolute` on (a column free in the shortened code: the max of
-    both).  Only the entries that the phase reads are rows.  A step is a
-    node's (x, y), its children's sources and links (leaf entries composed
-    into bank rows), and whether it maximizes over w > 0 sums; it leaves
-    the node's coset-major table on the stack.  A gather gives a node the
-    previous phase's table instead, with no steps below it: its (x, y)
-    and, per coset, the previous row read by rows whose previous decision
-    is 0, and 1 (None: the same).  `keep` names the nodes whose tables the
-    next phase gathers."""
+    """A phase tree compiled into a flat post-order step list over one
+    workspace of `peak` coset rows.  The call first writes the prefix-signed
+    half LLRs at `signed`, then the leaf bank at `bank`: bank row r is row
+    cols[r] of them, as is (the bit-0 metric of a column in the punctured
+    code, or the known bit's), negated from row `minus` on (its bit-1
+    metric), and as a magnitude from row `absolute` on (a column free in
+    the shortened code: the max of both).  Only the entries that the phase
+    reads are rows.  Where a gather needs it, the `mask` row holds all-one
+    bits for the rows whose previous decision is 1.  `keep` names the nodes
+    whose tables the next phase gathers; `root` is where the phase tree's
+    (2, rows) table ends up.  Every array that a call forms has a fixed
+    offset, so no two arrays that are live at once overlap (`_plan`)."""
 
     cols: np.ndarray
     minus: int
     absolute: int
-    steps: tuple[tuple[tuple[int, int], object, np.ndarray, object, np.ndarray, bool], ...]
-    gathers: tuple[tuple[tuple[int, int], np.ndarray, np.ndarray | None], ...]
+    signed: slice
+    bank: slice
+    mask: slice | None
+    gathers: tuple[_Gather, ...]
+    steps: tuple[_Step, ...]
     keep: frozenset[tuple[int, int]]
+    root: slice
+    peak: int
+
+
+def _plan(spans: list[list[int]]) -> list[int]:
+    """Row offsets for buffers given as [rows, first use, last use], such
+    that no two buffers whose uses overlap in time overlap in rows:
+    largest first, each at the lowest offset clear of the buffers already
+    placed that are live with it (greedy by size)."""
+    offsets: dict[int, int] = {}
+    for i in sorted(range(len(spans)), key=lambda i: -spans[i][0]):
+        rows, first, last = spans[i]
+        live = [j for j in offsets if spans[j][1] <= last and first <= spans[j][2]]
+        at = 0
+        for j in sorted(live, key=offsets.get):
+            if at + rows <= offsets[j]:
+                break
+            at = max(at, offsets[j] + spans[j][0])
+        offsets[i] = at
+    return [offsets[i] for i in range(len(spans))]
 
 
 def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
-    """The step list of phase tree `root` when the tables of `gathers` are given."""
-    gathered = {key for key, _, _ in gathers}
+    """The step list of phase tree `root` when the tables of `gathers` are
+    given, and its workspace plan.  Time counts the numpy operations of a
+    call; a buffer lives from the operation that writes it to its last
+    reader."""
+    spans: list[list[int]] = []  # per buffer: [rows, first use, last use]
+
+    def buffer(rows: int, time: int) -> int:
+        spans.append([rows, time, time])
+        return len(spans) - 1
+
+    def read(buf: int, time: int) -> None:
+        spans[buf][2] = time
+
+    signed, bank = buffer(root.y, 0), buffer(0, 1)  # the bank's size is known after the walk
+    read(signed, 1)
+    time = 2
+    mask = buffer(1, time) if any(idx1 is not None for _, _, idx1 in gathers) else None
+    tables, planned_gathers = {}, []
+    for key, idx0, idx1 in gathers:
+        time += 1
+        out = tables[key] = buffer(len(idx0), time)
+        other = None
+        if idx1 is not None:  # the bit select reads both takes and the mask
+            time += 1
+            other = buffer(len(idx1), time)
+            read(out, time)
+            read(mask, time)
+        planned_gathers.append([key, idx0, idx1, out, other])
     steps: list[list] = []
     bank_links: list[np.ndarray] = []
 
-    def source(child: SectionNode, link: np.ndarray) -> tuple[object, np.ndarray]:
+    def source(child: SectionNode, link: np.ndarray) -> tuple[int, np.ndarray]:
         if child.children:
             key = (child.x, child.y)
-            if key in gathered:
-                return key, link
-            visit(child)
-            return _STACK, link
+            return (tables[key] if key in tables else visit(child)), link
         # bank entries coded kind * MAX_COLS + column: kind 0 the bit-0
         # metric, 1 the bit-1 metric, 2 the magnitude
         x = child.x
         entries = [2 * MAX_COLS + x] if child.s_basis else [x, MAX_COLS + x][: 1 + child.v]
         bank_links.append(np.array(entries)[link])
-        return _BANK, bank_links[-1]
+        return bank, bank_links[-1]
 
-    def visit(node: SectionNode) -> None:
+    def visit(node: SectionNode) -> int:
+        nonlocal time
         (left, link_a), (right, link_b) = [source(*c) for c in zip(node.children, node.links)]
-        steps.append([(node.x, node.y), left, link_a, right, link_b, node.w > 0])
+        shape = link_a.shape
+        sums = buffer(link_a.size, time + 1)
+        read(left, time + 1)
+        other = buffer(link_b.size, time + 2)
+        read(right, time + 2)
+        read(sums, time + 2)
+        time += 2
+        out = sums
+        if node.w > 0:
+            time += 1
+            out = buffer(shape[0], time)
+            read(sums, time)
+        steps.append([(node.x, node.y), left, link_a, right, link_b, sums, other, out, shape])
+        return out
 
-    visit(root)
+    root_table = visit(root)
+    assert spans[root_table][0] == 2
     codes = sorted({int(code) for link in bank_links for code in link.flat})
+    spans[bank][0] = len(codes)
     bank_row = np.zeros(3 * MAX_COLS, dtype=np.int64)
     bank_row[codes] = range(len(codes))
+    for link in bank_links:  # composed bank links read bank rows
+        link[...] = bank_row[link]
+    offsets = _plan(spans)
+    at = [slice(o, o + rows) for o, (rows, _, _) in zip(offsets, spans)]
     for step in steps:
-        for i in (1, 3):  # composed bank links read bank rows
-            if step[i] == _BANK:
-                step[i + 1] = bank_row[step[i + 1]]
-        if not step[5]:  # w = 0: one sum per coset, nothing to maximize
-            step[2], step[4] = step[2][:, 0], step[4][:, 0]
+        for i in (1, 3, 5, 6, 7):
+            step[i] = at[step[i]]
+        step[2], step[4] = step[2].ravel(), step[4].ravel()
+    for gather in planned_gathers:
+        gather[3:] = [None if buf is None else at[buf] for buf in gather[3:]]
     minus, absolute = (bisect_left(codes, kind * MAX_COLS) for kind in (1, 2))
-    cols = np.array(codes, dtype=np.int64) % MAX_COLS
-    return _Program(cols, minus, absolute, tuple(map(tuple, steps)), gathers, keep)
+    return _Program(
+        np.array(codes, dtype=np.int64) % MAX_COLS,
+        minus,
+        absolute,
+        at[signed],
+        at[bank],
+        None if mask is None else at[mask],
+        tuple(_Gather(*gather) for gather in planned_gathers),
+        tuple(_Step(*step) for step in steps),
+        keep,
+        at[root_table],
+        max(o + rows for o, (rows, _, _) in zip(offsets, spans)),
+    )
 
 
 class _Decoder(NamedTuple):
@@ -271,6 +378,23 @@ def build_link_tables(kernel: BitMatrix) -> _Decoder:
     return _Decoder(supports, _butterflies(kernel)[1], cold, warm)
 
 
+#: The float64 buffer that every phase call runs in, grown as needed (see
+#: `_workspace`)
+_WORKSPACE = np.empty(0)
+
+
+def _workspace(peak: int, rows: int) -> np.ndarray:
+    """The workspace as `peak` coset rows of `rows` entries.  One buffer
+    serves every decoder: calls never nest, since the SC recursion goes
+    below a phase only after its call has returned, and no call reads what
+    an earlier one left there.  Threads would share it: decode from one
+    thread per process."""
+    global _WORKSPACE
+    if _WORKSPACE.size < peak * rows:
+        _WORKSPACE = np.empty(peak * rows)
+    return _WORKSPACE[: peak * rows].reshape(peak, rows)
+
+
 def phase_llrs_trellis(
     dec: _Decoder,
     phase: int,
@@ -284,33 +408,50 @@ def phase_llrs_trellis(
     u_{phase-1}, llrs (batch, ell).  Without `held`, the previous phase's
     kept tables (popped as they are gathered), every node is evaluated;
     `flip` (1, batch) marks the rows whose previous decision is 1.
-    Transposed views of coset-major (ell, batch) arrays read fastest."""
+    Transposed views of coset-major (ell, batch) arrays read fastest.  The
+    program runs in the workspace; only the phase LLRs and the kept tables
+    leave it, as fresh arrays.  Takes clip their indices, which the
+    program keeps in range, since numpy buffers `out` under the default
+    mode."""
     prog = dec.cold[phase] if held is None else dec.warm[phase]
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for key, idx0, idx1 in prog.gathers:  # flipped rows read the translated cosets
-        prev = held.pop(key)
-        table = tables[key] = prev[idx0]
-        if idx1 is not None:
-            np.copyto(table, prev[idx1], where=flip)
+    llrs = np.asarray(llrs, dtype=np.float64).T
+    ws = _workspace(prog.peak, llrs.shape[1])
+    kept: dict[tuple[int, int], np.ndarray] = {}
     # the known prefix's codeword offset flips the signs of its 1-columns
-    bank = (np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T))[prog.cols]
+    signed, bank = ws[prog.signed], ws[prog.bank]
+    np.subtract(0.5, np.asarray(prefix).T, out=signed)
+    np.multiply(llrs, signed, out=signed)
+    np.take(signed, prog.cols, axis=0, out=bank, mode="clip")
     bit1, free = bank[prog.minus : prog.absolute], bank[prog.absolute :]
     np.negative(bit1, out=bit1)
     np.abs(free, out=free)
-    stack: list[np.ndarray] = []
-    for key, left, link_a, right, link_b, maximize in prog.steps:
-        t_right = bank if right == _BANK else stack.pop() if right == _STACK else tables[right]
-        t_left = bank if left == _BANK else stack.pop() if left == _STACK else tables[left]
-        cand = t_left[link_a]  # (2^v, 2^w, batch), or (2^v, batch) for w = 0
-        cand += t_right[link_b]
-        table = cand.max(axis=1) if maximize else cand
-        del cand, t_left, t_right  # before the next step allocates: a lower heap peak
+    if prog.mask is not None:
+        mask = ws[prog.mask].view(np.uint64)
+        np.copyto(mask, flip)
+        np.negative(mask, out=mask)  # all ones on the flipped rows
+    for key, idx0, idx1, out, other in prog.gathers:
+        prev = held.pop(key)
+        table = ws[out]
+        np.take(prev, idx0, axis=0, out=table, mode="clip")
+        if idx1 is not None:  # flipped rows read the translated cosets: a bit select
+            np.take(prev, idx1, axis=0, out=ws[other], mode="clip")
+            a, b = table.view(np.uint64), ws[other].view(np.uint64)
+            b ^= a
+            b &= mask
+            a ^= b
         if key in prog.keep:
-            tables[key] = table
-        stack.append(table)
-    (table,) = stack
-    assert table.shape[0] == 2
-    return table[0] - table[1], {key: tables[key] for key in prog.keep}
+            kept[key] = table.copy()
+    for key, left, link_a, right, link_b, at, other, out, shape in prog.steps:
+        sums = ws[at]  # (2^v * 2^w, batch)
+        np.take(ws[left], link_a, axis=0, out=sums, mode="clip")
+        np.take(ws[right], link_b, axis=0, out=ws[other], mode="clip")
+        np.add(sums, ws[other], out=sums)
+        if shape[1] > 1:
+            np.max(sums.reshape(*shape, -1), axis=1, out=ws[out])
+        if key in prog.keep:
+            kept[key] = ws[out].copy()
+    table = ws[prog.root]
+    return np.subtract(table[0], table[1]), kept
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +591,7 @@ def select_frozen_set(
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
     for b in sizes:
-        y = 1.0 + sigma * rng.standard_normal((b, n))
-        llrs = 2.0 * y / sigma**2
+        llrs = 2.0 * (1.0 + sigma * rng.standard_normal((b, n))) / sigma**2
         _sc_decode_rec(dec, frozenset(range(n)), llrs, 0, errors)
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
@@ -488,9 +628,10 @@ def simulate_bler(
             u = np.zeros((b, n), dtype=np.uint8)
             if info.size:
                 u[:, info] = rng.integers(0, 2, size=(b, info.size), dtype=np.uint8)
-            x = 1.0 - 2.0 * encode(spec, u).astype(np.float64)
-            y = x + sigma * rng.standard_normal((b, n))
+            y = 1.0 - 2.0 * encode(spec, u).astype(np.float64)
+            y += sigma * rng.standard_normal((b, n))
             llrs = 2.0 * y / sigma**2
+            del y  # only the LLRs stay live through the decode
             decoded, _ = sc_decode_batch(spec, llrs)
             block_errors += int(np.count_nonzero(np.any(decoded != u, axis=1)))
         results.append(BlerResult(snr_db, trials, block_errors))

@@ -159,6 +159,26 @@ def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], 
     return float(llr[0])
 
 
+def section_tree_phase_llrs(tree, prefix, llrs) -> np.ndarray:
+    """`codec.phase_llrs_trellis`'s phase LLRs with no compiled program and
+    no workspace: the phase tree (of `complexity.section_trees`) evaluated
+    recursively into fresh arrays.  A leaf's table is its column's
+    prefix-signed half LLR h, as [h, -h] (one entry when the column is
+    known) or, for a column free in the shortened code, [|h|]; a node's is
+    the max over its 2^w linked sums of its children's entries."""
+    signed = np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T)
+
+    def table(node) -> np.ndarray:
+        if not node.children:
+            h = signed[node.x]
+            return np.abs(h)[None] if node.s_basis else np.stack([h, -h])[: 1 + node.v]
+        left, right = (table(child)[link] for child, link in zip(node.children, node.links))
+        return (left + right).max(axis=1)
+
+    root = table(tree)
+    return root[0] - root[1]
+
+
 @cache
 def trellis_oracle_cases() -> tuple[tuple[BitMatrix, ...], tuple[float, ...]]:
     """Acceptance criterion 3's cases: 15 random kernels at every width

@@ -557,7 +557,7 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
     def counted(dec, phase, prefix, llrs, held=None, flip=None):
         nonlocal total
         program = (dec.cold if held is None else dec.warm)[phase]
-        total += sum(link_a.size for _, _, link_a, *_ in program.steps) * len(llrs)
+        total += sum(step.left_link.size for step in program.steps) * len(llrs)
         return phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
 
     monkeypatch.setattr(codec, "phase_llrs_trellis", counted)
@@ -570,6 +570,142 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
             total = 0
             decode()
             assert total == per_codeword * batch
+
+
+def _stack_peak(prog, tree) -> int:
+    """Coset rows live at once when `prog` runs on fresh arrays with a
+    stack, as before the workspace: the bank and the gathered tables all
+    through; the prefix-signed LLRs while the bank forms; and per step the
+    stacked tables, its children, its sums, and then either the
+    right-link gather or the node's table."""
+    nodes = {(n.x, n.y): n for n in _nodes(tree)}
+    gathered = {gather.key for gather in prog.gathers}
+    base = len(prog.cols) + sum(len(gather.idx0) for gather in prog.gathers)
+    peak, stack = base + tree.y, []
+    for step in prog.steps:
+        children = nodes[step.key].children
+        popped = sum(c.children != () and (c.x, c.y) not in gathered for c in children)
+        sums = step.left_link.size
+        table = step.shape[0] if step.shape[1] > 1 else 0
+        peak = max(peak, base + sum(stack) + sums + max(sums, table))
+        stack[len(stack) - popped :] = [step.shape[0]]
+    return peak
+
+
+def _check_plan(prog, tree) -> None:
+    """Runs `prog` on workspace rows that hold tags instead of numbers: each
+    operation tags the rows it writes, then checks that every row it reads
+    still holds the tag of the table it means to read.  So every buffer is
+    written before it is read, and none is overwritten while live; link
+    indices stay inside the table they read (takes clip)."""
+    nodes = {(n.x, n.y): n for n in _nodes(tree)}
+    tags: list = [None] * prog.peak
+
+    def run(writes, reads) -> None:
+        for where, tag in writes:
+            assert 0 <= where.start <= where.stop <= prog.peak
+            tags[where] = [tag] * (where.stop - where.start)
+        for where, tag in reads:
+            assert tags[where] == [tag] * (where.stop - where.start), (where, tag)
+
+    def size(where: slice) -> int:
+        return where.stop - where.start
+
+    assert size(prog.signed) == tree.y and size(prog.bank) == len(prog.cols)
+    run([(prog.signed, "signed")], [])
+    run([(prog.bank, "bank")], [(prog.signed, "signed")])
+    if prog.mask is not None:
+        run([(prog.mask, "mask")], [])
+    for gather in prog.gathers:
+        assert size(gather.out) == len(gather.idx0) == 2 ** nodes[gather.key].v
+        run([(gather.out, gather.key)], [])
+        if gather.idx1 is not None:
+            run([(gather.other, "other")], [(gather.out, gather.key), (prog.mask, "mask")])
+    for step in prog.steps:
+        node = nodes[step.key]
+        assert step.shape == (2**node.v, 2**node.w)
+        reads = []
+        sides = (step.left, step.left_link), (step.right, step.right_link)
+        for child, (where, link) in zip(node.children, sides):
+            tag = (child.x, child.y) if child.children else "bank"
+            assert size(where) == (2**child.v if child.children else len(prog.cols))
+            assert link.size == 2 ** (node.v + node.w)
+            assert 0 <= link.min() and link.max() < size(where)
+            reads.append((where, tag))
+        run([(step.sums, ("sums", step.key))], [reads[0]])
+        run([(step.other, "other")], [reads[1], (step.sums, ("sums", step.key))])
+        if node.w == 0:
+            assert step.out == step.sums
+        run([(step.out, step.key)], [] if node.w == 0 else [(step.sums, ("sums", step.key))])
+    assert size(prog.root) == 2
+    run([], [(prog.root, (tree.x, tree.y))])
+
+
+def test_workspace_plans_keep_live_buffers_apart(rng):
+    """Every `cold` and `warm` program of BEST16, BEST12, ARIKAN and 3
+    random kernels per width 4..16 writes each workspace buffer before
+    reading it and never overwrites a live one, and its planned peak is at
+    most the rows that its fresh-array stack evaluation holds at once."""
+    kernels = [BEST16, BEST12, ARIKAN]
+    kernels += [random_kernel(ell, rng) for ell in range(4, 17) for _ in range(3)]
+    below = 0
+    for kernel in kernels:
+        dec = build_link_tables(kernel)
+        for programs in (dec.cold, dec.warm):
+            for prog, tree in zip(programs, section_trees(kernel)):
+                _check_plan(prog, tree)
+                assert prog.peak <= _stack_peak(prog, tree)
+                below += prog.peak < _stack_peak(prog, tree)
+    assert below > 0
+
+
+def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
+    """Each phase call of the decoder runs in a workspace filled with NaN.
+    Its phase LLRs equal the section tree evaluated into fresh arrays
+    (conftest), neither they nor the kept tables share memory with the
+    workspace, and the decisions, re-encodings and genie error counts
+    equal the stateless recursion's.  BEST16 at batch 256, ARIKAN m=8 at
+    batch 5, then BEST16 again share the one workspace; then random
+    kernels at widths 4..16 (m=2), on the fast and the genie path."""
+    best16, arikan = _bench_spec("BEST16"), _bench_spec("ARIKAN")
+    cases = [(best16, 256), (arikan, 5), (best16, 256)]
+    for ell in range(4, 17):
+        frozen = frozenset(rng.choice(ell**2, size=ell**2 // 2, replace=False).tolist())
+        spec = PolarCodeSpec(ell, 2, ell**2 - len(frozen), random_kernel(ell, rng), frozen)
+        cases.append((spec, 4))
+    runs = []
+    for spec, batch in cases:
+        llrs = rng.normal(scale=2.0, size=(batch, spec.n))
+        genie = np.zeros(spec.n, dtype=np.int64)
+        want_genie = stateless_sc_decode(spec.kernel, frozenset(range(spec.n)), llrs, 0, genie)
+        want = stateless_sc_decode(spec.kernel, spec.frozen, llrs)
+        runs.append((spec, llrs, (*want, *want_genie, genie)))
+    trees = None
+    calls = 0
+
+    def poisoned(dec, phase, prefix, llrs, held=None, flip=None):
+        nonlocal calls
+        peak = (dec.cold if held is None else dec.warm)[phase].peak
+        codec._workspace(peak, len(llrs))  # grown first: the poison reaches every row
+        codec._WORKSPACE.fill(np.nan)
+        phase_llr, kept = phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
+        for array in (phase_llr, *kept.values()):
+            assert not np.shares_memory(array, codec._WORKSPACE)
+        want = conftest.section_tree_phase_llrs(trees[phase], prefix, llrs)
+        np.testing.assert_array_equal(phase_llr, want)
+        calls += 1
+        return phase_llr, kept
+
+    monkeypatch.setattr(codec, "phase_llrs_trellis", poisoned)
+    for spec, llrs, want in runs:
+        kernel, n = spec.kernel, spec.n
+        trees = section_trees(kernel)
+        genie = np.zeros(n, dtype=np.int64)
+        got_genie = _sc_decode_rec(build_link_tables(kernel), frozenset(range(n)), llrs, 0, genie)
+        got = (*sc_decode_batch(spec, llrs), *got_genie, genie)
+        for got_array, want_array in zip(got, want, strict=True):
+            np.testing.assert_array_equal(got_array, want_array)
+    assert calls > 3_000
 
 
 @pytest.mark.parametrize("kernel, m", [(BEST16, 2), (ARIKAN, 8)], ids=["BEST16", "ARIKAN"])
