@@ -17,9 +17,10 @@
 #      (300 trials, seed 7) under the all-contiguous and section-tables
 #      policies, and the `polarkit brute` kernel at ell 12;
 #   6. the minor page faults per warmed 256-codeword batch of the (256,128)
-#      codes of BEST16 at m=2 and ARIKAN at m=8, for the work tree and for
-#      HEAD (getrusage over 10 batches after 3 warm-up ones, each code in a
-#      fresh interpreter); informational, it gates nothing.
+#      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
+#      (ru_maxrss) of the process that measured them, for the work tree and
+#      for HEAD (getrusage over 10 batches after 3 warm-up ones, each code
+#      in a fresh interpreter); informational, it gates nothing.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
 # difference in those outputs.
@@ -93,7 +94,8 @@ PY
     python -m polarkit.cli brute --ell 12 > "$1/brute-12.txt" 2> "$1/brute-12.log"
 }
 # prints the minor page faults per 256-codeword batch of the polarkit on
-# PYTHONPATH, for the (256,128) code of kernel $1 at m=$2
+# PYTHONPATH, for the (256,128) code of kernel $1 at m=$2, and the peak RSS
+# of the process
 batch_faults() {
     python - "$1" "$2" <<'PY'
 import resource
@@ -110,7 +112,8 @@ for seed in range(3):
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for seed in range(3, 13):
     codec.simulate_bler(spec, [2.5], 256, seed)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) // 10)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
 PY
 }
 head_src=$(mktemp -d)
@@ -138,7 +141,7 @@ for run in "BEST16 2" "ARIKAN 8"; do
     read -r name m <<< "$run"
     faults+=("$name m=$m $(batch_faults "$name" "$m") (HEAD $(PYTHONPATH="$head_src/src" batch_faults "$name" "$m"))")
 done
-echo "minor page faults per 256-codeword batch: ${faults[0]}, ${faults[1]}"
+echo "minor page faults per 256-codeword batch, peak RSS: ${faults[0]}; ${faults[1]}"
 rm -rf "$head_src" "$now_out" "$head_out"
 python - "$now_options" "$head_options" <<'PY'
 import json

@@ -2,55 +2,51 @@
 kernels.
 
 The transform x = u * K^(x)m is computed as m butterfly levels of one
-kernel-multiply step over the ell axis (Arikan, "Channel polarization",
-IEEE Trans. IT 2009); each level XORs the inputs where K has a 1.  The SC
-decoder re-encodes through a running codeword of each block's decided
-phases, updated once per phase.  A sub-block whose indices are all frozen
-is decided zero without running its phase metric or the recursion below
-it (a rate-0 node: Alamdar-Yazdi and Kschischang, IEEE Comm. Letters
-2011).  A sub-block with no frozen index is decided by the signs of its
-LLRs, v = (llrs < 0) and u = v (K^-1)^(x)j, through the same butterfly (a
-rate-1 node: Sarkis et al., "Fast polar decoders", IEEE JSAC 2014).  That
-is max-log SC's decision wherever no phase LLR is 0.  An exact-zero LLR
-ties a phase: on [0, -1, 2, 0.5] (ARIKAN, all information) SC returns
-v = [1, 1, 0, 0] and the signs [0, 1, 0, 0]; so does a spread so wide
-that rounding loses an LLR, as in [1, -1e-17].  Such blocks take the
-recursion (`_signs_decide`).  The genie construction of
+kernel-multiply step (Arikan, "Channel polarization", IEEE Trans. IT
+2009); each level XORs the inputs where K has a 1.  Encoder and decoder
+run index-major, as fast SC decoders do (Sarkis et al., "Fast polar
+decoders", IEEE JSAC 2014): a block of length ell * sub is a (length,
+batch) array whose kernel column c is rows [c * sub, (c + 1) * sub), so
+every split of a block is a view, and the decoder writes its decisions in
+place into one zeroed (n, batch) array.  It re-encodes through a running
+codeword of each block's decided phases, updated once per phase.  A
+sub-block whose indices are all frozen is left zero without running its
+phase metric or the recursion below it (a rate-0 node: Alamdar-Yazdi and
+Kschischang, IEEE Comm. Letters 2011).  A sub-block with no frozen index
+is decided by the signs of its LLRs, v = (llrs < 0) and u = v
+(K^-1)^(x)j, through the same butterfly (a rate-1 node, Sarkis et al.).
+That is max-log SC's decision unless a phase LLR is 0, which an exact
+zero or a spread so wide that rounding loses an LLR can cause; such
+blocks take the recursion (`_signs_decide`).  The genie construction of
 `select_frozen_set` freezes every index and counts every decision, so it
 decodes every block.
 
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
-decisions and the ell channel LLRs) come from a trellis evaluated on the
-section trees of the complexity model, with max-approximation
-correlation metrics.  The tests check it against exhaustive
-max-marginalization.
-
-The trellis tables of a section node are indexed by the cosets of the
-shortened code inside the punctured code (2^v entries); a parent entry is
-the max over 2^w combinations of linked child entries.  The links live on
-the section node (`SectionNode.links`): per child, coset coordinates over
-the canonical v-representative rows that the tree already carries.
-Tables are coset-major, (2^v, rows), so a link reads whole contiguous
-rows.  Each phase tree compiles into flat post-order step lists
-(`_program`), with the leaves' entries composed into their parents'
-links as rows of a bank of prefix-signed half LLRs.  A step list comes
-with a buffer plan: each array that a call forms has a fixed offset in
-one float64 workspace, from the arrays' lifetimes (`_plan`), and every
-numpy operation writes there through `out=`.  So a call allocates only
-what outlives it, the phase LLRs and the tables kept for the next phase.
-Calls never nest, and one workspace serves every decoder.
+decisions and the ell channel LLRs) come from a trellis on the section
+trees of the complexity model, with max-approximation correlation
+metrics; the tests check it against exhaustive max-marginalization.  A
+node's table is indexed by the cosets of the shortened code inside the
+punctured code (2^v entries); a parent entry is the max over 2^w
+combinations of child entries, linked by the section node
+(`SectionNode.links`) in coset coordinates over the canonical
+v-representative rows.  Tables are coset-major, (2^v, rows), so a link
+reads whole contiguous rows.  Each phase tree compiles into a flat
+post-order step list (`_program`) whose leaves are rows of a bank of
+prefix-signed half LLRs, with a buffer plan: each array that a call
+forms has a fixed offset in one float64 workspace (`_plan`) and is
+written there through `out=`, so a call allocates only the phase LLRs
+and the tables kept for the next phase.
 
 Phases reuse section tables: within a block, a phase gathers the table of
 each node that the `SECTION_TABLES` complexity model reuses from the
-previous phase with an unchanged shortened code, instead of evaluating
-its subtree (Trifonov, "Recursive trellis processing of large
-polarization kernels", ISIT 2021).  The gather re-indexes the previous
-table for the prefix that the previous decision moved, and its output is
-bit-identical to evaluating every node.  The model's other reuse, of the
-previous node's pre-comparison sums, is not done here: such a node is
-evaluated.  `build_link_tables` builds a kernel's decoder once, with two
-programs per phase: `warm` gathers, and `cold` evaluates every node, for
-phase 0 and for a phase after a skipped rate-0 block, which holds nothing.
+previous phase with an unchanged shortened code, re-indexed for the
+prefix that the previous decision moved, instead of evaluating its
+subtree (Trifonov, "Recursive trellis processing of large polarization
+kernels", ISIT 2021); the output is bit-identical.  The model's other
+reuse, of the previous node's pre-comparison sums, is not done here: such
+a node is evaluated.  `build_link_tables` builds a kernel's decoder once,
+with two programs per phase: `warm` gathers, and `cold` evaluates every
+node, for phase 0 and for a phase after a skipped rate-0 block.
 """
 
 from __future__ import annotations
@@ -123,37 +119,37 @@ def _butterflies(kernel: BitMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _butterfly(x: np.ndarray, columns: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """x * B^(x)j over GF(2), along the last axis (length ell^j) of the uint8
-    bits x, for the ell x ell matrix B of `columns`.  Level t works on index
-    digit t (base ell, most significant first): output j XORs the inputs i
-    where B[i, j] = 1, y[..., j, r] = sum_i x[..., i, r] B[i, j]."""
+    """x * B^(x)j over GF(2), along axis 0 (length ell^j) of the uint8 bits
+    x, for the ell x ell matrix B of `columns`.  Level t works on index
+    digit t (base ell, most significant first) of x as (ell^t, ell, -1):
+    output j XORs the inputs i where B[i, j] = 1, y[r, j] = sum_i x[r, i] B[i, j]."""
     ell = len(columns)
     shape = x.shape
     step = 1
-    while step < shape[-1]:
-        x = x.reshape(*shape[:-1], step, ell, -1)
+    while step < shape[0]:
+        x = x.reshape(step, ell, -1)
         y = np.empty_like(x)
         for j, (i, *rest) in enumerate(columns):
-            out = y[..., j, :]
+            out = y[:, j]
             if not rest:
-                out[...] = x[..., i, :]
+                out[...] = x[:, i]
                 continue
-            np.bitwise_xor(x[..., i, :], x[..., rest[0], :], out=out)
+            np.bitwise_xor(x[:, i], x[:, rest[0]], out=out)
             for r in rest[1:]:
-                out ^= x[..., r, :]
+                out ^= x[:, r]
         x = y
         step *= ell
     return x.reshape(shape)
 
 
 def encode(spec: PolarCodeSpec, u: np.ndarray) -> np.ndarray:
-    """c = u * K^(m) over GF(2); u must be zero on frozen positions."""
+    """c = u * K^(m) over GF(2), a transposed view; u is zero on frozen positions."""
     u = np.asarray(u, dtype=np.uint8)
     if u.shape[-1] != spec.n:
         raise ValueError("message length must be n")
     if np.any(u[..., sorted(spec.frozen)]):
         raise ValueError("frozen positions must be zero")
-    return _butterfly(u % 2, _butterflies(spec.kernel)[0])
+    return _butterfly(np.remainder(u.T, 2, order="C"), _butterflies(spec.kernel)[0]).T
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +400,11 @@ def phase_llrs_trellis(
     flip: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
     """Batched phase LLRs and the tables that the next phase gathers:
-    prefix (batch, ell) is the codeword of the decided symbols u_0 ..
-    u_{phase-1}, llrs (batch, ell).  Without `held`, the previous phase's
+    prefix (rows, ell) is the codeword of the decided symbols u_0 ..
+    u_{phase-1}, llrs (rows, ell).  Without `held`, the previous phase's
     kept tables (popped as they are gathered), every node is evaluated;
-    `flip` (1, batch) marks the rows whose previous decision is 1.
-    Transposed views of coset-major (ell, batch) arrays read fastest.  The
+    `flip` (1, rows) marks the rows whose previous decision is 1.
+    Transposed views of coset-major (ell, rows) arrays are not copied.  The
     program runs in the workspace; only the phase LLRs and the kept tables
     leave it, as fresh arrays.  Takes clip their indices, which the
     program keeps in range, since numpy buffers `out` under the default
@@ -486,58 +482,58 @@ def _sc_decode_rec(
     llrs: np.ndarray,
     base: int,
     errors: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (decisions u, re-encoded block v) for a length-n' block of
-    the recursion, batched over axis 0.  When `errors` is given, leaves
-    add their counts of negative LLRs to it and every block is decoded;
-    otherwise a block whose indices are all frozen is decided zero without
-    evaluating its phase, and one without frozen indices is decided by
-    hard decision when `_signs_decide`."""
-    batch, length = llrs.shape
+    u: np.ndarray,
+) -> np.ndarray:
+    """Decodes the block of C-contiguous LLRs (length, batch) from index
+    `base` into u, its zeroed rows of the decision array, and returns the
+    re-encoded block v.  When `errors` is given, leaves add their counts of
+    negative LLRs to it and every block is decoded; otherwise a block whose
+    indices are all frozen is left zero without evaluating its phase, and
+    one without frozen indices is decided by hard decision when
+    `_signs_decide`."""
+    length = len(llrs)
     if length == 1:
         if errors is not None:
-            errors[base] += int(np.count_nonzero(llrs[:, 0] < 0))
-        if base in frozen:
-            u = np.zeros((batch, 1), dtype=np.uint8)
-        else:
-            u = (llrs < 0).astype(np.uint8)
-        return u, u.copy()
+            errors[base] += int(np.count_nonzero(llrs < 0))
+        if base not in frozen:
+            np.less(llrs, 0, out=u.view(bool))
+        return u
     if errors is None and frozen.isdisjoint(range(base, base + length)) and _signs_decide(llrs):
         v = (llrs < 0).view(np.uint8)
-        return _butterfly(v, dec.inverse), v
+        u[...] = _butterfly(v, dec.inverse)
+        return v
     ell = len(dec.supports)
     sub = length // ell
-    # coset-major: row c of flat and x is kernel column c, entry b * sub + s
-    flat = llrs.reshape(batch, ell, sub).transpose(1, 0, 2).reshape(ell, batch * sub)
+    # row c is kernel column c, entry s * batch + b
+    flat = llrs.reshape(ell, -1)
     # the codeword of the phases decided so far, sum_a v_a K[a]
-    x = np.zeros((ell, batch * sub), dtype=np.uint8)
-    u_blocks = []
+    x = np.zeros(flat.shape, dtype=np.uint8)
     # the previous phase's tables that this phase gathers, None after a
     # skip, and the rows whose previous decision is 1
     held = flip = None
-    for a in range(ell):
+    for a, u_a in enumerate(u.reshape(ell, sub, -1)):
         start = base + a * sub
         if errors is None and frozen.issuperset(range(start, start + sub)):
             # rate-0 block: its decisions and re-encoding are zero, and no
-            # other phase reads its LLRs, so x stays as it is
-            u_blocks.append(np.zeros((batch, sub), dtype=np.uint8))
+            # other phase reads its LLRs, so u and x stay as they are
             held = None
             continue
         phase_llr, held = phase_llrs_trellis(dec, a, x.T, flat.T, held, flip)
-        u_a, v_a = _sc_decode_rec(dec, frozen, phase_llr.reshape(batch, sub), start, errors)
-        u_blocks.append(u_a)
+        v_a = _sc_decode_rec(dec, frozen, phase_llr.reshape(sub, -1), start, errors, u_a)
         x[dec.supports[a]] ^= v_a.reshape(1, -1)
         flip = v_a.reshape(1, -1).view(bool)
-    u = np.concatenate(u_blocks, axis=1)
-    return u, x.reshape(ell, batch, sub).transpose(1, 0, 2).reshape(batch, length)
+    return x.reshape(llrs.shape)
 
 
 def sc_decode_batch(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded messages and the codewords obtained by re-encoding them."""
+    """Decoded messages and their re-encoded codewords, as transposed views."""
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[1] != spec.n:
         raise ValueError("LLR length must be n")
-    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, None)
+    llrs = np.ascontiguousarray(llrs.T)
+    u = np.zeros(llrs.shape, dtype=np.uint8)
+    v = _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, None, u)
+    return u.T, v.T
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +582,16 @@ def select_frozen_set(
     (ties toward the smaller index)."""
     sizes = _batch_sizes(trials)
     n = code_length(ell, m, kernel)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}] for n={n}")
     dec = build_link_tables(kernel)
     sigma = noise_sigma(snr_db, k / n)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)
     for b in sizes:
-        llrs = 2.0 * (1.0 + sigma * rng.standard_normal((b, n))) / sigma**2
-        _sc_decode_rec(dec, frozenset(range(n)), llrs, 0, errors)
+        llrs = np.ascontiguousarray(rng.standard_normal((b, n)).T)  # the decoder's layout
+        llrs = 2.0 * (1.0 + sigma * llrs) / sigma**2
+        _sc_decode_rec(dec, frozenset(range(n)), llrs, 0, errors, np.zeros((n, b), np.uint8))
     order = sorted(range(n), key=lambda i: (-errors[i], i))
     return frozenset(order[: n - k])
 

@@ -174,6 +174,25 @@ def test_select_frozen_set_deterministic_and_sized():
     assert 0 in frozen_a  # the worst subchannel is always the first input
 
 
+@pytest.mark.parametrize("k", [-1, 0, 17, 18])
+def test_select_frozen_set_rejects_k_outside_1_to_n(monkeypatch, k):
+    """k outside [1, n] is named, with n, before any noise is drawn: k = 0
+    is not blamed on the SNR, k = n + 2 freezes no n - 2 indices and
+    k < 0 is no math domain error."""
+
+    def drawn(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    with pytest.raises(ValueError, match=rf"^k={k} outside \[1, 16\] for n=16$"):
+        select_frozen_set(2, 4, k, ARIKAN, 2.0, 500, seed=3)
+
+
+def test_select_frozen_set_accepts_k_1_and_n():
+    assert len(select_frozen_set(2, 4, 1, ARIKAN, 2.0, 50, seed=3)) == 15
+    assert select_frozen_set(2, 4, 16, ARIKAN, 2.0, 50, seed=3) == frozenset()
+
+
 def test_batch_sizes_lazy_and_checked_on_call():
     """Full batches, then the remainder, produced one at a time: a trial
     count far beyond memory still yields its first batch."""
@@ -289,6 +308,28 @@ def test_noisy_decode_reencodes_its_decisions(rng):
         np.testing.assert_array_equal(recoded, encode(spec, decoded))
 
 
+def test_decode_reads_either_memory_order(rng):
+    """The decoder takes LLRs in either memory order: a Fortran-ordered
+    (transposed) array decodes as its C-ordered copy does.  A noiseless
+    round trip through `encode`'s transposed output, fed straight to the
+    decoder, returns every message."""
+    for ell, m in ((2, 8), (3, 3), (5, 2), (16, 2)):
+        n = ell**m
+        frozen = frozenset(rng.choice(n, size=n // 2, replace=False).tolist())
+        spec = PolarCodeSpec(ell, m, n - len(frozen), random_kernel(ell, rng), frozen)
+        llrs = rng.normal(scale=2.0, size=(6, n))
+        want = sc_decode_batch(spec, llrs)
+        for got_array, want_array in zip(sc_decode_batch(spec, np.asfortranarray(llrs)), want):
+            np.testing.assert_array_equal(got_array, want_array)
+        u = rng.integers(0, 2, size=(9, n), dtype=np.uint8)
+        u[:, sorted(frozen)] = 0
+        c = encode(spec, u)
+        assert c.flags.f_contiguous
+        decoded, recoded = sc_decode_batch(spec, 8.0 * (1.0 - 2.0 * c.astype(np.float64)))
+        np.testing.assert_array_equal(decoded, u)
+        np.testing.assert_array_equal(recoded, c)
+
+
 @cache
 def _bench_spec(name: str) -> PolarCodeSpec:
     """The (256,128) code of perfbench's bler-256 workload for `name`: the
@@ -299,11 +340,19 @@ def _bench_spec(name: str) -> PolarCodeSpec:
     return PolarCodeSpec(ell, m, 128, kernel, frozen)
 
 
+def _decode_rec(dec, frozen, llrs, base=0, errors=None) -> tuple[np.ndarray, np.ndarray]:
+    """`codec._sc_decode_rec` called as `stateless_sc_decode` is: on
+    batch-major LLRs, returning batch-major (u, v)."""
+    u = np.zeros(llrs.shape[::-1], dtype=np.uint8)
+    v = codec._sc_decode_rec(dec, frozen, np.ascontiguousarray(llrs.T), base, errors, u)
+    return u.T, v.T
+
+
 def _decode_every_block(spec: PolarCodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The decoder without the all-frozen skip: given `errors`, as in genie
     selection, `_sc_decode_rec` decodes every block."""
     errors = np.zeros(spec.n, dtype=np.int64)
-    return _sc_decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, errors)
+    return _decode_rec(build_link_tables(spec.kernel), spec.frozen, llrs, 0, errors)
 
 
 def test_frozen_block_skip_matches_full_decode(rng):
@@ -402,7 +451,7 @@ def test_rate1_blocks_match_stateless_oracle(monkeypatch, rng):
     decided = set()
 
     def butterfly(x, columns):
-        decided.add((len(columns), x.shape[-1]))
+        decided.add((len(columns), x.shape[0]))
         return transform(x, columns)
 
     transform = codec._butterfly
@@ -435,38 +484,42 @@ def test_table_reuse_matches_stateless_oracle(monkeypatch, rng):
         (random_kernel(ell, rng), 3 if ell <= 5 else 2) for ell in range(4, 17) for _ in range(3)
     ]
     calls: dict[tuple[int, int], np.ndarray] = {}
-    blocks: list[tuple[int, int]] = []  # (base, length) of the blocks being decoded
+    # (base, length, index-major) of the blocks being decoded
+    blocks: list[tuple[int, int, bool]] = []
 
     def recorded(dec, phase, prefix, llrs, held=None, flip=None):
-        base, length = blocks[-1]
+        base, length, index_major = blocks[-1]
         sub = length // len(dec.supports)
         out = phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
-        calls[base + phase * sub, sub] = out[0]
+        llr = out[0]
+        if index_major:  # the fast path's rows run (s, b), the oracle's (b, s)
+            llr = llr.reshape(sub, -1).T.ravel()
+        calls[base + phase * sub, sub] = llr
         return out
 
-    def entered(decode):
-        def run(of_kernel, frozen, llrs, base, errors):
-            blocks.append((base, llrs.shape[1]))
+    def entered(decode, index_major):
+        def run(of_kernel, frozen, llrs, base, errors, *u):
+            blocks.append((base, llrs.shape[0 if index_major else 1], index_major))
             try:
-                return decode(of_kernel, frozen, llrs, base, errors)
+                return decode(of_kernel, frozen, llrs, base, errors, *u)
             finally:
                 blocks.pop()
 
         return run
 
-    fast, stateless = entered(_sc_decode_rec), entered(stateless_sc_decode)
+    fast, stateless = entered(_sc_decode_rec, True), entered(stateless_sc_decode, False)
     monkeypatch.setattr(codec, "phase_llrs_trellis", recorded)
     monkeypatch.setattr(codec, "_sc_decode_rec", fast)
     monkeypatch.setattr(conftest, "stateless_sc_decode", stateless)
     compared = 0
     for kernel, m in cases:
-        ell = kernel.ncols
+        ell, dec = kernel.ncols, build_link_tables(kernel)
         n = ell**m
         frozen = select_frozen_set(ell, m, n // 2, kernel, 1.0, 16, seed=int(rng.integers(1 << 30)))
         llrs = rng.normal(scale=2.0, size=(4, n))
         for frozen_set, genie in ((frozen, False), (frozenset(range(n)), True)):
             runs = []
-            for decode, of_kernel in ((fast, build_link_tables(kernel)), (stateless, kernel)):
+            for decode, of_kernel in ((_decode_rec, dec), (stateless, kernel)):
                 calls.clear()
                 errors = np.zeros(n, dtype=np.int64) if genie else None
                 u, v = decode(of_kernel, frozen_set, llrs, 0, errors)
@@ -480,6 +533,36 @@ def test_table_reuse_matches_stateless_oracle(monkeypatch, rng):
                 np.testing.assert_array_equal(got_array, want_array)
             compared += len(got_llrs)
     assert compared > 8_000
+
+
+def test_phase_calls_read_views_of_their_block(monkeypatch, rng):
+    """Every phase call reads its LLRs as a view of its block's LLR array,
+    with no per-level copy, on the fast and the genie path: BEST16 at m=2,
+    ARIKAN at m=8 and a random kernel of width 3 at m=4."""
+    blocks = []
+    calls = 0
+
+    def entered(dec, frozen, llrs, *rest):
+        blocks.append(llrs)
+        try:
+            return decode(dec, frozen, llrs, *rest)
+        finally:
+            blocks.pop()
+
+    def viewed(dec, phase, prefix, llrs, *rest):
+        nonlocal calls
+        assert np.shares_memory(llrs, blocks[-1])
+        calls += 1
+        return phase_llrs_trellis(dec, phase, prefix, llrs, *rest)
+
+    decode = codec._sc_decode_rec
+    monkeypatch.setattr(codec, "_sc_decode_rec", entered)
+    monkeypatch.setattr(codec, "phase_llrs_trellis", viewed)
+    for kernel, m in ((BEST16, 2), (ARIKAN, 8), (random_kernel(3, rng), 4)):
+        ell, n = kernel.ncols, kernel.ncols**m
+        frozen = select_frozen_set(ell, m, n // 2, kernel, 2.0, 8, seed=1)
+        sc_decode_batch(PolarCodeSpec(ell, m, n // 2, kernel, frozen), rng.normal(size=(3, n)))
+    assert calls > 1_000
 
 
 def _model_gathers(kernel) -> list[set[tuple[int, int]]]:
@@ -701,7 +784,7 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
         kernel, n = spec.kernel, spec.n
         trees = section_trees(kernel)
         genie = np.zeros(n, dtype=np.int64)
-        got_genie = _sc_decode_rec(build_link_tables(kernel), frozenset(range(n)), llrs, 0, genie)
+        got_genie = _decode_rec(build_link_tables(kernel), frozenset(range(n)), llrs, 0, genie)
         got = (*sc_decode_batch(spec, llrs), *got_genie, genie)
         for got_array, want_array in zip(got, want, strict=True):
             np.testing.assert_array_equal(got_array, want_array)
