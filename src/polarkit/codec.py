@@ -355,9 +355,10 @@ def build_link_tables(kernel: BitMatrix) -> _Decoder:
     XOR u_a K[a], so coset c of node n reads the previous table at the
     coordinates of n's coset word c, plus u_a times those of K[a], in the
     previous node's coset basis."""
-    trees = section_trees(kernel)
+    table = section_trees(kernel)
+    trees = table.roots()
     gathers = [()]
-    costs = phase_costs(trees, ReuseMode.SECTION_TABLES)
+    costs = phase_costs(table, ReuseMode.SECTION_TABLES)
     for a, (prev, cost) in enumerate(zip(trees, costs[1:])):
         plan = []
         for x, y in cost.reused:

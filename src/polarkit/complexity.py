@@ -8,19 +8,22 @@ dimensions (w, v) of the section's coset structure.  Trellis tables of a
 section can be reused in the next phase when the section's code spaces
 only shrink, which zeroes that subtree's cost.  ``ReuseMode`` selects how
 that condition is judged; ``SECTION_TABLES`` judges it on the section's
-own codes.  ``_phase_cost`` costs a phase and decides its reuse in one
-walk of the tree, and documents each policy.
+own codes.
+
+``section_trees`` computes every phase's section codes in one pass into
+a flat ``SectionTable`` of plain values, per phase and per section of the
+midpoint tree.  ``phase_costs`` costs a phase and decides its reuse in
+one pre-order walk of the table, and documents each policy.  The decoder
+reads the same table through ``SectionNode`` views.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
-from typing import Callable
 
 import numpy as np
 
@@ -52,68 +55,153 @@ class ReuseMode(str, Enum):
 CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 
 
-# not frozen: a frozen __init__ costs several times more per node
-@dataclass
-class SectionNode:
-    x: int
-    y: int
-    w: int  # 0 on leaves
-    v: int  # the punctured code's dimension is k_s + v
-    children: tuple["SectionNode", ...]
-    # s_basis is the reduced echelon basis (a canonical fingerprint) of the
-    # section's shortened subcode, in full-width rows.
-    s_basis: tuple[int, ...] = field(repr=False)
-    mask: int = field(repr=False)  # the section's columns, in full-width rows
-    # the phase's extended code basis, shared by its nodes, built on first call
-    code_basis: Callable[[], tuple[int, ...]] = field(repr=False, compare=False)
-    phase: int = field(repr=False, compare=False)
-    # the phase row's projection lies outside that of the rows below it
-    widened: bool = field(repr=False, compare=False)
+class SectionTable:
+    """The section codes of every phase of one kernel (``section_trees``).
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.y - self.x == 1
+    Section j is entry j of ``sections`` (``_midpoint_sections(ell)``).
+    Per phase p, ``s_basis[p][j]`` is the reduced echelon basis (a
+    canonical fingerprint) of the section's shortened subcode, in
+    full-width rows; ``w[p][j]`` (0 on leaves) and ``v[p][j]`` are its
+    coset dimensions, the punctured code's dimension being
+    ``len(s_basis[p][j]) + v[p][j]``; and ``widened[p][j]`` says that the
+    phase row's projection lies outside that of the rows below it.  The phase code bases, the w/v
+    representatives and the decoder's link arrays are derived on first
+    read and memoized here, so they live as long as the table.
+    """
 
-    @property
-    def k_s(self) -> int:
-        """Dimension of the shortened code."""
-        return len(self.s_basis)
+    __slots__ = ("kernel", "ell", "sections", "s_basis", "w", "v", "widened")
+    __slots__ += ("_code_bases", "_reps", "_links")  # the memos
 
-    @property
-    def comb_cost(self) -> int:
-        return 0 if self.is_leaf else comb_cost(self.w, self.v)
+    def __init__(self, kernel: BitMatrix, s_basis: list, w: list, v: list, widened: list):
+        self.kernel, self.ell = kernel, kernel.ncols
+        self.sections = _midpoint_sections(self.ell)
+        self.s_basis, self.w, self.v, self.widened = s_basis, w, v, widened
+        self._code_bases: dict[int, tuple[int, ...]] = {}
+        # keyed (phase, section, 0) for w_reps and (phase, section, 1) for v_reps
+        self._reps: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._links: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
-    # w_reps/v_reps, the full-width representatives of the w- and v-blocks,
-    # are derived on first use.  A row is kept when its residual is nonzero,
-    # i.e. when it lies outside the span of the seed and the rows kept before.
+    def roots(self) -> list[SectionNode]:
+        """Each phase's section tree, as a view of its root."""
+        root = len(self.sections) - 1
+        return [SectionNode(self, phase, root) for phase in range(self.ell)]
 
-    @cached_property
-    def w_reps(self) -> tuple[int, ...]:
+    def code_basis(self, phase: int) -> tuple[int, ...]:
+        """Row-echelon basis of the rows of ``extend_kernel(kernel, phase)``."""
+        basis = self._code_bases.get(phase)
+        if basis is None:
+            rows = self.kernel.rows
+            extended = [(rows[phase] << 1) | 1, *(r << 1 for r in rows[phase + 1 :])]
+            basis = self._code_bases[phase] = tuple(row_basis(extended))
+        return basis
+
+    # A representative is a row kept because its residual is nonzero, i.e.
+    # it lies outside the span of the seeds and the rows kept before it.
+    # The seeds are echelon rows with distinct leading bits, so they are
+    # pivots as they stand.  Once the pivots reach the rank of all the rows,
+    # every later row lies in their span, so the selection stops there.
+
+    def w_reps(self, phase: int, j: int) -> tuple[int, ...]:
         """Shortened codewords outside the span of the child shortened codes."""
-        child_span = [r for c in self.children for r in c.s_basis]
-        if len(child_span) == self.k_s:  # w = 0: the children's codes make up the section's
-            return ()
-        pivots: dict[int, int] = {}
-        eliminate(pivots, child_span)
-        return tuple(compress(self.s_basis, eliminate(pivots, self.s_basis)))
+        reps = self._reps.get((phase, j, 0))
+        if reps is None:
+            s_b = self.s_basis[phase]
+            pivots = {r.bit_length() - 1: r for h in self.sections[j][3] for r in s_b[h]}
+            reps = self._reps[phase, j, 0] = _select(pivots, s_b[j], s_b[j], len(s_b[j]))
+        return reps
 
-    @cached_property
-    def v_reps(self) -> tuple[int, ...]:
+    def v_reps(self, phase: int, j: int) -> tuple[int, ...]:
         """Code rows whose section projection extends the shortened
         projection to the punctured code."""
-        code_basis = self.code_basis()
-        # s_basis is reduced echelon and supported inside the section
-        pivots = {r.bit_length() - 1: r for r in self.s_basis}
-        return tuple(compress(code_basis, eliminate(pivots, [r & self.mask for r in code_basis])))
+        reps = self._reps.get((phase, j, 1))
+        if reps is None:
+            s_b = self.s_basis[phase][j]
+            mask = self.sections[j][2]
+            code_basis = self.code_basis(phase)
+            pivots = {r.bit_length() - 1: r for r in s_b}
+            projected = (r & mask for r in code_basis)
+            reps = _select(pivots, code_basis, projected, len(s_b) + self.v[phase][j])
+            self._reps[phase, j, 1] = reps
+        return reps
 
-    @cached_property
+    def reuse_eligible(self, phase: int, j: int) -> bool:
+        """Whether the trellis of section j in the previous phase covers
+        phase ``phase`` (the ``ALL_CONTIGUOUS`` rule): (1) the child
+        shortened codes are identical as row spaces, and (2) the w/v
+        representative rows of the phase lie inside the span of the
+        previous phase's w/v representatives.  A leaf never is.
+
+        A representative that carries the phase's column (the last bit)
+        decides (2) alone: the previous phase's code can set that column
+        only through its own phase row, which lies outside the span of the
+        later rows of a non-singular kernel.  A ``widened`` section needs
+        such a representative, so it decides before any is built: the
+        v-representatives span the projection modulo the shortened code,
+        and one without the phase column lies in the code of the rows
+        below.  The tests run cheapest first: ``widened``, the child codes,
+        a phase-column v-representative, then the span test."""
+        if not 0 < phase < self.ell:
+            raise ValueError(f"phase {phase} has no previous phase in a width-{self.ell} table")
+        halves = self.sections[j][3]
+        if not halves or self.widened[phase][j]:
+            return False
+        prev, s_b = self.s_basis[phase - 1], self.s_basis[phase]
+        if prev[halves[0]] != s_b[halves[0]] or prev[halves[1]] != s_b[halves[1]]:
+            return False
+        v_reps = self.v_reps(phase, j)
+        if any(r & 1 for r in v_reps):
+            return False
+        prev_reps = self.w_reps(phase - 1, j) + self.v_reps(phase - 1, j)
+        return is_subcode(self.w_reps(phase, j) + v_reps, prev_reps)
+
+
+def _select(pivots: dict[int, int], rows: tuple[int, ...], reduced, rank: int) -> tuple[int, ...]:
+    """The rows whose ``reduced`` form adds a pivot, read until ``pivots``
+    holds ``rank``."""
+    if len(pivots) == rank:
+        return ()
+    return tuple(compress(rows, eliminate(pivots, reduced, rank=rank)))
+
+
+class SectionNode:
+    """Section ``index`` of phase ``phase`` of a ``SectionTable``, as a node
+    of that phase's section tree: a view whose every field is read or
+    derived from the table."""
+
+    __slots__ = ("table", "phase", "index")
+
+    def __init__(self, table: SectionTable, phase: int, index: int):
+        self.table, self.phase, self.index = table, phase, index
+
+    x = property(lambda self: self.table.sections[self.index][0])
+    y = property(lambda self: self.table.sections[self.index][1])
+    #: the section's columns, in full-width rows
+    mask = property(lambda self: self.table.sections[self.index][2])
+    w = property(lambda self: self.table.w[self.phase][self.index])
+    v = property(lambda self: self.table.v[self.phase][self.index])
+    s_basis = property(lambda self: self.table.s_basis[self.phase][self.index])
+    widened = property(lambda self: self.table.widened[self.phase][self.index])
+    w_reps = property(lambda self: self.table.w_reps(self.phase, self.index))
+    v_reps = property(lambda self: self.table.v_reps(self.phase, self.index))
+
+    @property
+    def children(self) -> tuple[SectionNode, ...]:
+        halves = self.table.sections[self.index][3]
+        return tuple(SectionNode(self.table, self.phase, h) for h in halves)
+
+    @property
     def links(self) -> tuple[np.ndarray, ...]:
         """Per child, the (2^v, 2^w) int64 array of the child coset that each
         of the node's 2^(w+v) sums reads; the decoder's trellis merge."""
-        # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
-        words = span_words(self.w_reps + self.v_reps)
-        shape = (1 << self.v, 1 << self.w)
-        return tuple(child.coset_indices(words).reshape(shape) for child in self.children)
+        key = (self.phase, self.index)
+        links = self.table._links.get(key)
+        if links is None:
+            # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
+            words = span_words(self.w_reps + self.v_reps)
+            shape = (1 << self.v, 1 << self.w)
+            links = tuple(child.coset_indices(words).reshape(shape) for child in self.children)
+            self.table._links[key] = links
+        return links
 
     def coset_indices(self, words: list[int]) -> np.ndarray:
         """The int64 table index of each word's coset: its coordinates over
@@ -123,9 +211,10 @@ class SectionNode:
         # coefficient bit MAX_COLS + k above them, so a word's residual holds
         # its v-coordinates once its columns cancel.
         low = (1 << MAX_COLS) - 1
-        seeds = [(1 << (MAX_COLS + k)) | (r & self.mask) for k, r in enumerate(self.v_reps)]
+        mask = self.mask
+        seeds = [(1 << (MAX_COLS + k)) | (r & mask) for k, r in enumerate(self.v_reps)]
         seeds += self.s_basis
-        residuals = eliminate({}, seeds + [word & self.mask for word in words], low)[len(seeds):]
+        residuals = eliminate({}, seeds + [word & mask for word in words], low)[len(seeds):]
         if any(r & low for r in residuals):
             raise ValueError("word outside the punctured code")
         return np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
@@ -214,9 +303,9 @@ def _midpoint_sections(ell: int) -> tuple[tuple[int, int, int, tuple[int, ...]],
     return tuple(sections)
 
 
-def section_trees(kernel: BitMatrix) -> list[SectionNode]:
-    """The section trees of all ell phases of a square, non-singular kernel,
-    over the full binary midpoint tree of the non-appended columns.
+def section_trees(kernel: BitMatrix) -> SectionTable:
+    """The section codes of all ell phases of a square, non-singular
+    kernel, over the full binary midpoint tree of the non-appended columns.
 
     The appended phase column counts as "outside" every section, so it
     takes part in shortening but never in puncturing: phase i's shortened
@@ -231,13 +320,12 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
     # per section: pivots by leading outside bit, the shortened code's
     # reduced echelon basis by leading bit, pivots by leading inside bit
     states = [({}, {}, {}) for _ in sections]
-    s_bases: list[tuple[int, ...]] = [()] * len(sections)
-    trees: list[SectionNode] = []
+    bases: list[tuple[int, ...]] = [()] * len(sections)  # the phase's s_basis per section
+    s_basis, ws, vs, widened = [], [], [], []
     for phase in reversed(range(ell)):
         shorten = [kernel.rows[phase + 1] << 1] if phase + 1 < ell else []
         extend = [kernel.rows[phase] << 1]
-        code_basis = cache(lambda phase=phase: tuple(row_basis(extend_kernel(kernel, phase).rows)))
-        nodes: list[SectionNode] = []
+        w, v, wide = [], [], []
         for j, ((x, y, inside, halves), (outside_pivots, basis, inside_pivots)) in enumerate(
             zip(sections, states)
         ):
@@ -249,137 +337,37 @@ def section_trees(kernel: BitMatrix) -> list[SectionNode]:
                     basis.update(zip(basis, eliminate({p: r}, basis.values(), 1 << p)))
                     basis[p] = r
                     # distinct leading bits: descending values are echelon order
-                    s_bases[j] = tuple(sorted(basis.values(), reverse=True))
+                    bases[j] = tuple(sorted(basis.values(), reverse=True))
             k_p = len(inside_pivots)  # rank of the projection of rows phase+1..
             if k_p < y - x:  # else the projection is all of the section
                 eliminate(inside_pivots, extend, inside)
-            s_b = s_bases[j]
-            children: tuple[SectionNode, ...] = ()
-            w = 0
-            if halves:
-                children = (nodes[halves[0]], nodes[halves[1]])
-                w = len(s_b) - len(children[0].s_basis) - len(children[1].s_basis)
-            v = len(inside_pivots) - len(s_b)
-            widened = len(inside_pivots) > k_p
-            nodes.append(SectionNode(x, y, w, v, children, s_b, inside, code_basis, phase, widened))
-        trees.append(nodes[-1])
-    return trees[::-1]
+            k_s = len(bases[j])
+            w.append(k_s - len(bases[halves[0]]) - len(bases[halves[1]]) if halves else 0)
+            v.append(len(inside_pivots) - k_s)
+            wide.append(len(inside_pivots) > k_p)
+        s_basis.append(tuple(bases))
+        ws.append(w)
+        vs.append(v)
+        widened.append(wide)
+    return SectionTable(kernel, s_basis[::-1], ws[::-1], vs[::-1], widened[::-1])
 
 
-def reuse_eligible(prev: SectionNode, nxt: SectionNode) -> bool:
-    """Whether the trellis of this section in the previous phase covers the
-    next phase: (1) the child shortened codes are identical as row spaces,
-    and (2) the w/v representative rows of the next phase lie inside the
-    span of the previous phase's w/v representatives.
-
-    A representative that carries the next phase's column (the last bit)
-    decides (2) alone: the previous phase's code can set that column only
-    through its own phase row, which lies outside the span of the later
-    rows of a non-singular kernel.  A ``widened`` section needs such a
-    representative, so it decides before any is built: the
-    v-representatives span the projection modulo the shortened code, and
-    one without the phase column lies in the code of the rows below."""
-    if (prev.x, prev.y, prev.phase + 1) != (nxt.x, nxt.y, nxt.phase):
-        raise ValueError("reuse comparison requires matching intervals of consecutive phases")
-    if prev.is_leaf or nxt.is_leaf:
-        return False
-    if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
-        return False
-    if nxt.widened or any(r & 1 for r in nxt.v_reps):
-        return False
-    return is_subcode(nxt.w_reps + nxt.v_reps, prev.w_reps + prev.v_reps)
-
-
-def _phase_cost(
-    prev: SectionNode | None,
-    tree: SectionNode,
-    policy: ReuseMode,
-    prev_reused: tuple[tuple[int, int], ...],
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Cost of phase tree ``tree`` and its maximal sections whose trellis
-    table is taken from the previous phase's tree ``prev`` (None for phase
-    0), found in one top-down walk below the root: a section that fits is
-    recorded and costs nothing, and its subtree is skipped; every other
-    internal node charges ``comb_cost``.  ``prev_reused`` is what the
-    previous phase reused.
-
-    ``NONE`` reuses nothing.  ``ALL_CONTIGUOUS`` applies ``reuse_eligible``.
-    The root itself never passes it: its v-representative carries the phase
-    column, which the previous phase can form only from its own phase row,
-    and that row lies outside the span of the later rows of a non-singular
-    kernel.
-
-    ``SECTION_TABLES`` judges reuse on the section's own codes.  A section's
-    table has one entry per coset of its shortened code S in its punctured
-    code P, both taken on the section's columns only; the appended phase
-    column and the columns outside the section do not enter.  A node costs
-    nothing, and its subtree is skipped, when the previous phase holds a
-    table of the same interval for the same S: every coset the next phase
-    needs is then an entry of that table.  The punctured codes need no
-    test, because the next phase's code (and the known-prefix translate it
-    is decoded in) lies inside the previous phase's, so its cosets are
-    among the held ones.
-
-    What the previous phase holds for an interval:
-
-    * If it computed the node: the table (code S), and the 2^(w+v)
-      pre-comparison sums.  Each sum is the metric of one coset of
-      S_left + S_right, so the sums are the section's table for that
-      code.  The phase paid for them (the 2^(w+v) term of ``comb_cost``).
-      The model's own reuse condition, "child shortened codes unchanged
-      and the w/v spaces only shrink", is a statement about exactly this
-      table: its entries are indexed by the w/v space over the fixed
-      children.
-    * If it reused the node: the table it read, for its own S.  Its
-      subtree was not evaluated, so nothing below it is held.
-    * Nothing older: reuse is between consecutive phases, and a table
-      that the previous phase neither formed nor read is not its table.
-
-    The root is never reused and holds nothing.  Its two cosets are the
-    two values of the phase's own symbol, and its merge is the
-    successive-cancellation step that turns the top sections into the
-    phase output; the rule is about the section tables below it.  No
-    other policy credits the root either (see above).  Reusing the root's
-    sums would make whole phases free, which changes the decoder's
-    schedule rather than how sections are judged.
-
-    The node cost stays ``comb_cost``, the published formula that every
-    policy shares; this policy changes only which nodes are charged.
-    """
-    reused: list[tuple[int, int]] = []
-
-    def walk(p: SectionNode | None, n: SectionNode, held: bool) -> int:
-        # p: the previous phase's node of n's interval, None where reuse is
-        # not tested.  held: the previous phase reused no section above p,
-        # so it holds p's table (and p's sums, unless it reused p itself)
-        if n.is_leaf:
-            return 0
-        if p is not None and n is not tree:
-            key = (n.x, n.y)
-            if policy is not ReuseMode.SECTION_TABLES:
-                fits = reuse_eligible(p, n)
-            else:
-                # shortened rows vanish outside the section, so equal
-                # fingerprints are equal codes on the section's own columns.
-                # The children's bases have disjoint supports, left above
-                # right, so their concatenation is the reduced basis of the
-                # sum S_left + S_right.
-                p_left, p_right = p.children
-                fits = held and (
-                    n.s_basis == p.s_basis
-                    or (key not in prev_reused and n.s_basis == p_left.s_basis + p_right.s_basis)
-                )
-            if fits:
-                reused.append(key)
-                return 0
-            held = held and key not in prev_reused
-        left, right = n.children
-        if p is None:
-            return walk(None, left, held) + walk(None, right, held) + n.comb_cost
-        return walk(p.children[0], left, held) + walk(p.children[1], right, held) + n.comb_cost
-
-    cost = walk(None if policy is ReuseMode.NONE else prev, tree, True)
-    return cost, tuple(reused)
+@lru_cache(maxsize=None)
+def _preorder(ell: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The internal sections below the root of the midpoint tree, in
+    pre-order (left to right), as (section, halves, end): the walk skips a
+    section's subtree by going on at position end.  A section of width n
+    has n - 1 internal sections in its subtree, itself included."""
+    sections = _midpoint_sections(ell)
+    order: list[tuple[int, tuple[int, ...], int]] = []
+    stack = list(sections[-1][3][::-1])
+    while stack:
+        j = stack.pop()
+        x, y, _, halves = sections[j]
+        if halves:
+            order.append((j, halves, len(order) + y - x - 1))
+            stack += halves[::-1]
+    return tuple(order)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -397,12 +385,96 @@ def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> 
     return ComplexityReport(phase_costs(section_trees(kernel), policy), policy)
 
 
-def phase_costs(trees: Sequence[SectionNode], policy: ReuseMode) -> tuple[PhaseCost, ...]:
+def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]:
     """The cost and reused sections of each phase of ``section_trees``'
-    output; the SC decoder reads the ``SECTION_TABLES`` reuse from here."""
+    table; the SC decoder reads the ``SECTION_TABLES`` reuse from here.
+
+    A phase is costed in one pre-order walk of its internal sections below
+    the root, which the root's ``comb_cost`` joins: a section whose
+    trellis table is taken from the previous phase is recorded and costs
+    nothing, and its subtree is skipped; every other one charges
+    ``comb_cost``.  Phase 0 reuses nothing.
+
+    ``NONE`` reuses nothing.  ``ALL_CONTIGUOUS`` applies
+    ``SectionTable.reuse_eligible``.  The root itself never passes it: its
+    v-representative carries the phase column, which the previous phase
+    can form only from its own phase row, and that row lies outside the
+    span of the later rows of a non-singular kernel.
+
+    ``SECTION_TABLES`` judges reuse on the section's own codes.  A
+    section's table has one entry per coset of its shortened code S in its
+    punctured code P, both taken on the section's columns only; the
+    appended phase column and the columns outside the section do not
+    enter.  A section costs nothing, and its subtree is skipped, when the
+    previous phase holds a table of the same interval for the same S:
+    every coset the phase needs is then an entry of that table.  The
+    punctured codes need no test, because the phase's code (and the
+    known-prefix translate it is decoded in) lies inside the previous
+    phase's, so its cosets are among the held ones.
+
+    What the previous phase holds for an interval:
+
+    * If it computed the section: the table (code S), and the 2^(w+v)
+      pre-comparison sums.  Each sum is the metric of one coset of
+      S_left + S_right, so the sums are the section's table for that
+      code.  The phase paid for them (the 2^(w+v) term of ``comb_cost``).
+      The model's own reuse condition, "child shortened codes unchanged
+      and the w/v spaces only shrink", is a statement about exactly this
+      table: its entries are indexed by the w/v space over the fixed
+      children.
+    * If it reused the section: the table it read, for its own S.  Its
+      subtree was not evaluated, so nothing below it is held.
+    * Nothing older: reuse is between consecutive phases, and a table
+      that the previous phase neither formed nor read is not its table.
+
+    The root is never reused and holds nothing.  Its two cosets are the
+    two values of the phase's own symbol, and its merge is the
+    successive-cancellation step that turns the top sections into the
+    phase output; the rule is about the section tables below it.  No
+    other policy credits the root either (see above).  Reusing the root's
+    sums would make whole phases free, which changes the decoder's
+    schedule rather than how sections are judged.
+
+    The section cost stays ``comb_cost``, the published formula that every
+    policy shares; this policy changes only which sections are charged.
+    """
+    sections = table.sections
+    walk = _preorder(table.ell)
+    root = len(sections) - 1
     per_phase = []
-    reused: tuple[tuple[int, int], ...] = ()
-    for prev, tree in zip([None, *trees], trees):
-        cost, reused = _phase_cost(prev, tree, policy, reused)
-        per_phase.append(PhaseCost(cost, reused))
+    prev_reused: list[int] = []
+    for phase, (w, v, s_b) in enumerate(zip(table.w, table.v, table.s_basis)):
+        cost = comb_cost(w[root], v[root])
+        reused: list[int] = []
+        tested = phase > 0 and policy is not ReuseMode.NONE
+        prev = table.s_basis[phase - 1]  # not read in phase 0
+        # the walk is below a section that the previous phase reused, whose
+        # subtree it does not hold, up to position `unheld`; those sections
+        # are disjoint, so one such subtree never lies inside another
+        i = unheld = 0
+        while i < len(walk):
+            j, (left, right), end = walk[i]
+            if tested:
+                if policy is ReuseMode.SECTION_TABLES:
+                    # shortened rows vanish outside the section, so equal
+                    # fingerprints are equal codes on the section's own
+                    # columns.  The children's bases have disjoint
+                    # supports, left above right, so their concatenation
+                    # is the reduced basis of the sum S_left + S_right.
+                    fits = i >= unheld and (
+                        s_b[j] == prev[j]
+                        or (j not in prev_reused and s_b[j] == prev[left] + prev[right])
+                    )
+                else:
+                    fits = table.reuse_eligible(phase, j)
+                if fits:
+                    reused.append(j)
+                    i = end
+                    continue
+                if j in prev_reused:
+                    unheld = end
+            cost += comb_cost(w[j], v[j])
+            i += 1
+        per_phase.append(PhaseCost(cost, tuple(sections[j][:2] for j in reused)))
+        prev_reused = reused
     return tuple(per_phase)

@@ -55,7 +55,9 @@ class BitMatrix:
         return [unpack_row(r, self.ncols) for r in self.rows]
 
 
-def eliminate(pivots: dict[int, int], rows: Iterable[int], mask: int = -1) -> list[int]:
+def eliminate(
+    pivots: dict[int, int], rows: Iterable[int], mask: int = -1, rank: int | None = None
+) -> list[int]:
     """Reduce each row, in order, by the pivot rows and return every row's
     residual.
 
@@ -64,7 +66,9 @@ def eliminate(pivots: dict[int, int], rows: Iterable[int], mask: int = -1) -> li
     of its leading bit there.  Bits outside ``mask`` are carried, never
     searched: a row whose residual is zero inside ``mask`` equals there the
     XOR of the pivots that reduced it, and its residual's other bits are
-    its own XORed with those pivots' other bits.
+    its own XORed with those pivots' other bits.  Given ``rank``, the
+    reduction stops at the row whose pivot brings ``pivots`` to that size,
+    so only the residuals up to it are returned.
     """
     residuals = []
     for r in rows:
@@ -73,6 +77,9 @@ def eliminate(pivots: dict[int, int], rows: Iterable[int], mask: int = -1) -> li
             pivot = pivots.get(p)
             if pivot is None:
                 pivots[p] = r
+                if rank is not None and len(pivots) == rank:
+                    residuals.append(r)
+                    return residuals
                 break
             r ^= pivot
         residuals.append(r)

@@ -153,15 +153,17 @@ def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> Bi
         valid = valid_rows(ell, rows, want)
         if not valid.any():
             return None
-        row = 0
-        free = list(range(ell))  # unset bit positions, ascending
-        for _ in range(want):
-            if not left:
-                return None
-            row |= 1 << free.pop(int(rng.integers(len(free))))
-            left -= 1
-        if valid[row]:
-            rows += (row,)
+        while True:  # draw the row until it is valid
+            row = 0
+            free = list(range(ell))  # unset bit positions, ascending
+            for _ in range(want):
+                if not left:
+                    return None
+                row |= 1 << free.pop(int(rng.integers(len(free))))
+                left -= 1
+            if valid[row]:
+                break
+        rows += (row,)
     return BitMatrix(ell, rows[::-1])
 
 

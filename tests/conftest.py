@@ -17,14 +17,7 @@ import pytest
 
 from polarkit import codec
 from polarkit.codec import build_link_tables, phase_llrs_trellis
-from polarkit.complexity import (
-    ReuseMode,
-    comb_cost,
-    extend_kernel,
-    reuse_eligible,
-    section_trees,
-    split_point,
-)
+from polarkit.complexity import ReuseMode, comb_cost, extend_kernel, split_point
 from polarkit.gf2 import (
     MAX_COLS,
     BitMatrix,
@@ -161,11 +154,11 @@ def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], 
 
 def section_tree_phase_llrs(tree, prefix, llrs) -> np.ndarray:
     """`codec.phase_llrs_trellis`'s phase LLRs with no compiled program and
-    no workspace: the phase tree (of `complexity.section_trees`) evaluated
-    recursively into fresh arrays.  A leaf's table is its column's
-    prefix-signed half LLR h, as [h, -h] (one entry when the column is
-    known) or, for a column free in the shortened code, [|h|]; a node's is
-    the max over its 2^w linked sums of its children's entries."""
+    no workspace: the phase tree (a root view of `complexity.section_trees`'
+    table) evaluated recursively into fresh arrays.  A leaf's table is its
+    column's prefix-signed half LLR h, as [h, -h] (one entry when the
+    column is known) or, for a column free in the shortened code, [|h|]; a
+    node's is the max over its 2^w linked sums of its children's entries."""
     signed = np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T)
 
     def table(node) -> np.ndarray:
@@ -258,10 +251,21 @@ def shortened_basis(rows: Iterable[int], outside_mask: int) -> tuple[int, ...]:
     return reduced_basis(r for r in residuals if not r & outside_mask)
 
 
+def greedy_selection(
+    seeds: Iterable[int], rows: Sequence[int], reduced: Iterable[int]
+) -> tuple[int, ...]:
+    """The rows whose ``reduced`` form lies outside the span of ``seeds``
+    and of the forms kept before it, with every row read: the
+    representatives' selection without its early stop."""
+    pivots: dict[int, int] = {}
+    eliminate(pivots, seeds)
+    return tuple(r for r, res in zip(rows, eliminate(pivots, reduced), strict=True) if res)
+
+
 @dataclass(frozen=True)
 class OracleNode:
     """A section node with every field computed eagerly (the attributes
-    of ``complexity.SectionNode``)."""
+    of a ``complexity.SectionNode`` view)."""
 
     x: int
     y: int
@@ -296,12 +300,8 @@ def build_section_tree(extended: BitMatrix) -> OracleNode:
     phase = ncols - 1 - extended.nrows  # the extended rows are phase..ell-1
 
     def wv_reps(s_b, child_span, inside):
-        pivots: dict[int, int] = {}
-        eliminate(pivots, child_span)
-        w_reps = tuple(r for r, res in zip(s_b, eliminate(pivots, s_b)) if res)
-        pivots = {r.bit_length() - 1: r for r in s_b}
-        residuals = eliminate(pivots, [r & inside for r in code_basis])
-        v_reps = tuple(r for r, res in zip(code_basis, residuals) if res)
+        w_reps = greedy_selection(child_span, s_b, s_b)
+        v_reps = greedy_selection(s_b, code_basis, [r & inside for r in code_basis])
         return w_reps, v_reps
 
     def node(x: int, y: int) -> OracleNode:
@@ -320,9 +320,10 @@ def build_section_tree(extended: BitMatrix) -> OracleNode:
 
 
 def oracle_reuse_eligible(prev, nxt) -> bool:
-    """``complexity.reuse_eligible`` as its rule reads: equal child
-    shortened codes, then a span test of the representatives."""
-    if prev.is_leaf or nxt.is_leaf:
+    """``complexity.SectionTable.reuse_eligible`` as its rule reads, on two
+    nodes (oracle nodes or views) of one interval in consecutive phases:
+    equal child shortened codes, then a span test of the representatives."""
+    if not prev.children or not nxt.children:
         return False
     if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
         return False
@@ -334,9 +335,10 @@ def oracle_section_trees(kernel: BitMatrix) -> list[OracleNode]:
 
 
 def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
-    """``complexity.total_complexity(kernel, policy).to_json_dict()`` in two
-    walks per phase: one finds the maximal reused sections, a second
-    charges every node outside them."""
+    """``complexity.total_complexity(kernel, policy).to_json_dict()`` over
+    ``oracle_section_trees``, in two recursive walks per phase: one finds
+    the maximal reused sections, by ``oracle_reuse_eligible`` under
+    ``ALL_CONTIGUOUS``, and a second charges every node outside them."""
 
     def reused_sections(prev, nxt, prev_reused: set) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
@@ -346,7 +348,7 @@ def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
                 return
             key = (n.x, n.y)
             if policy is not ReuseMode.SECTION_TABLES:
-                fits = reuse_eligible(p, n)
+                fits = oracle_reuse_eligible(p, n)
             else:
                 left, right = p.children
                 fits = held and (
@@ -369,7 +371,7 @@ def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:
             return 0
         return sum(cost_with_reuse(c, reused) for c in tree.children) + tree.comb_cost
 
-    trees = section_trees(kernel)
+    trees = oracle_section_trees(kernel)
     per_phase = []
     reused: list[tuple[int, int]] = []
     for i, tree in enumerate(trees):

@@ -128,9 +128,9 @@ def test_trellis_matches_exhaustive_oracle():
     (2^v, 2^w), the model's 2^(w+v) sums."""
     kernels, deviations = trellis_oracle_cases()
     for kernel in kernels:
-        for tree in section_trees(kernel):
+        for tree in section_trees(kernel).roots():
             for n in _nodes(tree):
-                if not n.is_leaf:
+                if n.children:
                     assert [a.shape for a in n.links] == [(1 << n.v, 1 << n.w)] * 2
     assert len(deviations) >= 200
     assert max(deviations) <= 1e-9
@@ -568,7 +568,7 @@ def test_phase_calls_read_views_of_their_block(monkeypatch, rng):
 def _model_gathers(kernel) -> list[set[tuple[int, int]]]:
     """Per phase, the sections that the `SECTION_TABLES` model reuses with
     an unchanged shortened code: the previous phase's table itself."""
-    trees = section_trees(kernel)
+    trees = section_trees(kernel).roots()
     report = total_complexity(kernel, ReuseMode.SECTION_TABLES)
     per_phase = [set()]
     for prev, tree, cost in zip(trees, trees[1:], report.per_phase[1:]):
@@ -735,7 +735,7 @@ def test_workspace_plans_keep_live_buffers_apart(rng):
     for kernel in kernels:
         dec = build_link_tables(kernel)
         for programs in (dec.cold, dec.warm):
-            for prog, tree in zip(programs, section_trees(kernel)):
+            for prog, tree in zip(programs, section_trees(kernel).roots()):
                 _check_plan(prog, tree)
                 assert prog.peak <= _stack_peak(prog, tree)
                 below += prog.peak < _stack_peak(prog, tree)
@@ -782,7 +782,7 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
     monkeypatch.setattr(codec, "phase_llrs_trellis", poisoned)
     for spec, llrs, want in runs:
         kernel, n = spec.kernel, spec.n
-        trees = section_trees(kernel)
+        trees = section_trees(kernel).roots()
         genie = np.zeros(n, dtype=np.int64)
         got_genie = _decode_rec(build_link_tables(kernel), frozenset(range(n)), llrs, 0, genie)
         got = (*sc_decode_batch(spec, llrs), *got_genie, genie)

@@ -15,7 +15,6 @@ from polarkit.complexity import (
     SectionNode,
     comb_cost,
     extend_kernel,
-    reuse_eligible,
     section_trees,
     split_point,
     total_complexity,
@@ -25,6 +24,7 @@ from polarkit.gf2 import BitMatrix, interval_mask, is_subcode, row_basis
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import (
+    greedy_selection,
     naive_rank,
     naive_span,
     oracle_reuse_eligible,
@@ -70,40 +70,55 @@ def test_split_point_midpoint():
 
 
 def _node_fields(tree) -> list[tuple]:
+    """Every node's fields, and the size, cost and leaf test derived from them."""
     return [
-        (n.x, n.y, n.w, n.v, n.k_s, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
-        + (n.mask, n.phase, len(n.children))
+        (n.x, n.y, n.w, n.v, len(n.s_basis), comb_cost(n.w, n.v) if n.children else 0)
+        + (not n.children, n.s_basis, n.w_reps, n.v_reps, n.mask, n.phase, len(n.children))
         for n in _nodes(tree)
     ]
 
 
-def _reports(kernel: BitMatrix) -> list[str]:
-    """Report JSON under every policy."""
-    return [total_complexity(kernel, policy).to_json() for policy in ReuseMode]
-
-
-def test_section_trees_match_per_phase_oracle(rng, monkeypatch):
-    """Differential oracle: the one-pass trees equal trees built phase by
-    phase from scratch, on every node field (representatives included),
-    and so do the reports of every policy and the decoder's link tables."""
+def test_section_trees_match_per_phase_oracle(rng):
+    """Differential oracle: the one-pass table's views equal trees built
+    phase by phase from scratch, on every node field (representatives
+    included), and the report of every policy equals the two-walk oracle
+    run over those trees and the literal reuse rule."""
     kernels = [ARIKAN, BEST12, BEST16]
     kernels += [random_kernel(2 + i % 15, rng) for i in range(150)]
-    oracle = {kernel: oracle_section_trees(kernel) for kernel in kernels}
-    new = {}
     for kernel in kernels:
-        trees = section_trees(kernel)
-        assert len(trees) == len(oracle[kernel]) == kernel.ncols
-        for phase, (tree, want) in enumerate(zip(trees, oracle[kernel])):
+        table = section_trees(kernel)
+        trees, oracle = table.roots(), oracle_section_trees(kernel)
+        assert len(trees) == len(oracle) == kernel.ncols
+        for phase, (tree, want) in enumerate(zip(trees, oracle)):
             assert _node_fields(tree) == _node_fields(want), (kernel, phase)
-            code_basis = tuple(row_basis(extend_kernel(kernel, phase).rows))
+            assert table.code_basis(phase) == tuple(row_basis(extend_kernel(kernel, phase).rows))
             for n in _nodes(tree):
                 assert n.mask == interval_mask(kernel.ncols + 1, n.x, n.y)
-                assert n.code_basis() == code_basis, (kernel, phase)
-        new[kernel] = _reports(kernel)
-    monkeypatch.setattr(complexity, "section_trees", oracle.__getitem__)
-    monkeypatch.setattr(complexity, "reuse_eligible", oracle_reuse_eligible)
-    for kernel in kernels:
-        assert new[kernel] == _reports(kernel), kernel
+        for policy in ReuseMode:
+            got = total_complexity(kernel, policy).to_json()
+            assert got == json.dumps(oracle_total_complexity(kernel, policy), indent=2), kernel
+
+
+def test_early_stopped_reps_match_full_selection(rng):
+    """The representatives stop reading rows once they span the rank; a
+    full greedy selection over every row (conftest) keeps the same rows.
+    Widths 2..12, every node of every phase; many selections do stop
+    before the last row."""
+    stopped = 0
+    for ell in range(2, 13):
+        for _ in range(6):
+            kernel = random_kernel(ell, rng)
+            table = section_trees(kernel)
+            for phase, tree in enumerate(table.roots()):
+                code_basis = table.code_basis(phase)
+                for n in _nodes(tree):
+                    seeds = [r for c in n.children for r in c.s_basis]
+                    assert n.w_reps == greedy_selection(seeds, n.s_basis, n.s_basis)
+                    projected = [r & n.mask for r in code_basis]
+                    assert n.v_reps == greedy_selection(n.s_basis, code_basis, projected)
+                    if n.v_reps:
+                        stopped += n.v_reps[-1] != code_basis[-1]
+    assert stopped >= 1000
 
 
 def _select(rows: tuple[int, ...], index: int) -> int:
@@ -126,9 +141,9 @@ def test_links_name_each_sums_child_coset(rng):
     kernels = [BEST12] + [random_kernel(ell, rng) for ell in range(2, 9) for _ in range(4)]
     checked = 0
     for kernel in kernels:
-        for tree in section_trees(kernel):
+        for tree in section_trees(kernel).roots():
             for n in _nodes(tree):
-                if n.is_leaf:
+                if not n.children:
                     continue
                 generators = n.w_reps + n.v_reps
                 for child, link in zip(n.children, n.links, strict=True):
@@ -159,7 +174,7 @@ def test_code_basis_built_only_for_representatives(rng, monkeypatch):
             else:
                 assert len(built) <= kernel.ncols, policy
         built.clear()
-        for tree in section_trees(kernel):
+        for tree in section_trees(kernel).roots():
             for n in _nodes(tree):
                 n.v_reps  # the first read in a phase builds its code basis
         assert len(built) == kernel.ncols
@@ -169,7 +184,7 @@ def test_root_v_is_one_every_phase(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 9))
         kernel = random_kernel(ell, rng)
-        for tree in section_trees(kernel):
+        for tree in section_trees(kernel).roots():
             assert tree.v == 1
 
 
@@ -178,13 +193,13 @@ def test_dimension_monotonicity(rng):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
         phase = int(rng.integers(0, ell))
-        tree = section_trees(kernel)[phase]
+        tree = section_trees(kernel).roots()[phase]
         for node in _nodes(tree):
             assert node.v >= 0  # the punctured code's dimension k_s + v is at least k_s
-            if not node.is_leaf:
-                left, right = node.children
-                assert node.k_s >= left.k_s + right.k_s
-                assert node.w == node.k_s - left.k_s - right.k_s
+            if node.children:
+                k_s, (left, right) = len(node.s_basis), node.children
+                assert k_s >= len(left.s_basis) + len(right.s_basis)
+                assert node.w == k_s - len(left.s_basis) - len(right.s_basis)
 
 
 def test_node_dimensions_match_enumeration(rng):
@@ -194,7 +209,7 @@ def test_node_dimensions_match_enumeration(rng):
     for _ in range(12):
         ell = int(rng.integers(2, 11))
         kernel = random_kernel(ell, rng)
-        for phase, tree in enumerate(section_trees(kernel)):
+        for phase, tree in enumerate(section_trees(kernel).roots()):
             bits = extend_kernel(kernel, phase).to_bits()
             words = naive_span(bits)
             k_s = {}
@@ -203,9 +218,9 @@ def test_node_dimensions_match_enumeration(rng):
                 shortened = [w for w in words if not any(w[:x]) and not any(w[y:])]
                 k_s[x, y] = len(shortened).bit_length() - 1
                 k_p = naive_rank([row[x:y] for row in bits])
-                assert (node.k_s, node.k_s + node.v) == (k_s[x, y], k_p)
+                assert (len(node.s_basis), len(node.s_basis) + node.v) == (k_s[x, y], k_p)
             for node in _nodes(tree):
-                if node.is_leaf:
+                if not node.children:
                     assert node.w == 0
                 else:
                     left, right = node.children
@@ -218,11 +233,13 @@ def test_reuse_eligible_matches_literal_rule(rng):
     decided = 0
     for _ in range(40):
         kernel = random_kernel(int(rng.integers(2, 13)), rng)
-        trees = section_trees(kernel)
+        table = section_trees(kernel)
+        trees = table.roots()
         for prev, nxt in zip(trees, trees[1:]):
             for p, n in zip(_nodes(prev), _nodes(nxt)):
-                assert reuse_eligible(p, n) == oracle_reuse_eligible(p, n), (kernel, p.phase)
-                decided += not p.is_leaf
+                got = table.reuse_eligible(n.phase, n.index)
+                assert got == oracle_reuse_eligible(p, n), (kernel, p.phase)
+                decided += bool(p.children)
     assert decided >= 1000
 
 
@@ -235,7 +252,7 @@ def test_widened_sections_fail_reuse_by_the_phase_column(rng):
     for ell in range(2, 17):
         for _ in range(4):
             kernel = random_kernel(ell, rng)
-            trees = section_trees(kernel)
+            trees = section_trees(kernel).roots()
             oracle = oracle_section_trees(kernel)
             for phase, (tree, want) in enumerate(zip(trees, oracle)):
                 bits = extend_kernel(kernel, phase).to_bits()
@@ -261,9 +278,9 @@ def test_root_never_reuse_eligible(rng):
     for _ in range(40):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
-        roots = section_trees(kernel)
-        for prev, nxt in zip(roots, roots[1:]):
-            assert not reuse_eligible(prev, nxt)
+        table = section_trees(kernel)
+        for nxt in table.roots()[1:]:
+            assert not table.reuse_eligible(nxt.phase, nxt.index)
 
 
 def test_last_phase_w_zero_everywhere(rng):
@@ -272,11 +289,11 @@ def test_last_phase_w_zero_everywhere(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
-        tree = section_trees(kernel)[ell - 1]
+        tree = section_trees(kernel).roots()[ell - 1]
         for node in _nodes(tree):
             assert node.w == 0
-            if not node.is_leaf:
-                assert node.comb_cost == (1 << node.v)
+            if node.children:
+                assert comb_cost(node.w, node.v) == (1 << node.v)
 
 
 def test_reuse_only_removes_cost(rng):
@@ -293,8 +310,9 @@ def test_report_total_is_per_phase_sum(rng):
         kernel = random_kernel(int(rng.integers(2, 9)), rng)
         report = total_complexity(kernel)
         assert report.total == sum(p.cost for p in report.per_phase)
-        tree = section_trees(kernel)[0]
-        assert sum(node.comb_cost for node in _nodes(tree)) == report.per_phase[0].cost
+        tree = section_trees(kernel).roots()[0]
+        charged = [comb_cost(node.w, node.v) for node in _nodes(tree) if node.children]
+        assert sum(charged) == report.per_phase[0].cost
 
 
 def test_first_phase_never_reuses(rng):
@@ -305,18 +323,22 @@ def test_first_phase_never_reuses(rng):
 def test_arikan_reuse_ineligible():
     """For the 2x2 kernel the root w/v representatives of the second
     phase fall outside the first phase's span, so nothing is reused."""
-    prev, nxt = section_trees(ARIKAN)
-    assert not reuse_eligible(prev, nxt)
+    table = section_trees(ARIKAN)
+    _, nxt = table.roots()
+    assert not table.reuse_eligible(1, nxt.index)
     report = total_complexity(ARIKAN)
     assert all(p.reused == () for p in report.per_phase)
 
 
 def test_reuse_eligible_requires_matching_interval():
-    tree, nxt = section_trees(ARIKAN)
+    """The rule compares a section with the same section of the previous
+    phase, which phase 0 and phases past the last do not have."""
+    table = section_trees(ARIKAN)
+    tree, _ = table.roots()
     with pytest.raises(ValueError):
-        reuse_eligible(tree, tree.children[0])
+        table.reuse_eligible(0, tree.index)
     with pytest.raises(ValueError):
-        reuse_eligible(nxt, tree)  # phases out of order
+        table.reuse_eligible(2, tree.index)  # ARIKAN has phases 0 and 1
 
 
 def test_reference_totals_under_shipped_policy():
@@ -347,7 +369,7 @@ def test_costs_invariant_under_lower_row_operations(rng):
         for _ in range(3):
             kernel = random_kernel(ell, rng)
             other = _add_lower_rows(kernel, rng, 2 * ell)
-            for a, b in zip(section_trees(kernel), section_trees(other)):
+            for a, b in zip(section_trees(kernel).roots(), section_trees(other).roots()):
                 assert [(n.s_basis, n.w, n.v) for n in _nodes(a)] == [
                     (n.s_basis, n.w, n.v) for n in _nodes(b)
                 ]

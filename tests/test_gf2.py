@@ -136,6 +136,31 @@ def test_eliminate_restricted_mask_keeps_shortened_residuals(rng):
         assert kept_span == {word for word in span if not word & outside}
 
 
+def test_eliminate_stops_at_rank(rng):
+    """With ``rank``, the reduction reads rows up to the one whose pivot
+    brings the pivots to that size: its residuals and pivots are the full
+    reduction's up to that row; without reaching it, nothing changes."""
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        rows = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(0, n + 3)))]
+        seeds = [int(r) for r in rng.integers(0, 1 << n, size=int(rng.integers(0, 3)))]
+        pivots: dict[int, int] = {}
+        eliminate(pivots, seeds)
+        full_pivots = dict(pivots)
+        full = eliminate(full_pivots, rows)
+        target = len(pivots) + int(rng.integers(1, n + 1))
+        stopped_pivots = dict(pivots)
+        stopped = eliminate(stopped_pivots, rows, rank=target)
+        added = [i for i, r in enumerate(full) if r]
+        if len(pivots) + len(added) >= target:
+            last = added[target - len(pivots) - 1]
+            assert stopped == full[: last + 1]
+            assert len(stopped_pivots) == target
+            assert stopped_pivots.items() <= full_pivots.items()
+        else:
+            assert (stopped, stopped_pivots) == (full, full_pivots)
+
+
 def _xor_of(gens: list[int], coeffs: int, n: int) -> list[int]:
     """XOR, over lists of bits, of the generators named by coeffs' bits."""
     word = [0] * n
