@@ -15,7 +15,11 @@
 #      m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at m=2, two
 #      SNRs, 600 trials), the `polarkit random` JSON at ell 8 and 12
 #      (300 trials, seed 7) under the all-contiguous and section-tables
-#      policies, and the `polarkit brute` kernel at ell 12;
+#      policies, the `polarkit brute` kernel at ell 12, and a `polarkit
+#      train` run (ell 8, 20 episodes, an update every 10, seed 1): its
+#      training_log.csv and best_kernel.txt, and a sha256 of the final
+#      checkpoint's arrays as np.load reads them (the .npz zip entries
+#      carry timestamps, so its bytes differ between equal runs);
 #   6. the minor page faults per warmed 256-codeword batch of the (256,128)
 #      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
 #      (ru_maxrss) of the process that measured them, for the work tree and
@@ -92,6 +96,24 @@ PY
         done
     done
     python -m polarkit.cli brute --ell 12 > "$1/brute-12.txt" 2> "$1/brute-12.log"
+    printf 'ell=8\ntotal_episodes=20\nupdate_interval=10\nseed=1\n' > "$1/train.cfg"
+    python -m polarkit.cli train --config "$1/train.cfg" --out "$1/train" \
+        > "$1/train.json" 2> "$1/train.log"
+    python - "$1/train" > "$1/train/checkpoint.sha256" <<'PY'
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+final = sorted(Path(sys.argv[1]).glob("checkpoint_*.npz"))[-1]
+digest = hashlib.sha256()
+with np.load(final) as arrays:
+    for key in sorted(arrays.files):
+        digest.update(f"{key} {arrays[key].dtype} {arrays[key].shape}\n".encode())
+        digest.update(arrays[key].tobytes())
+print(final.name, digest.hexdigest())
+PY
 }
 # prints the minor page faults per 256-codeword batch of the polarkit on
 # PYTHONPATH, for the (256,128) code of kernel $1 at m=$2, and the peak RSS
@@ -126,7 +148,7 @@ seeded_outputs "$now_out"
 PYTHONPATH="$head_src/src" seeded_outputs "$head_out"
 differ=()
 for name in best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json \
-    brute-12.txt; do
+    brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256}; do
     [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
 done
 if ((${#differ[@]})); then
@@ -134,7 +156,8 @@ if ((${#differ[@]})); then
     status=1
 else
     echo "seeded outputs: bler CSVs (best16 m=2, arikan m=8, best12 m=2), random JSONs" \
-        "(ell 8 and 12, all-contiguous and section-tables) and brute ell=12 byte-identical to HEAD"
+        "(ell 8 and 12, all-contiguous and section-tables), brute ell=12 and train ell=8 (log," \
+        "best kernel, checkpoint arrays) byte-identical to HEAD"
 fi
 faults=()
 for run in "BEST16 2" "ARIKAN 8"; do

@@ -32,7 +32,7 @@ from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.reference import BEST12
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 from polarkit.zero.env import EnvState, RewardConfig, legal_actions, step_env, trans_reward
-from polarkit.zero.mcts import SearchSpec
+from polarkit.zero.mcts import C_VISIT, SearchSpec
 from polarkit.zero.train import value_scale_of
 
 
@@ -473,6 +473,32 @@ def uncached_search_spec(network, reward_cfg) -> SearchSpec:
     return SearchSpec(partial(step_env, cfg=reward_cfg), evaluate)
 
 
+def oracle_sigma(node) -> np.ndarray:
+    """`zero.mcts._sigma` as numpy array code.  `node` holds arrays over
+    the legal actions, `n` (int64) and `q_sum`, and the scalar `value`."""
+    visited = node.n > 0
+    q = node.q_sum / np.maximum(node.n, 1)
+    # Python's left-to-right sum: numpy's pairwise sum rounds differently
+    visited_q = q[visited].tolist()
+    q[~visited] = (node.value + sum(visited_q)) / (1 + len(visited_q))
+    lo, hi = q.min(), q.max()
+    q = (q - lo) / (hi - lo) if hi > lo else np.full_like(q, 0.5)
+    return (C_VISIT + int(node.n.max())) * q
+
+
+def oracle_completed_policy(node) -> np.ndarray:
+    """`zero.mcts._completed_policy` as numpy array code, over a node as
+    `oracle_sigma` takes it plus the array `logits`."""
+    score = node.logits + oracle_sigma(node)
+    score -= score.max()
+    probs = np.exp(score)
+    return probs / probs.sum()
+
+
+#: seed of the `rng` fixture
+RNG_SEED = 20240824
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
-    return np.random.default_rng(20240824)
+    return np.random.default_rng(RNG_SEED)

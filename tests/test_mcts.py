@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarkit.zero.mcts import MctsConfig, SearchSpec, mcts_select
+from polarkit.zero.mcts import (
+    MctsConfig,
+    SearchSpec,
+    _completed_policy,
+    _Node,
+    _sigma,
+    _simulate,
+    mcts_select,
+)
+from tests.conftest import oracle_completed_policy, oracle_sigma
 
 
 def _bandit_spec(rewards: dict[int, float]) -> SearchSpec:
@@ -106,3 +119,103 @@ def test_multi_step_chain():
         for seed in range(20)
     )
     assert wins >= 18
+
+
+def _node(logits, value, returns) -> _Node:
+    """A node over len(logits) actions whose action i has backed up
+    returns[i], added from 0.0 in order as `_visit` does."""
+    node = _Node("state", np.array(logits, dtype=float), value, list(range(len(logits))))
+    node.n = [len(r) for r in returns]
+    for i, backed_up in enumerate(returns):
+        for ret in backed_up:
+            node.q_sum[i] += ret
+    return node
+
+
+def _arrays(node: _Node) -> SimpleNamespace:
+    """The node's statistics as the oracle's arrays."""
+    return SimpleNamespace(
+        logits=np.array(node.logits),
+        value=node.value,
+        n=np.array(node.n, dtype=np.int64),
+        q_sum=np.array(node.q_sum),
+    )
+
+
+def _assert_matches_oracle(node: _Node) -> None:
+    arrays = _arrays(node)
+    assert repr(_sigma(node)) == repr(oracle_sigma(arrays).tolist())
+    assert repr(_completed_policy(node).tolist()) == repr(oracle_completed_policy(arrays).tolist())
+
+
+# (logits, value, returns backed up into each action)
+EDGE_NODES = {
+    "no visit": [
+        ([0.1 * i - 0.7 for i in range(w)], 0.3, [[]] * w) for w in range(1, 17)
+    ],
+    "all Q equal": [  # hi == lo, with and without unvisited actions
+        ([float(i % 3) for i in range(w)], 0.5, [[0.5] * (i % 3) for i in range(w)])
+        for w in range(1, 17)
+    ],
+    "tied scores": [
+        ([1.0] * w, 0.0, [[2.0]] * w) for w in range(1, 17)
+    ] + [
+        ([0.0, 1.0, 1.0, 0.0] * 4, -1.0, [[], [1.0], [1.0], []] * 4),
+    ],
+    "negative rewards": [
+        ([0.25 * i for i in range(w)], -3.0, [[-1.0 - i, -0.5] if i % 2 else [] for i in range(w)])
+        for w in range(1, 17)
+    ],
+    "cancellation": [  # the visited sum cancels 1e16 against -1e16
+        ([0.0] * 16, 0.0, [[1e16], [-1e16]] + [[1.0]] * 12 + [[]] * 2),
+        ([0.0] * 16, 1.0, [[1e16, -1e16], [-1e16]] + [[1.0]] * 10 + [[]] * 4),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_NODES))
+def test_statistics_match_array_oracle_on_edge_cases(case):
+    """List statistics give the array oracle's sigma and completed policy,
+    repr for repr."""
+    for logits, value, returns in EDGE_NODES[case]:
+        _assert_matches_oracle(_node(logits, value, returns))
+
+
+# exact specials (ties, signed zero, the 1e16 cancellation) among plain floats
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e16, -1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@given(
+    st.lists(st.tuples(_floats, st.lists(_floats, max_size=6)), min_size=1, max_size=16),
+    _floats,
+)
+@settings(max_examples=400, deadline=None)
+def test_statistics_match_array_oracle(actions, value):
+    """Widths 1..16, any visit counts and returns, negative ones included."""
+    logits = [logit for logit, _ in actions]
+    _assert_matches_oracle(_node(logits, value, [r for _, r in actions]))
+
+
+_tied = st.sampled_from([0.0, 1.0])
+
+
+@given(st.lists(st.tuples(_tied, st.lists(_tied, max_size=2)), min_size=1, max_size=16), _tied)
+@settings(max_examples=300, deadline=None)
+def test_simulate_takes_the_first_of_tied_maxima(actions, value):
+    """Below the root, the descent visits the action that np.argmax picks
+    over the oracle's scores: the first of tied maxima."""
+    node = _node([logit for logit, _ in actions], value, [r for _, r in actions])
+    arrays = _arrays(node)
+    expected = int(np.argmax(oracle_completed_policy(arrays) - arrays.n / (1.0 + arrays.n.sum())))
+    finish = SearchSpec(step=lambda state, action: ("leaf", 0.0, True), evaluate=None)
+    _simulate(node, finish)
+    assert node.n == [k + (i == expected) for i, k in enumerate(arrays.n.tolist())]
+
+
+def test_simulate_tie_goes_to_the_first_position():
+    node = _node([0.0, 1.0, 1.0, 0.0], 0.0, [[]] * 4)
+    _simulate(node, SearchSpec(step=lambda state, action: ("leaf", 0.0, True), evaluate=None))
+    assert node.n == [0, 1, 0, 0]

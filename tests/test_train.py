@@ -95,7 +95,11 @@ PINNED_EPISODES = {
     (8, 3): (46, True, "a9a2bcc93bb473b5"),
     (8, 5): (22, True, "59eb3e72045bca7d"),
     (12, 1): (1200, False, "51885704e0621437"),  # stalls until the game limit
+    (16, 0): (200, False, "6403ba4ce868db1f"),  # 13..16 legal actions, 16-way roots
 }
+
+#: game limits other than the default: untrained ell=16 play stalls too
+PINNED_GAME_LIMITS = {16: 200}
 
 PINNED_SMOKE_ROWS = [
     {"iteration": 1, "episodes": 10, "minReturn": 14.9, "maxReturn": 15.033333333333335,
@@ -108,9 +112,10 @@ PINNED_SMOKE_ROWS = [
 @pytest.mark.parametrize("ell, seed", sorted(PINNED_EPISODES))
 def test_self_play_episode_pinned(ell, seed):
     network = Network(NetworkSpec(ell), seed=0)
-    record = self_play_episode(
-        network, default_reward_config(ell), MctsConfig(), np.random.default_rng(seed), ell
-    )
+    reward_cfg = default_reward_config(ell)
+    if ell in PINNED_GAME_LIMITS:
+        reward_cfg = replace(reward_cfg, game_limit=PINNED_GAME_LIMITS[ell])
+    record = self_play_episode(network, reward_cfg, MctsConfig(), np.random.default_rng(seed), ell)
     transcript = {
         "actions": [t.action for t in record.transitions],
         "rewards": [repr(t.reward) for t in record.transitions],
