@@ -210,12 +210,11 @@ def test_simulate_takes_the_first_of_tied_maxima(actions, value):
     node = _node([logit for logit, _ in actions], value, [r for _, r in actions])
     arrays = _arrays(node)
     expected = int(np.argmax(oracle_completed_policy(arrays) - arrays.n / (1.0 + arrays.n.sum())))
-    finish = SearchSpec(step=lambda state, action: ("leaf", 0.0, True), evaluate=None)
-    _simulate(node, finish)
+    _simulate(node, _bandit_spec(dict.fromkeys(range(len(actions)), 0.0)))
     assert node.n == [k + (i == expected) for i, k in enumerate(arrays.n.tolist())]
 
 
 def test_simulate_tie_goes_to_the_first_position():
     node = _node([0.0, 1.0, 1.0, 0.0], 0.0, [[]] * 4)
-    _simulate(node, SearchSpec(step=lambda state, action: ("leaf", 0.0, True), evaluate=None))
+    _simulate(node, _bandit_spec(dict.fromkeys(range(4), 0.0)))
     assert node.n == [0, 1, 0, 0]
