@@ -79,18 +79,21 @@ def _node_fields(tree) -> list[tuple]:
     ]
 
 
-def test_section_trees_match_per_phase_oracle(rng):
-    """Differential oracle: the one-pass table's views equal trees built
-    phase by phase from scratch, on every node field (representatives
-    included), and the report of every policy, from one cost-and-reuse
-    walk per phase, equals the two-walk oracle run over those trees and
-    the literal reuse rule.  Two seeded sets: widths cycling 2..16, and
-    ten kernels of each width in turn from a fresh generator."""
+def _oracle_kernels(rng) -> list[BitMatrix]:
+    """The references and two seeded sets: 150 kernels of widths cycling
+    2..16, and ten kernels of each width in turn from a fresh generator."""
     kernels = [ARIKAN, BEST12, BEST16]
     kernels += [random_kernel(2 + i % 15, rng) for i in range(150)]
     by_width = np.random.default_rng(RNG_SEED)
     kernels += [random_kernel(ell, by_width) for ell in range(2, 17) for _ in range(10)]
-    for kernel in kernels:
+    return kernels
+
+
+def test_section_trees_match_per_phase_oracle(rng):
+    """Differential oracle: the one-pass table's views equal trees built
+    phase by phase from scratch, on every node field (representatives
+    included), and each phase's code basis equals the extended kernel's."""
+    for kernel in _oracle_kernels(rng):
         table = section_trees(kernel)
         trees, oracle = table.roots(), oracle_section_trees(kernel)
         assert len(trees) == len(oracle) == kernel.ncols
@@ -99,9 +102,18 @@ def test_section_trees_match_per_phase_oracle(rng):
             assert table.code_basis(phase) == tuple(row_basis(extend_kernel(kernel, phase).rows))
             for n in _nodes(tree):
                 assert n.mask == interval_mask(kernel.ncols + 1, n.x, n.y)
+
+
+def test_one_walk_matches_two_walk_oracle(rng):
+    """Each phase's single cost-and-reuse walk gives the report of the
+    two-walk oracle over the oracle trees and the literal reuse rule:
+    maximal reused sections first, then the charge of every node outside
+    them.  Every policy, on the kernels of the tree oracle above."""
+    for kernel in _oracle_kernels(rng):
         for policy in ReuseMode:
             got = total_complexity(kernel, policy).to_json()
-            assert got == json.dumps(oracle_total_complexity(kernel, policy), indent=2), kernel
+            want = json.dumps(oracle_total_complexity(kernel, policy), indent=2)
+            assert got == want, (kernel, policy)
 
 
 def test_early_stopped_reps_match_full_selection(rng):
