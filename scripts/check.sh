@@ -6,7 +6,9 @@
 #   3. the line counts of src/ and tests/, each with its change against
 #      the same files at HEAD (the work tree's uncommitted delta) and the
 #      lines added and removed (git diff --numstat, untracked files
-#      counted as added), so that moved code is told apart from removed;
+#      counted as added), and under each total one line per changed .py
+#      file with its lines added and removed, so that code moved between
+#      modules is told apart from removed;
 #   4. the settable options, each with its change against HEAD: the CLI
 #      flags of all subcommands and of each one, the train-config keys,
 #      the reuse policies;
@@ -48,6 +50,10 @@ for dir in src tests; do
     untracked=$(git ls-files -z --others --exclude-standard -- "$dir/*.py" | xargs -0r cat | wc -l)
     printf '%-7s %d lines (%+d against HEAD: +%d/-%d)\n' "$dir/:" "$now" "$((now - head))" \
         "$((added + untracked))" "$removed"
+    { git diff --numstat HEAD -- "$dir/*.py"
+      git ls-files -z --others --exclude-standard -- "$dir/*.py" | xargs -0r -n1 wc -l \
+          | awk '{print $1 "\t0\t" $2}'
+    } | awk -F '\t' '{printf "  %s +%d/-%d\n", $3, $1, $2}'
 done
 
 # prints the settable options of the polarkit on PYTHONPATH as JSON: the

@@ -24,12 +24,12 @@ decodes every block.
 Per-kernel phase metrics (the LLR of symbol u_i given the previous
 decisions and the ell channel LLRs) come from a trellis on the section
 trees of the complexity model, with max-approximation correlation
-metrics; the tests check it against exhaustive max-marginalization.  A
-node's table is indexed by the cosets of the shortened code inside the
-punctured code (2^v entries); a parent entry is the max over 2^w
-combinations of child entries, linked by the section node
-(`SectionNode.links`) in coset coordinates over the canonical
-v-representative rows.  Tables are coset-major, (2^v, rows), so a link
+metrics; the tests check it against exhaustive max-marginalization.  It
+reads the model's `SectionTable` by (phase, section).  A section's table
+is indexed by the cosets of the shortened code inside the punctured code
+(2^v entries, over the v-representatives: `_coset_indices`); an entry is
+the max over 2^w sums of the halves' entries, which the section's link
+arrays name (`_links`).  Tables are coset-major, (2^v, rows), so a link
 reads whole contiguous rows.  Each phase tree compiles into a flat
 post-order step list (`_program`) whose leaves are rows of a bank of
 prefix-signed half LLRs, with a buffer plan: each array that a call
@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polarkit.complexity import ReuseMode, SectionNode, phase_costs, section_trees, span_words
+from polarkit.complexity import ReuseMode, SectionTable, phase_costs, section_trees
 from polarkit.gf2 import MAX_COLS, BitMatrix, eliminate, rank, unpack_row
 from polarkit.pdp import SingularKernelError
 
@@ -232,11 +232,52 @@ def _plan(spans: list[list[int]]) -> list[int]:
     return [offsets[i] for i in range(len(spans))]
 
 
-def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
-    """The step list of phase tree `root` when the tables of `gathers` are
-    given, and its workspace plan.  Time counts the numpy operations of a
-    call; a buffer lives from the operation that writes it to its last
-    reader."""
+def span_words(rows: tuple[int, ...]) -> list[int]:
+    """Every word of span(rows); word i is the XOR of the rows[k] whose bit
+    k is set in i."""
+    words = [0]
+    for g in rows:
+        words += [word ^ g for word in words]
+    return words
+
+
+def _coset_indices(table: SectionTable, phase: int, j: int, words: list[int]) -> np.ndarray:
+    """The int64 table index of each word's coset in section j of a phase:
+    its coordinates over the v-representatives modulo the shortened code,
+    on the section's columns.  ValueError for a word outside the punctured
+    code."""
+    # Eliminate on the MAX_COLS columns, with v-representative k carrying
+    # coefficient bit MAX_COLS + k above them, so a word's residual holds
+    # its v-coordinates once its columns cancel.
+    low = (1 << MAX_COLS) - 1
+    mask = table.sections[j][2]
+    seeds = [(1 << (MAX_COLS + k)) | (r & mask) for k, r in enumerate(table.v_reps(phase, j))]
+    seeds += table.s_basis[phase][j]
+    residuals = eliminate({}, seeds + [word & mask for word in words], low)[len(seeds) :]
+    if any(r & low for r in residuals):
+        raise ValueError("word outside the punctured code")
+    return np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
+
+
+def _links(table: SectionTable, phase: int, j: int) -> tuple[np.ndarray, ...]:
+    """Per half of internal section j of a phase, the (2^v, 2^w) int64
+    array of the half's coset that each of the section's 2^(w+v) sums
+    reads; the trellis merge."""
+    # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
+    words = span_words(table.w_reps(phase, j) + table.v_reps(phase, j))
+    shape, halves = (1 << table.v[phase][j], 1 << table.w[phase][j]), table.sections[j][3]
+    return tuple(_coset_indices(table, phase, h, words).reshape(shape) for h in halves)
+
+
+def _program(
+    table: SectionTable, phase: int, links: dict, gathers: tuple, keep: frozenset
+) -> _Program:
+    """The step list of a phase's section tree when the tables of `gathers`
+    are given, and its workspace plan; `links` holds each internal
+    section's `_links` by (phase, section).  Time counts the numpy
+    operations of a call; a buffer lives from the operation that writes it
+    to its last reader."""
+    sections, s_basis, w, v = table.sections, table.s_basis[phase], table.w[phase], table.v[phase]
     spans: list[list[int]] = []  # per buffer: [rows, first use, last use]
 
     def buffer(rows: int, time: int) -> int:
@@ -246,7 +287,7 @@ def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
     def read(buf: int, time: int) -> None:
         spans[buf][2] = time
 
-    signed, bank = buffer(root.y, 0), buffer(0, 1)  # the bank's size is known after the walk
+    signed, bank = buffer(table.ell, 0), buffer(0, 1)  # the bank's size is known after the walk
     read(signed, 1)
     time = 2
     mask = buffer(1, time) if any(idx1 is not None for _, _, idx1 in gathers) else None
@@ -264,20 +305,19 @@ def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
     steps: list[list] = []
     bank_links: list[np.ndarray] = []
 
-    def source(child: SectionNode, link: np.ndarray) -> tuple[int, np.ndarray]:
-        if child.children:
-            key = (child.x, child.y)
-            return (tables[key] if key in tables else visit(child)), link
+    def source(j: int, link: np.ndarray) -> tuple[int, np.ndarray]:
+        x, y, _, halves = sections[j]
+        if halves:
+            return (tables[x, y] if (x, y) in tables else visit(j)), link
         # bank entries coded kind * MAX_COLS + column: kind 0 the bit-0
         # metric, 1 the bit-1 metric, 2 the magnitude
-        x = child.x
-        entries = [2 * MAX_COLS + x] if child.s_basis else [x, MAX_COLS + x][: 1 + child.v]
+        entries = [2 * MAX_COLS + x] if s_basis[j] else [x, MAX_COLS + x][: 1 + v[j]]
         bank_links.append(np.array(entries)[link])
         return bank, bank_links[-1]
 
-    def visit(node: SectionNode) -> int:
+    def visit(j: int) -> int:
         nonlocal time
-        (left, link_a), (right, link_b) = [source(*c) for c in zip(node.children, node.links)]
+        (left, link_a), (right, link_b) = map(source, sections[j][3], links[phase, j])
         shape = link_a.shape
         sums = buffer(link_a.size, time + 1)
         read(left, time + 1)
@@ -286,14 +326,14 @@ def _program(root: SectionNode, gathers: tuple, keep: frozenset) -> _Program:
         read(sums, time + 2)
         time += 2
         out = sums
-        if node.w > 0:
+        if w[j] > 0:
             time += 1
             out = buffer(shape[0], time)
             read(sums, time)
-        steps.append([(node.x, node.y), left, link_a, right, link_b, sums, other, out, shape])
+        steps.append([sections[j][:2], left, link_a, right, link_b, sums, other, out, shape])
         return out
 
-    root_table = visit(root)
+    root_table = visit(len(sections) - 1)
     assert spans[root_table][0] == 2
     codes = sorted({int(code) for link in bank_links for code in link.flat})
     spans[bank][0] = len(codes)
@@ -338,39 +378,34 @@ class _Decoder(NamedTuple):
     warm: tuple[_Program, ...]
 
 
-def _node_at(tree: SectionNode, x: int, y: int) -> SectionNode:
-    """The node of section [x, y) in a phase tree."""
-    while (tree.x, tree.y) != (x, y):
-        tree = tree.children[x >= tree.children[1].x]
-    return tree
-
-
 @lru_cache(maxsize=64)
 def build_link_tables(kernel: BitMatrix) -> _Decoder:
-    """The decoder of a kernel: its section trees, their link arrays
-    (`SectionNode.links`) and every phase's programs, all built here.  A
-    phase gathers a node's table wherever the `SECTION_TABLES` model
-    reuses the previous phase's table of the node: the reused sections
-    whose shortened code is unchanged.  Phase a+1's prefix is phase a's
-    XOR u_a K[a], so coset c of node n reads the previous table at the
-    coordinates of n's coset word c, plus u_a times those of K[a], in the
-    previous node's coset basis."""
+    """The decoder of a kernel: its section table, the link arrays of every
+    internal section of every phase (`_links`) and every phase's programs,
+    all built here.  A phase gathers a section's table wherever the
+    `SECTION_TABLES` model reuses the previous phase's table of the
+    section: the reused sections whose shortened code is unchanged.  Phase
+    a+1's prefix is phase a's XOR u_a K[a], so coset c of section j reads
+    the previous table at the coordinates of j's coset word c, plus u_a
+    times those of K[a], in the previous phase's coset basis of j."""
     table = section_trees(kernel)
-    trees = table.roots()
+    ell, sections, s_basis = table.ell, table.sections, table.s_basis
+    index = {section[:2]: j for j, section in enumerate(sections)}
+    internal = [j for j, section in enumerate(sections) if section[3]]
+    links = {(a, j): _links(table, a, j) for a in range(ell) for j in internal}
     gathers = [()]
-    costs = phase_costs(table, ReuseMode.SECTION_TABLES)
-    for a, (prev, cost) in enumerate(zip(trees, costs[1:])):
+    for a, cost in enumerate(phase_costs(table, ReuseMode.SECTION_TABLES)[1:]):
         plan = []
-        for x, y in cost.reused:
-            p, n = _node_at(prev, x, y), _node_at(trees[a + 1], x, y)
-            if n.s_basis == p.s_basis:  # else the model counts p's sums: evaluated here
-                idx0 = p.coset_indices(span_words(n.v_reps))
-                d = int(p.coset_indices([kernel.rows[a] << 1])[0])
-                plan.append(((x, y), idx0, idx0 ^ d if d else None))
+        for key in cost.reused:
+            j = index[key]
+            if s_basis[a + 1][j] == s_basis[a][j]:  # else the model counts a's sums: evaluated here
+                idx0 = _coset_indices(table, a, j, span_words(table.v_reps(a + 1, j)))
+                d = int(_coset_indices(table, a, j, [kernel.rows[a] << 1])[0])
+                plan.append((key, idx0, idx0 ^ d if d else None))
         gathers.append(tuple(plan))
     keeps = [frozenset(key for key, _, _ in plan) for plan in gathers[1:]] + [frozenset()]
-    cold = tuple(_program(tree, (), keep) for tree, keep in zip(trees, keeps))
-    warm = tuple(map(_program, trees, gathers, keeps))
+    cold = tuple(_program(table, a, links, (), keeps[a]) for a in range(ell))
+    warm = tuple(_program(table, a, links, gathers[a], keeps[a]) for a in range(ell))
     supports = tuple(np.flatnonzero(unpack_row(r, kernel.ncols)) for r in kernel.rows)
     return _Decoder(supports, _butterflies(kernel)[1], cold, warm)
 
@@ -471,7 +506,10 @@ def _signs_decide(llrs: np.ndarray) -> bool:
     largest, so the spread grows at most ell-fold per level: from 2^23 it
     stays below 2^35 through the 12 levels of n = 4096.  The bounds on
     the extremes keep every sum normal and finite.  Exact zeros, where the
-    signs' word is not the unique maximiser, and NaN fail the test."""
+    signs' word is not the unique maximiser, and NaN fail the test.  An
+    empty batch passes: no LLR's sign is wrong."""
+    if not llrs.size:
+        return True
     mag = np.abs(llrs)
     lo, hi = mag.min(), mag.max()
     return 2.0**-1000 < lo and hi < min(lo * _SIGN_RANGE, 2.0**1000)

@@ -11,10 +11,11 @@ that condition is judged; ``SECTION_TABLES`` judges it on the section's
 own codes.
 
 ``section_trees`` computes every phase's section codes in one pass into
-a flat ``SectionTable`` of plain values, per phase and per section of the
-midpoint tree.  ``phase_costs`` costs a phase and decides its reuse in
-one pre-order walk of the table, and documents each policy.  The decoder
-reads the same table through ``SectionNode`` views.
+a flat ``SectionTable`` of plain ints, per phase and per section of the
+midpoint tree; the tree is ``table.sections``, whose entries name their
+halves by position.  ``phase_costs`` costs a phase and decides its reuse
+in one pre-order walk of the table, and documents each policy.  The
+decoder compiles its trellis from the same table, by (phase, section).
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import compress
 
-import numpy as np
-
 from polarkit.gf2 import (
-    MAX_COLS,
     MAX_ELL,
     MIN_ELL,
     BitMatrix,
@@ -58,19 +56,20 @@ CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 class SectionTable:
     """The section codes of every phase of one kernel (``section_trees``).
 
-    Section j is entry j of ``sections`` (``_midpoint_sections(ell)``).
-    Per phase p, ``s_basis[p][j]`` is the reduced echelon basis (a
+    Section j is entry j of ``sections`` (``_midpoint_sections(ell)``),
+    which names its halves by position, so that list is the tree.  Per
+    phase p, ``s_basis[p][j]`` is the reduced echelon basis (a
     canonical fingerprint) of the section's shortened subcode, in
     full-width rows; ``w[p][j]`` (0 on leaves) and ``v[p][j]`` are its
     coset dimensions, the punctured code's dimension being
     ``len(s_basis[p][j]) + v[p][j]``; and ``widened[p][j]`` says that the
-    phase row's projection lies outside that of the rows below it.  The phase code bases, the w/v
-    representatives and the decoder's link arrays are derived on first
-    read and memoized here, so they live as long as the table.
+    phase row's projection lies outside that of the rows below it.  The
+    phase code bases and the w/v representatives are derived on first read
+    and memoized here, so they live as long as the table.
     """
 
     __slots__ = ("kernel", "ell", "sections", "s_basis", "w", "v", "widened")
-    __slots__ += ("_code_bases", "_reps", "_links")  # the memos
+    __slots__ += ("_code_bases", "_reps")  # the memos
 
     def __init__(self, kernel: BitMatrix, s_basis: list, w: list, v: list, widened: list):
         self.kernel, self.ell = kernel, kernel.ncols
@@ -79,15 +78,10 @@ class SectionTable:
         self._code_bases: dict[int, tuple[int, ...]] = {}
         # keyed (phase, section, 0) for w_reps and (phase, section, 1) for v_reps
         self._reps: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._links: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-    def roots(self) -> list[SectionNode]:
-        """Each phase's section tree, as a view of its root."""
-        root = len(self.sections) - 1
-        return [SectionNode(self, phase, root) for phase in range(self.ell)]
 
     def code_basis(self, phase: int) -> tuple[int, ...]:
-        """Row-echelon basis of the rows of ``extend_kernel(kernel, phase)``."""
+        """Row-echelon basis of the phase's extended rows: rows phase.., each
+        with an appended last column that is 1 only on the phase row."""
         basis = self._code_bases.get(phase)
         if basis is None:
             rows = self.kernel.rows
@@ -163,72 +157,6 @@ def _select(pivots: dict[int, int], rows: tuple[int, ...], reduced, rank: int) -
     return tuple(compress(rows, eliminate(pivots, reduced, rank=rank)))
 
 
-class SectionNode:
-    """Section ``index`` of phase ``phase`` of a ``SectionTable``, as a node
-    of that phase's section tree: a view whose every field is read or
-    derived from the table."""
-
-    __slots__ = ("table", "phase", "index")
-
-    def __init__(self, table: SectionTable, phase: int, index: int):
-        self.table, self.phase, self.index = table, phase, index
-
-    x = property(lambda self: self.table.sections[self.index][0])
-    y = property(lambda self: self.table.sections[self.index][1])
-    #: the section's columns, in full-width rows
-    mask = property(lambda self: self.table.sections[self.index][2])
-    w = property(lambda self: self.table.w[self.phase][self.index])
-    v = property(lambda self: self.table.v[self.phase][self.index])
-    s_basis = property(lambda self: self.table.s_basis[self.phase][self.index])
-    widened = property(lambda self: self.table.widened[self.phase][self.index])
-    w_reps = property(lambda self: self.table.w_reps(self.phase, self.index))
-    v_reps = property(lambda self: self.table.v_reps(self.phase, self.index))
-
-    @property
-    def children(self) -> tuple[SectionNode, ...]:
-        halves = self.table.sections[self.index][3]
-        return tuple(SectionNode(self.table, self.phase, h) for h in halves)
-
-    @property
-    def links(self) -> tuple[np.ndarray, ...]:
-        """Per child, the (2^v, 2^w) int64 array of the child coset that each
-        of the node's 2^(w+v) sums reads; the decoder's trellis merge."""
-        key = (self.phase, self.index)
-        links = self.table._links.get(key)
-        if links is None:
-            # words[alpha * 2^w + beta]: bit k of the index selects (w_reps + v_reps)[k]
-            words = span_words(self.w_reps + self.v_reps)
-            shape = (1 << self.v, 1 << self.w)
-            links = tuple(child.coset_indices(words).reshape(shape) for child in self.children)
-            self.table._links[key] = links
-        return links
-
-    def coset_indices(self, words: list[int]) -> np.ndarray:
-        """The int64 table index of each word's coset: its coordinates over
-        ``v_reps`` modulo the shortened code, on the section's columns.
-        ValueError for a word outside the punctured code."""
-        # Eliminate on the MAX_COLS columns, with v-representative k carrying
-        # coefficient bit MAX_COLS + k above them, so a word's residual holds
-        # its v-coordinates once its columns cancel.
-        low = (1 << MAX_COLS) - 1
-        mask = self.mask
-        seeds = [(1 << (MAX_COLS + k)) | (r & mask) for k, r in enumerate(self.v_reps)]
-        seeds += self.s_basis
-        residuals = eliminate({}, seeds + [word & mask for word in words], low)[len(seeds):]
-        if any(r & low for r in residuals):
-            raise ValueError("word outside the punctured code")
-        return np.array([r >> MAX_COLS for r in residuals], dtype=np.int64)
-
-
-def span_words(rows: tuple[int, ...]) -> list[int]:
-    """Every word of span(rows); word i is the XOR of the rows[k] whose bit
-    k is set in i."""
-    words = [0]
-    for g in rows:
-        words += [word ^ g for word in words]
-    return words
-
-
 @dataclass(frozen=True)
 class PhaseCost:
     cost: int
@@ -261,17 +189,6 @@ class ComplexityReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-
-def extend_kernel(kernel: BitMatrix, phase: int) -> BitMatrix:
-    """Rows phase..ell-1, each widened by an appended column; the appended
-    column is 1 only on the phase row itself."""
-    ell = kernel.ncols
-    if not 0 <= phase < ell:
-        raise ValueError(f"phase {phase} out of range for ell={ell}")
-    rows = [kernel.rows[r] << 1 for r in range(phase, ell)]
-    rows[0] |= 1  # appended column is the last column -> the LSB
-    return BitMatrix(ell + 1, tuple(rows))
 
 
 def comb_cost(w: int, v: int) -> int:

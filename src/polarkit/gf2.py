@@ -51,9 +51,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def to_bits(self) -> list[list[int]]:
-        return [unpack_row(r, self.ncols) for r in self.rows]
-
 
 def eliminate(
     pivots: dict[int, int], rows: Iterable[int], mask: int = -1, rank: int | None = None

@@ -17,7 +17,7 @@ import pytest
 
 from polarkit import codec
 from polarkit.codec import build_link_tables, phase_llrs_trellis
-from polarkit.complexity import ReuseMode, comb_cost, extend_kernel, split_point
+from polarkit.complexity import ReuseMode, SectionTable, comb_cost, split_point
 from polarkit.gf2 import (
     MAX_COLS,
     BitMatrix,
@@ -27,6 +27,7 @@ from polarkit.gf2 import (
     is_subcode,
     rank,
     row_basis,
+    unpack_row,
 )
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.reference import BEST12
@@ -105,14 +106,25 @@ def naive_coset_min_distance(v_bits: list[int], bit_rows: list[list[int]]) -> in
     )
 
 
-def _kernel_bit_rows(kernel: BitMatrix) -> list[list[int]]:
+def to_bits(matrix: BitMatrix) -> list[list[int]]:
+    """The rows of a matrix as lists of bits, column 0 first."""
+    return [unpack_row(r, matrix.ncols) for r in matrix.rows]
+
+
+def extend_kernel(kernel: BitMatrix, phase: int) -> BitMatrix:
+    """Rows phase..ell-1, each widened by an appended column; the appended
+    column is 1 only on the phase row itself."""
     ell = kernel.ncols
-    return [[(row >> (ell - 1 - j)) & 1 for j in range(ell)] for row in kernel.rows]
+    if not 0 <= phase < ell:
+        raise ValueError(f"phase {phase} out of range for ell={ell}")
+    rows = [kernel.rows[r] << 1 for r in range(phase, ell)]
+    rows[0] |= 1  # appended column is the last column -> the LSB
+    return BitMatrix(ell + 1, tuple(rows))
 
 
 def naive_kronecker_power(kernel: BitMatrix, m: int) -> np.ndarray:
     """The dense generator matrix K^(x)m, by repeated np.kron."""
-    k = np.array(_kernel_bit_rows(kernel), dtype=np.int64)
+    k = np.array(to_bits(kernel), dtype=np.int64)
     g = np.ones((1, 1), dtype=np.int64)
     for _ in range(m):
         g = np.kron(g, k) % 2
@@ -124,7 +136,7 @@ def kernel_phase_metric_exhaustive(
 ) -> float:
     """metric(u_phase = 0) - metric(u_phase = 1): the half-sum correlation
     metric maximized over every completion, enumerated by naive_span."""
-    rows = _kernel_bit_rows(kernel)
+    rows = to_bits(kernel)
     ell = kernel.ncols
     offset = [0] * ell
     for b, row in zip(prior_bits, rows[:phase], strict=True):
@@ -147,28 +159,31 @@ def trellis_phase_metric(kernel: BitMatrix, phase: int, prior: tuple[int, ...], 
     """`codec.phase_llrs_trellis` on one case: the prior decisions given as
     bits, re-encoded into the prefix codeword here."""
     prior_bits = np.array(prior, dtype=np.uint8).reshape(1, phase)
-    prefix = (prior_bits @ np.array(kernel.to_bits(), dtype=np.uint8)[:phase]) % 2
+    prefix = (prior_bits @ np.array(to_bits(kernel), dtype=np.uint8)[:phase]) % 2
     llr, _ = phase_llrs_trellis(build_link_tables(kernel), phase, prefix, np.atleast_2d(llrs))
     return float(llr[0])
 
 
-def section_tree_phase_llrs(tree, prefix, llrs) -> np.ndarray:
+def section_tree_phase_llrs(table: SectionTable, phase: int, prefix, llrs) -> np.ndarray:
     """`codec.phase_llrs_trellis`'s phase LLRs with no compiled program and
-    no workspace: the phase tree (a root view of `complexity.section_trees`'
-    table) evaluated recursively into fresh arrays.  A leaf's table is its
+    no workspace: the phase's section tree in `complexity.section_trees`'
+    table, evaluated recursively into fresh arrays.  A leaf's table is its
     column's prefix-signed half LLR h, as [h, -h] (one entry when the
     column is known) or, for a column free in the shortened code, [|h|]; a
-    node's is the max over its 2^w linked sums of its children's entries."""
+    section's is the max over its 2^w linked sums (`codec._links`) of its
+    halves' entries."""
     signed = np.asarray(llrs, dtype=np.float64).T * (0.5 - np.asarray(prefix).T)
+    s_basis, v = table.s_basis[phase], table.v[phase]
 
-    def table(node) -> np.ndarray:
-        if not node.children:
-            h = signed[node.x]
-            return np.abs(h)[None] if node.s_basis else np.stack([h, -h])[: 1 + node.v]
-        left, right = (table(child)[link] for child, link in zip(node.children, node.links))
+    def evaluate(j: int) -> np.ndarray:
+        x, _, _, halves = table.sections[j]
+        if not halves:
+            h = signed[x]
+            return np.abs(h)[None] if s_basis[j] else np.stack([h, -h])[: 1 + v[j]]
+        left, right = (evaluate(h)[link] for h, link in zip(halves, codec._links(table, phase, j)))
         return (left + right).max(axis=1)
 
-    root = table(tree)
+    root = evaluate(len(table.sections) - 1)
     return root[0] - root[1]
 
 
@@ -211,7 +226,7 @@ def stateless_sc_decode(
         u = np.zeros((batch, 1), dtype=np.uint8) if base in frozen else (llrs < 0).astype(np.uint8)
         return u, u.copy()
     dec = build_link_tables(kernel)
-    bits = np.array(kernel.to_bits(), dtype=np.uint8)
+    bits = np.array(to_bits(kernel), dtype=np.uint8)
     ell = kernel.ncols
     sub = length // ell
     flat = llrs.reshape(batch, ell, sub).transpose(0, 2, 1).reshape(batch * sub, ell)
@@ -264,8 +279,8 @@ def greedy_selection(
 
 @dataclass(frozen=True)
 class OracleNode:
-    """A section node with every field computed eagerly (the attributes
-    of a ``complexity.SectionNode`` view)."""
+    """A section node with every field computed eagerly: what a
+    ``complexity.SectionTable`` holds or derives for one section of one phase."""
 
     x: int
     y: int
@@ -319,10 +334,10 @@ def build_section_tree(extended: BitMatrix) -> OracleNode:
     return node(0, ncols - 1)
 
 
-def oracle_reuse_eligible(prev, nxt) -> bool:
+def oracle_reuse_eligible(prev: OracleNode, nxt: OracleNode) -> bool:
     """``complexity.SectionTable.reuse_eligible`` as its rule reads, on two
-    nodes (oracle nodes or views) of one interval in consecutive phases:
-    equal child shortened codes, then a span test of the representatives."""
+    oracle nodes of one interval in consecutive phases: equal child
+    shortened codes, then a span test of the representatives."""
     if not prev.children or not nxt.children:
         return False
     if any(p.s_basis != n.s_basis for p, n in zip(prev.children, nxt.children)):
@@ -332,6 +347,12 @@ def oracle_reuse_eligible(prev, nxt) -> bool:
 
 def oracle_section_trees(kernel: BitMatrix) -> list[OracleNode]:
     return [build_section_tree(extend_kernel(kernel, phase)) for phase in range(kernel.ncols)]
+
+
+def oracle_sections(tree: OracleNode) -> list[OracleNode]:
+    """An oracle tree's nodes in post-order, halves first: the order of a
+    ``SectionTable``'s ``sections``."""
+    return [node for child in tree.children for node in oracle_sections(child)] + [tree]
 
 
 def oracle_total_complexity(kernel: BitMatrix, policy: ReuseMode) -> dict:

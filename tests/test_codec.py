@@ -25,7 +25,7 @@ from polarkit.codec import (
     select_frozen_set,
     simulate_bler,
 )
-from polarkit.complexity import ReuseMode, SectionNode, section_trees, total_complexity
+from polarkit.complexity import ReuseMode, SectionTable, section_trees, total_complexity
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
@@ -37,7 +37,6 @@ from tests.conftest import (
     trellis_oracle_cases,
     trellis_phase_metric,
 )
-from tests.test_complexity import _nodes
 
 
 def _spec(ell, m, kernel, k=None):
@@ -108,6 +107,15 @@ def test_encode_and_decode_reject_other_lengths():
             sc_decode_batch(spec, np.ones((2, length)))
 
 
+@pytest.mark.parametrize("kernel, m", [(BEST16, 2), (ARIKAN, 8)], ids=["BEST16", "ARIKAN"])
+def test_encode_and_decode_accept_an_empty_batch(kernel, m):
+    """No codewords encode and decode to (0, n) arrays, by phase and by signs."""
+    spec = _spec(kernel.ncols, m, kernel, k=128)
+    assert encode(spec, np.zeros((0, spec.n), dtype=np.uint8)).shape == (0, spec.n)
+    for out in sc_decode_batch(spec, np.zeros((0, spec.n))):
+        assert (out.shape, out.dtype) == ((0, spec.n), np.uint8)
+
+
 def test_arikan_phase_metric_closed_form(rng):
     """For the 2x2 kernel the phase-0 LLR difference equals the min-sum
     box-plus up to the exact max-correlation form."""
@@ -124,14 +132,16 @@ def test_arikan_phase_metric_closed_form(rng):
 
 def test_trellis_matches_exhaustive_oracle():
     """Acceptance criterion 3's cases (`trellis_oracle_cases`): >= 200 at
-    every width 2..12 and on BEST12.  Every internal node's link arrays are
-    (2^v, 2^w), the model's 2^(w+v) sums."""
+    every width 2..12 and on BEST12.  Every internal section's link arrays
+    are (2^v, 2^w), the model's 2^(w+v) sums."""
     kernels, deviations = trellis_oracle_cases()
     for kernel in kernels:
-        for tree in section_trees(kernel).roots():
-            for n in _nodes(tree):
-                if n.children:
-                    assert [a.shape for a in n.links] == [(1 << n.v, 1 << n.w)] * 2
+        table = section_trees(kernel)
+        for phase, (w, v) in enumerate(zip(table.w, table.v)):
+            for j, (_, _, _, halves) in enumerate(table.sections):
+                if halves:
+                    shapes = [a.shape for a in codec._links(table, phase, j)]
+                    assert shapes == [(1 << v[j], 1 << w[j])] * 2
     assert len(deviations) >= 200
     assert max(deviations) <= 1e-9
 
@@ -568,13 +578,12 @@ def test_phase_calls_read_views_of_their_block(monkeypatch, rng):
 def _model_gathers(kernel) -> list[set[tuple[int, int]]]:
     """Per phase, the sections that the `SECTION_TABLES` model reuses with
     an unchanged shortened code: the previous phase's table itself."""
-    trees = section_trees(kernel).roots()
+    table = section_trees(kernel)
+    index = {section[:2]: j for j, section in enumerate(table.sections)}
     report = total_complexity(kernel, ReuseMode.SECTION_TABLES)
     per_phase = [set()]
-    for prev, tree, cost in zip(trees, trees[1:], report.per_phase[1:]):
-        nodes = {(n.x, n.y): n for n in _nodes(tree)}
-        prev_nodes = {(p.x, p.y): p for p in _nodes(prev)}
-        per_phase.append({k for k in cost.reused if nodes[k].s_basis == prev_nodes[k].s_basis})
+    for prev, s_b, cost in zip(table.s_basis, table.s_basis[1:], report.per_phase[1:]):
+        per_phase.append({k for k in cost.reused if s_b[index[k]] == prev[index[k]]})
     return per_phase
 
 
@@ -655,33 +664,35 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
             assert total == per_codeword * batch
 
 
-def _stack_peak(prog, tree) -> int:
+def _stack_peak(prog, table: SectionTable) -> int:
     """Coset rows live at once when `prog` runs on fresh arrays with a
     stack, as before the workspace: the bank and the gathered tables all
     through; the prefix-signed LLRs while the bank forms; and per step the
-    stacked tables, its children, its sums, and then either the
-    right-link gather or the node's table."""
-    nodes = {(n.x, n.y): n for n in _nodes(tree)}
+    stacked tables, its halves, its sums, and then either the right-link
+    gather or the section's table."""
+    sections = table.sections
+    index = {section[:2]: j for j, section in enumerate(sections)}
     gathered = {gather.key for gather in prog.gathers}
     base = len(prog.cols) + sum(len(gather.idx0) for gather in prog.gathers)
-    peak, stack = base + tree.y, []
+    peak, stack = base + table.ell, []
     for step in prog.steps:
-        children = nodes[step.key].children
-        popped = sum(c.children != () and (c.x, c.y) not in gathered for c in children)
+        halves = sections[index[step.key]][3]
+        popped = sum(bool(sections[h][3]) and sections[h][:2] not in gathered for h in halves)
         sums = step.left_link.size
-        table = step.shape[0] if step.shape[1] > 1 else 0
-        peak = max(peak, base + sum(stack) + sums + max(sums, table))
+        out = step.shape[0] if step.shape[1] > 1 else 0
+        peak = max(peak, base + sum(stack) + sums + max(sums, out))
         stack[len(stack) - popped :] = [step.shape[0]]
     return peak
 
 
-def _check_plan(prog, tree) -> None:
-    """Runs `prog` on workspace rows that hold tags instead of numbers: each
-    operation tags the rows it writes, then checks that every row it reads
-    still holds the tag of the table it means to read.  So every buffer is
-    written before it is read, and none is overwritten while live; link
-    indices stay inside the table they read (takes clip)."""
-    nodes = {(n.x, n.y): n for n in _nodes(tree)}
+def _check_plan(prog, table: SectionTable, phase: int) -> None:
+    """Runs `prog` of `phase` on workspace rows that hold tags, not numbers:
+    each operation tags the rows it writes, then checks that every row it
+    reads still holds the tag of the table it means to read.  So every
+    buffer is written before it is read, and none is overwritten while
+    live; link indices stay inside the table they read (takes clip)."""
+    sections, w, v = table.sections, table.w[phase], table.v[phase]
+    index = {section[:2]: j for j, section in enumerate(sections)}
     tags: list = [None] * prog.peak
 
     def run(writes, reads) -> None:
@@ -694,34 +705,35 @@ def _check_plan(prog, tree) -> None:
     def size(where: slice) -> int:
         return where.stop - where.start
 
-    assert size(prog.signed) == tree.y and size(prog.bank) == len(prog.cols)
+    assert size(prog.signed) == table.ell and size(prog.bank) == len(prog.cols)
     run([(prog.signed, "signed")], [])
     run([(prog.bank, "bank")], [(prog.signed, "signed")])
     if prog.mask is not None:
         run([(prog.mask, "mask")], [])
     for gather in prog.gathers:
-        assert size(gather.out) == len(gather.idx0) == 2 ** nodes[gather.key].v
+        assert size(gather.out) == len(gather.idx0) == 2 ** v[index[gather.key]]
         run([(gather.out, gather.key)], [])
         if gather.idx1 is not None:
             run([(gather.other, "other")], [(gather.out, gather.key), (prog.mask, "mask")])
     for step in prog.steps:
-        node = nodes[step.key]
-        assert step.shape == (2**node.v, 2**node.w)
+        j = index[step.key]
+        assert step.shape == (2 ** v[j], 2 ** w[j])
         reads = []
         sides = (step.left, step.left_link), (step.right, step.right_link)
-        for child, (where, link) in zip(node.children, sides):
-            tag = (child.x, child.y) if child.children else "bank"
-            assert size(where) == (2**child.v if child.children else len(prog.cols))
-            assert link.size == 2 ** (node.v + node.w)
+        for h, (where, link) in zip(sections[j][3], sides):
+            x, y, _, internal = sections[h]
+            tag = (x, y) if internal else "bank"
+            assert size(where) == (2 ** v[h] if internal else len(prog.cols))
+            assert link.size == 2 ** (v[j] + w[j])
             assert 0 <= link.min() and link.max() < size(where)
             reads.append((where, tag))
         run([(step.sums, ("sums", step.key))], [reads[0]])
         run([(step.other, "other")], [reads[1], (step.sums, ("sums", step.key))])
-        if node.w == 0:
+        if w[j] == 0:
             assert step.out == step.sums
-        run([(step.out, step.key)], [] if node.w == 0 else [(step.sums, ("sums", step.key))])
+        run([(step.out, step.key)], [] if w[j] == 0 else [(step.sums, ("sums", step.key))])
     assert size(prog.root) == 2
-    run([], [(prog.root, (tree.x, tree.y))])
+    run([], [(prog.root, (0, table.ell))])
 
 
 def test_workspace_plans_keep_live_buffers_apart(rng):
@@ -734,11 +746,12 @@ def test_workspace_plans_keep_live_buffers_apart(rng):
     below = 0
     for kernel in kernels:
         dec = build_link_tables(kernel)
+        table = section_trees(kernel)
         for programs in (dec.cold, dec.warm):
-            for prog, tree in zip(programs, section_trees(kernel).roots()):
-                _check_plan(prog, tree)
-                assert prog.peak <= _stack_peak(prog, tree)
-                below += prog.peak < _stack_peak(prog, tree)
+            for phase, prog in enumerate(programs):
+                _check_plan(prog, table, phase)
+                assert prog.peak <= _stack_peak(prog, table)
+                below += prog.peak < _stack_peak(prog, table)
     assert below > 0
 
 
@@ -763,7 +776,7 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
         want_genie = stateless_sc_decode(spec.kernel, frozenset(range(spec.n)), llrs, 0, genie)
         want = stateless_sc_decode(spec.kernel, spec.frozen, llrs)
         runs.append((spec, llrs, (*want, *want_genie, genie)))
-    trees = None
+    table = None
     calls = 0
 
     def poisoned(dec, phase, prefix, llrs, held=None, flip=None):
@@ -774,7 +787,7 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
         phase_llr, kept = phase_llrs_trellis(dec, phase, prefix, llrs, held, flip)
         for array in (phase_llr, *kept.values()):
             assert not np.shares_memory(array, codec._WORKSPACE)
-        want = conftest.section_tree_phase_llrs(trees[phase], prefix, llrs)
+        want = conftest.section_tree_phase_llrs(table, phase, prefix, llrs)
         np.testing.assert_array_equal(phase_llr, want)
         calls += 1
         return phase_llr, kept
@@ -782,7 +795,7 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
     monkeypatch.setattr(codec, "phase_llrs_trellis", poisoned)
     for spec, llrs, want in runs:
         kernel, n = spec.kernel, spec.n
-        trees = section_trees(kernel).roots()
+        table = section_trees(kernel)
         genie = np.zeros(n, dtype=np.int64)
         got_genie = _decode_rec(build_link_tables(kernel), frozenset(range(n)), llrs, 0, genie)
         got = (*sc_decode_batch(spec, llrs), *got_genie, genie)
@@ -802,7 +815,7 @@ def test_build_link_tables_builds_the_whole_decoder(monkeypatch, kernel, m):
     def built_late(*args):
         raise AssertionError("built after build_link_tables")
 
-    monkeypatch.setattr(SectionNode, "coset_indices", built_late)
+    monkeypatch.setattr(codec, "_coset_indices", built_late)
     monkeypatch.setattr(codec, "_program", built_late)
     ell = kernel.ncols
     frozen = select_frozen_set(ell, m, 128, kernel, 2.0, 16, seed=1)

@@ -8,13 +8,12 @@ import json
 import numpy as np
 import pytest
 
-from polarkit import complexity
+from polarkit import codec, complexity
 from polarkit.complexity import (
     CALIBRATED_MODE,
     ReuseMode,
-    SectionNode,
+    SectionTable,
     comb_cost,
-    extend_kernel,
     section_trees,
     split_point,
     total_complexity,
@@ -25,20 +24,17 @@ from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
 from tests.conftest import (
     RNG_SEED,
+    extend_kernel,
     greedy_selection,
     naive_rank,
     naive_span,
     oracle_reuse_eligible,
     oracle_section_trees,
+    oracle_sections,
     oracle_total_complexity,
     random_kernel,
+    to_bits,
 )
-
-
-def _nodes(tree: SectionNode):
-    yield tree
-    for child in tree.children:
-        yield from _nodes(child)
 
 
 def test_extend_kernel_shape_and_flag():
@@ -70,12 +66,24 @@ def test_split_point_midpoint():
     assert split_point(0, 5) == 2  # shorter part on the left
 
 
-def _node_fields(tree) -> list[tuple]:
-    """Every node's fields, and the size, cost and leaf test derived from them."""
+def _table_fields(table: SectionTable, phase: int) -> list[tuple]:
+    """Every section's fields in one phase, in table order, and the size,
+    cost and leaf test derived from them."""
+    w, v, s_b = table.w[phase], table.v[phase], table.s_basis[phase]
     return [
-        (n.x, n.y, n.w, n.v, len(n.s_basis), comb_cost(n.w, n.v) if n.children else 0)
-        + (not n.children, n.s_basis, n.w_reps, n.v_reps, n.mask, n.phase, len(n.children))
-        for n in _nodes(tree)
+        (x, y, w[j], v[j], len(s_b[j]), comb_cost(w[j], v[j]) if halves else 0, not halves)
+        + (s_b[j], table.w_reps(phase, j), table.v_reps(phase, j), mask, phase, halves)
+        for j, (x, y, mask, halves) in enumerate(table.sections)
+    ]
+
+
+def _oracle_fields(tree) -> list[tuple]:
+    """``_table_fields`` of an oracle tree, its halves found by position."""
+    nodes = oracle_sections(tree)
+    return [
+        (n.x, n.y, n.w, n.v, n.k_s, n.comb_cost, n.is_leaf, n.s_basis, n.w_reps, n.v_reps)
+        + (n.mask, n.phase, tuple(map(nodes.index, n.children)))
+        for n in nodes
     ]
 
 
@@ -90,18 +98,18 @@ def _oracle_kernels(rng) -> list[BitMatrix]:
 
 
 def test_section_trees_match_per_phase_oracle(rng):
-    """Differential oracle: the one-pass table's views equal trees built
-    phase by phase from scratch, on every node field (representatives
-    included), and each phase's code basis equals the extended kernel's."""
+    """Differential oracle: the one-pass table equals trees built phase by
+    phase from scratch, on every section field (representatives and
+    halves included), and each phase's code basis equals the extended
+    kernel's."""
     for kernel in _oracle_kernels(rng):
-        table = section_trees(kernel)
-        trees, oracle = table.roots(), oracle_section_trees(kernel)
-        assert len(trees) == len(oracle) == kernel.ncols
-        for phase, (tree, want) in enumerate(zip(trees, oracle)):
-            assert _node_fields(tree) == _node_fields(want), (kernel, phase)
+        table, oracle = section_trees(kernel), oracle_section_trees(kernel)
+        assert len(table.s_basis) == len(oracle) == kernel.ncols
+        for phase, want in enumerate(oracle):
+            assert _table_fields(table, phase) == _oracle_fields(want), (kernel, phase)
             assert table.code_basis(phase) == tuple(row_basis(extend_kernel(kernel, phase).rows))
-            for n in _nodes(tree):
-                assert n.mask == interval_mask(kernel.ncols + 1, n.x, n.y)
+            for x, y, mask, _ in table.sections:
+                assert mask == interval_mask(kernel.ncols + 1, x, y)
 
 
 def test_one_walk_matches_two_walk_oracle(rng):
@@ -126,15 +134,16 @@ def test_early_stopped_reps_match_full_selection(rng):
         for _ in range(6):
             kernel = random_kernel(ell, rng)
             table = section_trees(kernel)
-            for phase, tree in enumerate(table.roots()):
+            for phase, s_b in enumerate(table.s_basis):
                 code_basis = table.code_basis(phase)
-                for n in _nodes(tree):
-                    seeds = [r for c in n.children for r in c.s_basis]
-                    assert n.w_reps == greedy_selection(seeds, n.s_basis, n.s_basis)
-                    projected = [r & n.mask for r in code_basis]
-                    assert n.v_reps == greedy_selection(n.s_basis, code_basis, projected)
-                    if n.v_reps:
-                        stopped += n.v_reps[-1] != code_basis[-1]
+                for j, (_, _, mask, halves) in enumerate(table.sections):
+                    seeds = [r for h in halves for r in s_b[h]]
+                    assert table.w_reps(phase, j) == greedy_selection(seeds, s_b[j], s_b[j])
+                    projected = [r & mask for r in code_basis]
+                    v_reps = table.v_reps(phase, j)
+                    assert v_reps == greedy_selection(s_b[j], code_basis, projected)
+                    if v_reps:
+                        stopped += v_reps[-1] != code_basis[-1]
     assert stopped >= 1000
 
 
@@ -149,27 +158,36 @@ def _select(rows: tuple[int, ...], index: int) -> int:
 
 
 def test_links_name_each_sums_child_coset(rng):
-    """Every internal node of every phase, on BEST12 and random kernels at
-    widths 2..8: sum alpha * 2^w + beta of a node is the word that selects
-    (w_reps + v_reps)[k] by its bit k, and its entry j in a child's link
-    array names the child coset that holds the word on the child's columns:
-    the word plus the child's v-representatives selected by j lies there in
-    the child's shortened code."""
+    """Every internal section of every phase, on BEST12 and random kernels
+    at widths 2..8: sum alpha * 2^w + beta of a section is the word that
+    selects (w_reps + v_reps)[k] by its bit k, and its entry c in a half's
+    link array (`codec._links`) names the half's coset that holds the word
+    on the half's columns: the word plus the half's v-representatives
+    selected by c lies there in the half's shortened code.  A word outside
+    the punctured code has no coset index."""
     kernels = [BEST12] + [random_kernel(ell, rng) for ell in range(2, 9) for _ in range(4)]
     checked = 0
     for kernel in kernels:
-        for tree in section_trees(kernel).roots():
-            for n in _nodes(tree):
-                if not n.children:
+        table = section_trees(kernel)
+        for phase, s_b in enumerate(table.s_basis):
+            for j, (x, y, _, halves) in enumerate(table.sections):
+                if not halves:
                     continue
-                generators = n.w_reps + n.v_reps
-                for child, link in zip(n.children, n.links, strict=True):
-                    assert link.shape == (1 << n.v, 1 << n.w)
-                    for index, j in enumerate(link.flat):
-                        word = _select(generators, index) ^ _select(child.v_reps, int(j))
-                        assert is_subcode([word & child.mask], child.s_basis), (kernel, n)
+                generators = table.w_reps(phase, j) + table.v_reps(phase, j)
+                for h, link in zip(halves, codec._links(table, phase, j), strict=True):
+                    assert link.shape == (1 << table.v[phase][j], 1 << table.w[phase][j])
+                    mask, reps = table.sections[h][2], table.v_reps(phase, h)
+                    for index, c in enumerate(link.flat):
+                        word = _select(generators, index) ^ _select(reps, int(c))
+                        assert is_subcode([word & mask], s_b[h]), (kernel, phase, x, y)
                         checked += 1
     assert checked > 5000
+    # phase 1 of ARIKAN punctures its one extended row 0b111 to 0b110 on
+    # the root section, where the word 0b100 then lies in no coset
+    table = section_trees(ARIKAN)
+    assert codec._coset_indices(table, 1, 2, [0b110]).tolist() == [1]
+    with pytest.raises(ValueError, match="word outside the punctured code"):
+        codec._coset_indices(table, 1, 2, [0b100])
 
 
 def test_code_basis_built_only_for_representatives(rng, monkeypatch):
@@ -191,9 +209,10 @@ def test_code_basis_built_only_for_representatives(rng, monkeypatch):
             else:
                 assert len(built) <= kernel.ncols, policy
         built.clear()
-        for tree in section_trees(kernel).roots():
-            for n in _nodes(tree):
-                n.v_reps  # the first read in a phase builds its code basis
+        table = section_trees(kernel)
+        for phase in range(kernel.ncols):
+            for j in range(len(table.sections)):
+                table.v_reps(phase, j)  # the first read in a phase builds its code basis
         assert len(built) == kernel.ncols
 
 
@@ -201,8 +220,8 @@ def test_root_v_is_one_every_phase(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 9))
         kernel = random_kernel(ell, rng)
-        for tree in section_trees(kernel).roots():
-            assert tree.v == 1
+        for v in section_trees(kernel).v:
+            assert v[-1] == 1  # the root is the last section
 
 
 def test_dimension_monotonicity(rng):
@@ -210,13 +229,14 @@ def test_dimension_monotonicity(rng):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
         phase = int(rng.integers(0, ell))
-        tree = section_trees(kernel).roots()[phase]
-        for node in _nodes(tree):
-            assert node.v >= 0  # the punctured code's dimension k_s + v is at least k_s
-            if node.children:
-                k_s, (left, right) = len(node.s_basis), node.children
-                assert k_s >= len(left.s_basis) + len(right.s_basis)
-                assert node.w == k_s - len(left.s_basis) - len(right.s_basis)
+        table = section_trees(kernel)
+        s_b, w, v = table.s_basis[phase], table.w[phase], table.v[phase]
+        for j, (_, _, _, halves) in enumerate(table.sections):
+            assert v[j] >= 0  # the punctured code's dimension k_s + v is at least k_s
+            if halves:
+                k_s, (left, right) = len(s_b[j]), halves
+                assert k_s >= len(s_b[left]) + len(s_b[right])
+                assert w[j] == k_s - len(s_b[left]) - len(s_b[right])
 
 
 def test_node_dimensions_match_enumeration(rng):
@@ -226,36 +246,31 @@ def test_node_dimensions_match_enumeration(rng):
     for _ in range(12):
         ell = int(rng.integers(2, 11))
         kernel = random_kernel(ell, rng)
-        for phase, tree in enumerate(section_trees(kernel).roots()):
-            bits = extend_kernel(kernel, phase).to_bits()
+        table = section_trees(kernel)
+        for phase, (s_b, w, v) in enumerate(zip(table.s_basis, table.w, table.v)):
+            bits = to_bits(extend_kernel(kernel, phase))
             words = naive_span(bits)
-            k_s = {}
-            for node in _nodes(tree):
-                x, y = node.x, node.y
-                shortened = [w for w in words if not any(w[:x]) and not any(w[y:])]
-                k_s[x, y] = len(shortened).bit_length() - 1
+            k_s = []  # per section, halves first
+            for j, (x, y, _, halves) in enumerate(table.sections):
+                shortened = [word for word in words if not any(word[:x]) and not any(word[y:])]
+                k_s.append(len(shortened).bit_length() - 1)
                 k_p = naive_rank([row[x:y] for row in bits])
-                assert (len(node.s_basis), len(node.s_basis) + node.v) == (k_s[x, y], k_p)
-            for node in _nodes(tree):
-                if not node.children:
-                    assert node.w == 0
-                else:
-                    left, right = node.children
-                    children = k_s[left.x, left.y] + k_s[right.x, right.y]
-                    assert node.w == k_s[node.x, node.y] - children
+                assert (len(s_b[j]), len(s_b[j]) + v[j]) == (k_s[j], k_p)
+                assert w[j] == (k_s[j] - sum(k_s[h] for h in halves) if halves else 0)
 
 
 def test_reuse_eligible_matches_literal_rule(rng):
-    """The phase-column shortcut decides exactly as the span test would."""
+    """The phase-column shortcut decides exactly as the span test would, on
+    the oracle trees."""
     decided = 0
     for _ in range(40):
         kernel = random_kernel(int(rng.integers(2, 13)), rng)
         table = section_trees(kernel)
-        trees = table.roots()
-        for prev, nxt in zip(trees, trees[1:]):
-            for p, n in zip(_nodes(prev), _nodes(nxt)):
-                got = table.reuse_eligible(n.phase, n.index)
-                assert got == oracle_reuse_eligible(p, n), (kernel, p.phase)
+        oracle = [oracle_sections(tree) for tree in oracle_section_trees(kernel)]
+        for phase, (prev, nxt) in enumerate(zip(oracle, oracle[1:]), start=1):
+            for j, (p, n) in enumerate(zip(prev, nxt, strict=True)):
+                got = table.reuse_eligible(phase, j)
+                assert got == oracle_reuse_eligible(p, n), (kernel, phase)
                 decided += bool(p.children)
     assert decided >= 1000
 
@@ -269,19 +284,19 @@ def test_widened_sections_fail_reuse_by_the_phase_column(rng):
     for ell in range(2, 17):
         for _ in range(4):
             kernel = random_kernel(ell, rng)
-            trees = section_trees(kernel).roots()
-            oracle = oracle_section_trees(kernel)
-            for phase, (tree, want) in enumerate(zip(trees, oracle)):
-                bits = extend_kernel(kernel, phase).to_bits()
-                for n, o in zip(_nodes(tree), _nodes(want)):
-                    section = [row[n.x : n.y] for row in bits]
-                    assert n.widened == (naive_rank(section) > naive_rank(section[1:]))
-                    if n.widened:
-                        assert any(r & 1 for r in o.v_reps), (kernel, phase, n.x, n.y)
-            for prev, tree, nxt in zip(oracle, trees[1:], oracle[1:]):
-                for p, n, o in zip(_nodes(prev), _nodes(tree), _nodes(nxt)):
-                    if n.widened:
-                        assert not oracle_reuse_eligible(p, o), (kernel, n.phase, n.x, n.y)
+            table = section_trees(kernel)
+            oracle = [oracle_sections(tree) for tree in oracle_section_trees(kernel)]
+            for phase, (widened, want) in enumerate(zip(table.widened, oracle)):
+                bits = to_bits(extend_kernel(kernel, phase))
+                for j, ((x, y, _, _), o) in enumerate(zip(table.sections, want, strict=True)):
+                    section = [row[x:y] for row in bits]
+                    assert widened[j] == (naive_rank(section) > naive_rank(section[1:]))
+                    if not widened[j]:
+                        continue
+                    assert any(r & 1 for r in o.v_reps), (kernel, phase, x, y)
+                    if phase:
+                        p = oracle[phase - 1][j]
+                        assert not oracle_reuse_eligible(p, o), (kernel, phase, x, y)
                         decided += not o.is_leaf and all(
                             a.s_basis == b.s_basis for a, b in zip(p.children, o.children)
                         )
@@ -296,8 +311,8 @@ def test_root_never_reuse_eligible(rng):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
         table = section_trees(kernel)
-        for nxt in table.roots()[1:]:
-            assert not table.reuse_eligible(nxt.phase, nxt.index)
+        for phase in range(1, ell):
+            assert not table.reuse_eligible(phase, len(table.sections) - 1)
 
 
 def test_last_phase_w_zero_everywhere(rng):
@@ -306,11 +321,11 @@ def test_last_phase_w_zero_everywhere(rng):
     for _ in range(20):
         ell = int(rng.integers(2, 13))
         kernel = random_kernel(ell, rng)
-        tree = section_trees(kernel).roots()[ell - 1]
-        for node in _nodes(tree):
-            assert node.w == 0
-            if node.children:
-                assert comb_cost(node.w, node.v) == (1 << node.v)
+        table = section_trees(kernel)
+        for (_, _, _, halves), w, v in zip(table.sections, table.w[ell - 1], table.v[ell - 1]):
+            assert w == 0
+            if halves:
+                assert comb_cost(w, v) == (1 << v)
 
 
 def test_reuse_only_removes_cost(rng):
@@ -327,8 +342,9 @@ def test_report_total_is_per_phase_sum(rng):
         kernel = random_kernel(int(rng.integers(2, 9)), rng)
         report = total_complexity(kernel)
         assert report.total == sum(p.cost for p in report.per_phase)
-        tree = section_trees(kernel).roots()[0]
-        charged = [comb_cost(node.w, node.v) for node in _nodes(tree) if node.children]
+        table = section_trees(kernel)
+        w, v = table.w[0], table.v[0]
+        charged = [comb_cost(w[j], v[j]) for j, section in enumerate(table.sections) if section[3]]
         assert sum(charged) == report.per_phase[0].cost
 
 
@@ -341,8 +357,7 @@ def test_arikan_reuse_ineligible():
     """For the 2x2 kernel the root w/v representatives of the second
     phase fall outside the first phase's span, so nothing is reused."""
     table = section_trees(ARIKAN)
-    _, nxt = table.roots()
-    assert not table.reuse_eligible(1, nxt.index)
+    assert not table.reuse_eligible(1, len(table.sections) - 1)  # the root
     report = total_complexity(ARIKAN)
     assert all(p.reused == () for p in report.per_phase)
 
@@ -351,11 +366,11 @@ def test_reuse_eligible_requires_matching_interval():
     """The rule compares a section with the same section of the previous
     phase, which phase 0 and phases past the last do not have."""
     table = section_trees(ARIKAN)
-    tree, _ = table.roots()
+    root = len(table.sections) - 1
     with pytest.raises(ValueError):
-        table.reuse_eligible(0, tree.index)
+        table.reuse_eligible(0, root)
     with pytest.raises(ValueError):
-        table.reuse_eligible(2, tree.index)  # ARIKAN has phases 0 and 1
+        table.reuse_eligible(2, root)  # ARIKAN has phases 0 and 1
 
 
 def test_reference_totals_under_shipped_policy():
@@ -386,10 +401,8 @@ def test_costs_invariant_under_lower_row_operations(rng):
         for _ in range(3):
             kernel = random_kernel(ell, rng)
             other = _add_lower_rows(kernel, rng, 2 * ell)
-            for a, b in zip(section_trees(kernel).roots(), section_trees(other).roots()):
-                assert [(n.s_basis, n.w, n.v) for n in _nodes(a)] == [
-                    (n.s_basis, n.w, n.v) for n in _nodes(b)
-                ]
+            a, b = section_trees(kernel), section_trees(other)
+            assert (a.s_basis, a.w, a.v) == (b.s_basis, b.w, b.v)
             for policy in (ReuseMode.NONE, ReuseMode.SECTION_TABLES):
                 want = total_complexity(kernel, policy).total
                 assert total_complexity(other, policy).total == want
@@ -450,7 +463,7 @@ def test_section_tables_reuse_matches_enumerated_tables(rng):
     for _ in range(40):
         ell = int(rng.integers(2, 9))
         kernel = random_kernel(ell, rng)
-        rows = [tuple(r) for r in kernel.to_bits()]
+        rows = [tuple(r) for r in to_bits(kernel)]
         llrs = rng.normal(size=ell)
         decisions = [int(b) for b in rng.integers(0, 2, size=ell)]
         report = total_complexity(kernel, ReuseMode.SECTION_TABLES)
