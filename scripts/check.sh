@@ -26,7 +26,11 @@
 #      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
 #      (ru_maxrss) of the process that measured them, for the work tree and
 #      for HEAD (getrusage over 10 batches after 3 warm-up ones, each code
-#      in a fresh interpreter); informational, it gates nothing.
+#      in a fresh interpreter); informational, it gates nothing;
+#   7. a sha256 of the compiled decoders (`codec.build_link_tables`) of
+#      ARIKAN, BEST12, BEST16 and 8 random non-singular kernels per width
+#      2..16 (seed 5), for the work tree and for HEAD, and whether they
+#      match; informational, it gates nothing.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
 # difference in those outputs.
@@ -144,6 +148,45 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
 PY
 }
+# prints a sha256 of the compiled decoders of the polarkit on PYTHONPATH:
+# each `build_link_tables` result in a canonical form, arrays as dtype,
+# shape and bytes and slices as start and stop
+decoder_digest() {
+    python - <<'PY'
+import hashlib
+
+import numpy as np
+
+from polarkit.codec import build_link_tables
+from polarkit.gf2 import BitMatrix, rank
+from polarkit.reference import ARIKAN, BEST12, BEST16
+
+
+def canonical(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, hashlib.sha256(value.tobytes()).hexdigest()
+    if isinstance(value, slice):
+        return "slice", value.start, value.stop
+    if isinstance(value, tuple):
+        return tuple(canonical(item) for item in value)
+    if isinstance(value, frozenset):
+        return "set", tuple(sorted(value))
+    return value
+
+
+rng = np.random.default_rng(5)
+kernels = [ARIKAN, BEST12, BEST16]
+for ell in range(2, 17):
+    while len(kernels) < 3 + 8 * (ell - 1):  # rejection sampling of non-singular kernels
+        rows = tuple(int(r) for r in rng.integers(1, 1 << ell, size=ell))
+        if rank(rows) == ell:
+            kernels.append(BitMatrix(ell, rows))
+digest = hashlib.sha256()
+for kernel in kernels:
+    digest.update(repr(canonical(tuple(build_link_tables(kernel)))).encode())
+print(f"{len(kernels)} kernels {digest.hexdigest()}")
+PY
+}
 head_src=$(mktemp -d)
 git archive HEAD src | tar -x -C "$head_src"
 now_options=$(count_options)
@@ -171,6 +214,10 @@ for run in "BEST16 2" "ARIKAN 8"; do
     faults+=("$name m=$m $(batch_faults "$name" "$m") (HEAD $(PYTHONPATH="$head_src/src" batch_faults "$name" "$m"))")
 done
 echo "minor page faults per 256-codeword batch, peak RSS: ${faults[0]}; ${faults[1]}"
+now_digest=$(decoder_digest)
+head_digest=$(PYTHONPATH="$head_src/src" decoder_digest)
+[[ "$now_digest" == "$head_digest" ]] && match="match" || match="differ"
+echo "compiled decoders: $now_digest (HEAD $head_digest): $match"
 rm -rf "$head_src" "$now_out" "$head_out"
 python - "$now_options" "$head_options" <<'PY'
 import json

@@ -30,12 +30,12 @@ is indexed by the cosets of the shortened code inside the punctured code
 (2^v entries, over the v-representatives: `_coset_indices`); an entry is
 the max over 2^w sums of the halves' entries, which the section's link
 arrays name (`_links`).  Tables are coset-major, (2^v, rows), so a link
-reads whole contiguous rows.  Each phase tree compiles into a flat
-post-order step list (`_program`) whose leaves are rows of a bank of
-prefix-signed half LLRs, with a buffer plan: each array that a call
-forms has a fixed offset in one float64 workspace (`_plan`) and is
-written there through `out=`, so a call allocates only the phase LLRs
-and the tables kept for the next phase.
+reads whole contiguous rows.  Each phase tree compiles into a flat step
+list in the post-order of the table's sections (`_program`), whose
+leaves are rows of a bank of prefix-signed half LLRs, with a buffer plan:
+each array that a call forms has a fixed offset in one float64 workspace
+(`_plan`) and is written there through `out=`, so a call allocates only
+the phase LLRs and the tables kept for the next phase.
 
 Phases reuse section tables: within a block, a phase gathers the table of
 each node that the `SECTION_TABLES` complexity model reuses from the
@@ -46,7 +46,8 @@ kernels", ISIT 2021); the output is bit-identical.  The model's other
 reuse, of the previous node's pre-comparison sums, is not done here: such
 a node is evaluated.  `build_link_tables` builds a kernel's decoder once,
 with two programs per phase: `warm` gathers, and `cold` evaluates every
-node, for phase 0 and for a phase after a skipped rate-0 block.
+node, for phase 0 and for a phase after a skipped rate-0 block.  A phase
+that gathers nothing has one program, which serves as both.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polarkit.complexity import ReuseMode, SectionTable, phase_costs, section_trees
+from polarkit.complexity import ReuseMode, SectionTable, check_width, phase_costs, section_trees
 from polarkit.gf2 import MAX_COLS, BitMatrix, eliminate, rank, unpack_row
 from polarkit.pdp import SingularKernelError
 
 
 def code_length(ell: int, m: int, kernel: BitMatrix) -> int:
-    """n = ell^m, once m >= 1, the code fits the decoder and the kernel is
-    ell x ell and non-singular."""
+    """n = ell^m, once ell passes `check_width`, m >= 1, the code fits the
+    decoder and the kernel is ell x ell and non-singular."""
+    check_width(ell)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     # ell >= 2, so m > 12 already exceeds the bound: checked before the power
@@ -273,82 +275,59 @@ def _program(
     table: SectionTable, phase: int, links: dict, gathers: tuple, keep: frozenset
 ) -> _Program:
     """The step list of a phase's section tree when the tables of `gathers`
-    are given, and its workspace plan; `links` holds each internal
-    section's `_links` by (phase, section).  Time counts the numpy
-    operations of a call; a buffer lives from the operation that writes it
-    to its last reader."""
+    are given, one step per internal section outside them in the
+    post-order of `table.sections`, and its workspace plan; `links` holds
+    each internal section's `_links` by (phase, section).  Time counts the
+    numpy operations of a call; a buffer lives from the operation that
+    writes it to its last reader."""
     sections, s_basis, w, v = table.sections, table.s_basis[phase], table.w[phase], table.v[phase]
     spans: list[list[int]] = []  # per buffer: [rows, first use, last use]
 
-    def buffer(rows: int, time: int) -> int:
+    def buffer(rows: int, time: int, *reads: int) -> int:
+        for buf in reads:
+            spans[buf][2] = time
         spans.append([rows, time, time])
         return len(spans) - 1
 
-    def read(buf: int, time: int) -> None:
-        spans[buf][2] = time
-
-    signed, bank = buffer(table.ell, 0), buffer(0, 1)  # the bank's size is known after the walk
-    read(signed, 1)
+    signed = buffer(table.ell, 0)
+    bank = buffer(0, 1, signed)  # its size is known after the loop
     time = 2
     mask = buffer(1, time) if any(idx1 is not None for _, _, idx1 in gathers) else None
-    tables, planned_gathers = {}, []
+    tables, planned = {}, []  # tables: the buffer of each gathered or computed section
     for key, idx0, idx1 in gathers:
-        time += 1
-        out = tables[key] = buffer(len(idx0), time)
-        other = None
-        if idx1 is not None:  # the bit select reads both takes and the mask
-            time += 1
-            other = buffer(len(idx1), time)
-            read(out, time)
-            read(mask, time)
-        planned_gathers.append([key, idx0, idx1, out, other])
-    steps: list[list] = []
-    bank_links: list[np.ndarray] = []
-
-    def source(j: int, link: np.ndarray) -> tuple[int, np.ndarray]:
-        x, y, _, halves = sections[j]
-        if halves:
-            return (tables[x, y] if (x, y) in tables else visit(j)), link
-        # bank entries coded kind * MAX_COLS + column: kind 0 the bit-0
-        # metric, 1 the bit-1 metric, 2 the magnitude
-        entries = [2 * MAX_COLS + x] if s_basis[j] else [x, MAX_COLS + x][: 1 + v[j]]
-        bank_links.append(np.array(entries)[link])
-        return bank, bank_links[-1]
-
-    def visit(j: int) -> int:
-        nonlocal time
-        (left, link_a), (right, link_b) = map(source, sections[j][3], links[phase, j])
-        shape = link_a.shape
-        sums = buffer(link_a.size, time + 1)
-        read(left, time + 1)
-        other = buffer(link_b.size, time + 2)
-        read(right, time + 2)
-        read(sums, time + 2)
-        time += 2
-        out = sums
-        if w[j] > 0:
-            time += 1
-            out = buffer(shape[0], time)
-            read(sums, time)
-        steps.append([sections[j][:2], left, link_a, right, link_b, sums, other, out, shape])
-        return out
-
-    root_table = visit(len(sections) - 1)
-    assert spans[root_table][0] == 2
+        out = tables[key] = buffer(len(idx0), time + 1)
+        # the bit select reads both takes and the mask
+        other = None if idx1 is None else buffer(len(idx1), time + 2, out, mask)
+        time += 1 if idx1 is None else 2
+        planned.append((key, idx0, idx1, out, other))
+    steps, bank_links = [], []
+    for j, (x, y, _, halves) in enumerate(sections):
+        if not halves or any(a <= x and y <= b for (a, b), _, _ in gathers):
+            continue
+        reads, shape = [], (1 << v[j], 1 << w[j])
+        for h, link in zip(halves, links[phase, j]):
+            hx, hy, _, internal = sections[h]
+            link = link.ravel()
+            if not internal:
+                # bank entries coded kind * MAX_COLS + column: kind 0 the
+                # bit-0 metric, 1 the bit-1 metric, 2 the magnitude
+                entries = [2 * MAX_COLS + hx] if s_basis[h] else [hx, MAX_COLS + hx][: 1 + v[h]]
+                bank_links.append(link := np.array(entries)[link])
+            reads += [tables[hx, hy] if internal else bank, link]
+        left, link_a, right, link_b = reads
+        sums = buffer(link_a.size, time + 1, left)
+        other = buffer(link_b.size, time + 2, right, sums)
+        time += 3 if w[j] else 2
+        out = tables[x, y] = buffer(shape[0], time, sums) if w[j] else sums
+        steps.append(((x, y), left, link_a, right, link_b, sums, other, out, shape))
+    assert spans[out][0] == 2  # the last step's table: the root's, never gathered
     codes = sorted({int(code) for link in bank_links for code in link.flat})
     spans[bank][0] = len(codes)
     bank_row = np.zeros(3 * MAX_COLS, dtype=np.int64)
     bank_row[codes] = range(len(codes))
     for link in bank_links:  # composed bank links read bank rows
         link[...] = bank_row[link]
-    offsets = _plan(spans)
-    at = [slice(o, o + rows) for o, (rows, _, _) in zip(offsets, spans)]
-    for step in steps:
-        for i in (1, 3, 5, 6, 7):
-            step[i] = at[step[i]]
-        step[2], step[4] = step[2].ravel(), step[4].ravel()
-    for gather in planned_gathers:
-        gather[3:] = [None if buf is None else at[buf] for buf in gather[3:]]
+    at = [slice(o, o + rows) for o, (rows, _, _) in zip(_plan(spans), spans)]
     minus, absolute = (bisect_left(codes, kind * MAX_COLS) for kind in (1, 2))
     return _Program(
         np.array(codes, dtype=np.int64) % MAX_COLS,
@@ -357,11 +336,17 @@ def _program(
         at[signed],
         at[bank],
         None if mask is None else at[mask],
-        tuple(_Gather(*gather) for gather in planned_gathers),
-        tuple(_Step(*step) for step in steps),
+        tuple(
+            _Gather(key, idx0, idx1, at[take0], None if take1 is None else at[take1])
+            for key, idx0, idx1, take0, take1 in planned
+        ),
+        tuple(
+            _Step(key, at[left], link_a, at[right], link_b, at[sums], at[other], at[end], shape)
+            for key, left, link_a, right, link_b, sums, other, end, shape in steps
+        ),
         keep,
-        at[root_table],
-        max(o + rows for o, (rows, _, _) in zip(offsets, spans)),
+        at[out],
+        max(where.stop for where in at),
     )
 
 
@@ -370,7 +355,8 @@ class _Decoder(NamedTuple):
     where kernel row a is 1; the `_butterfly` columns of the kernel's
     inverse; and per phase two programs, `cold`, which evaluates every
     node (phase 0, and a phase after a skipped block), and `warm`, which
-    gathers from the previous phase's tables."""
+    gathers from the previous phase's tables: the same object as `cold`
+    where the phase gathers nothing."""
 
     supports: tuple[np.ndarray, ...]
     inverse: tuple[tuple[int, ...], ...]
@@ -405,7 +391,11 @@ def build_link_tables(kernel: BitMatrix) -> _Decoder:
         gathers.append(tuple(plan))
     keeps = [frozenset(key for key, _, _ in plan) for plan in gathers[1:]] + [frozenset()]
     cold = tuple(_program(table, a, links, (), keeps[a]) for a in range(ell))
-    warm = tuple(_program(table, a, links, gathers[a], keeps[a]) for a in range(ell))
+    # a phase that gathers nothing compiles to its cold program: share that one
+    warm = tuple(
+        _program(table, a, links, plan, keeps[a]) if plan else cold[a]
+        for a, plan in enumerate(gathers)
+    )
     supports = tuple(np.flatnonzero(unpack_row(r, kernel.ncols)) for r in kernel.rows)
     return _Decoder(supports, _butterflies(kernel)[1], cold, warm)
 

@@ -220,6 +220,14 @@ def _midpoint_sections(ell: int) -> tuple[tuple[int, int, int, tuple[int, ...]],
     return tuple(sections)
 
 
+def check_width(ell: int) -> None:
+    """ValueError unless the model and the decoder support kernel width
+    ell: a section tree splits at least two columns, and a phase's
+    extended rows take ell + 1 <= ``gf2.MAX_COLS``."""
+    if not MIN_ELL <= ell <= MAX_ELL:
+        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
+
+
 def section_trees(kernel: BitMatrix) -> SectionTable:
     """The section codes of all ell phases of a square, non-singular
     kernel, over the full binary midpoint tree of the non-appended columns.
@@ -231,6 +239,7 @@ def section_trees(kernel: BitMatrix) -> SectionTable:
     kernel row per phase to each section's two elimination states.
     """
     ell = kernel.ncols
+    check_width(ell)
     if kernel.nrows != ell or rank(kernel.rows) != ell:
         raise SingularKernelError("kernel must be square and non-singular")
     sections = _midpoint_sections(ell)
@@ -296,9 +305,6 @@ def total_complexity_cached(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MO
 def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> ComplexityReport:
     """Per-phase section-tree costs summed over all ell phases, with the
     requested trellis-reuse policy applied between consecutive phases."""
-    ell = kernel.ncols
-    if not MIN_ELL <= ell <= MAX_ELL:
-        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
     return ComplexityReport(phase_costs(section_trees(kernel), policy), policy)
 
 

@@ -198,6 +198,25 @@ def test_select_frozen_set_rejects_k_outside_1_to_n(monkeypatch, k):
         select_frozen_set(2, 4, k, ARIKAN, 2.0, 500, seed=3)
 
 
+@pytest.mark.parametrize("ell", [1, 17])
+def test_decoder_rejects_unsupported_widths(monkeypatch, ell):
+    """A non-singular kernel of width 1 or 17 fails the spec and frozen-set
+    selection with the model's width error, before any noise is drawn.
+    Width 1 has no section to decode over, and width 17's extended rows
+    reach the coefficient bits of `_coset_indices`."""
+    kernel = random_kernel(ell, np.random.default_rng(3))
+    message = rf"^kernel size {ell} outside supported range \[2, 16\]$"
+
+    def drawn(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    with pytest.raises(ValueError, match=message):
+        PolarCodeSpec(ell, 1, 1, kernel, frozenset(range(1, ell)))
+    with pytest.raises(ValueError, match=message):
+        select_frozen_set(ell, 1, 1, kernel, 2.0, 16, seed=1)
+
+
 def test_select_frozen_set_accepts_k_1_and_n():
     assert len(select_frozen_set(2, 4, 1, ARIKAN, 2.0, 50, seed=3)) == 15
     assert select_frozen_set(2, 4, 16, ARIKAN, 2.0, 50, seed=3) == frozenset()
@@ -736,15 +755,20 @@ def _check_plan(prog, table: SectionTable, phase: int) -> None:
     run([], [(prog.root, (0, table.ell))])
 
 
+def _plan_kernels(rng) -> list[BitMatrix]:
+    """BEST16, BEST12, ARIKAN and 3 random kernels per width 4..16."""
+    return [BEST16, BEST12, ARIKAN] + [
+        random_kernel(ell, rng) for ell in range(4, 17) for _ in range(3)
+    ]
+
+
 def test_workspace_plans_keep_live_buffers_apart(rng):
-    """Every `cold` and `warm` program of BEST16, BEST12, ARIKAN and 3
-    random kernels per width 4..16 writes each workspace buffer before
-    reading it and never overwrites a live one, and its planned peak is at
-    most the rows that its fresh-array stack evaluation holds at once."""
-    kernels = [BEST16, BEST12, ARIKAN]
-    kernels += [random_kernel(ell, rng) for ell in range(4, 17) for _ in range(3)]
+    """Every `cold` and `warm` program of the `_plan_kernels` writes each
+    workspace buffer before reading it and never overwrites a live one,
+    and its planned peak is at most the rows that its fresh-array stack
+    evaluation holds at once."""
     below = 0
-    for kernel in kernels:
+    for kernel in _plan_kernels(rng):
         dec = build_link_tables(kernel)
         table = section_trees(kernel)
         for programs in (dec.cold, dec.warm):
@@ -804,13 +828,46 @@ def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
     assert calls > 3_000
 
 
+def test_programs_follow_the_table_and_share_cold_ones(rng):
+    """Each program of the `_plan_kernels` steps through internal sections
+    in ascending table order (the post-order, halves first), none inside a
+    gathered section, and ends at the root.  A `warm` program is its
+    phase's `cold` one exactly where the phase gathers nothing in the
+    model; a `cold` one gathers nothing."""
+    shared = 0
+    for kernel in _plan_kernels(rng):
+        dec, sections = build_link_tables(kernel), section_trees(kernel).sections
+        index = {section[:2]: j for j, section in enumerate(sections)}
+        for cold, warm, model in zip(dec.cold, dec.warm, _model_gathers(kernel), strict=True):
+            assert not cold.gathers and (warm is cold) == (not model)
+            shared += warm is cold
+            for prog in (cold, warm):
+                order = [index[step.key] for step in prog.steps]
+                assert order == sorted(set(order)) and order[-1] == len(sections) - 1
+                for x, y, _, halves in map(sections.__getitem__, order):
+                    assert halves
+                    assert not any(a <= x and y <= b for (a, b), *_ in prog.gathers)
+    assert shared > 0
+
+
 @pytest.mark.parametrize("kernel, m", [(BEST16, 2), (ARIKAN, 8)], ids=["BEST16", "ARIKAN"])
 def test_build_link_tables_builds_the_whole_decoder(monkeypatch, kernel, m):
     """`build_link_tables` builds every link array, gather and step list of
-    a kernel: after it, frozen-set selection and BLER simulation of a
+    a kernel, with one program per phase and a second per phase that
+    gathers: after it, frozen-set selection and BLER simulation of a
     (256,128) code compute no coset index and compile no program."""
+    compiled = 0
+    compile_program = codec._program
+
+    def counted(*args):
+        nonlocal compiled
+        compiled += 1
+        return compile_program(*args)
+
     build_link_tables.cache_clear()
+    monkeypatch.setattr(codec, "_program", counted)
     build_link_tables(kernel)
+    assert compiled == kernel.ncols + sum(map(bool, _model_gathers(kernel)))
 
     def built_late(*args):
         raise AssertionError("built after build_link_tables")

@@ -528,8 +528,14 @@ def test_cached_total_matches_report(rng):
 
 
 def test_size_bounds():
-    with pytest.raises(ValueError):
-        total_complexity(BitMatrix(1, (1,)))
+    """Widths 1 and 17 fail the model before its rank test, singular or
+    not, with the error that `total_complexity` and the decoder share."""
+    for ell in (1, 17):
+        identity = tuple(1 << (ell - 1 - i) for i in range(ell))
+        for rows in (identity, (0,) * ell):
+            for build in (section_trees, total_complexity):
+                with pytest.raises(ValueError, match=rf"^kernel size {ell} outside supported range"):
+                    build(BitMatrix(ell, rows))
 
 
 def test_report_json_dict_shape():
