@@ -17,11 +17,14 @@
 #      m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at m=2, two
 #      SNRs, 600 trials), the `polarkit random` JSON at ell 8 and 12
 #      (300 trials, seed 7) under the all-contiguous and section-tables
-#      policies, the `polarkit brute` kernel at ell 12, and a `polarkit
-#      train` run (ell 8, 20 episodes, an update every 10, seed 1): its
-#      training_log.csv and best_kernel.txt, and a sha256 of the final
-#      checkpoint's arrays as np.load reads them (the .npz zip entries
-#      carry timestamps, so its bytes differ between equal runs);
+#      policies and at ell 16 (300 trials, seed 7, the default policy;
+#      most of its trials run into the placement cap, so each draws
+#      several blocks of random words), the `polarkit brute` kernel at
+#      ell 12, and a `polarkit train` run (ell 8, 20 episodes, an update
+#      every 10, seed 1): its training_log.csv and best_kernel.txt, and a
+#      sha256 of the final checkpoint's arrays as np.load reads them (the
+#      .npz zip entries carry timestamps, so its bytes differ between
+#      equal runs);
 #   6. the minor page faults per warmed 256-codeword batch of the (256,128)
 #      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
 #      (ru_maxrss) of the process that measured them, for the work tree and
@@ -105,6 +108,8 @@ PY
                 > "$1/random-$ell-$reuse.json" 2> "$1/random-$ell-$reuse.log"
         done
     done
+    python -m polarkit.cli random --ell 16 --iters 300 --seed 7 \
+        > "$1/random-16.json" 2> "$1/random-16.log"
     python -m polarkit.cli brute --ell 12 > "$1/brute-12.txt" 2> "$1/brute-12.log"
     printf 'ell=8\ntotal_episodes=20\nupdate_interval=10\nseed=1\n' > "$1/train.cfg"
     python -m polarkit.cli train --config "$1/train.cfg" --out "$1/train" \
@@ -197,7 +202,7 @@ seeded_outputs "$now_out"
 PYTHONPATH="$head_src/src" seeded_outputs "$head_out"
 differ=()
 for name in best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json \
-    brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256}; do
+    random-16.json brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256}; do
     [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
 done
 if ((${#differ[@]})); then
@@ -205,7 +210,7 @@ if ((${#differ[@]})); then
     status=1
 else
     echo "seeded outputs: bler CSVs (best16 m=2, arikan m=8, best12 m=2), random JSONs" \
-        "(ell 8 and 12, all-contiguous and section-tables), brute ell=12 and train ell=8 (log," \
+        "(ell 8 and 12, all-contiguous and section-tables; ell 16), brute ell=12 and train ell=8 (log," \
         "best kernel, checkpoint arrays) byte-identical to HEAD"
 fi
 faults=()

@@ -434,7 +434,8 @@ def phase_llrs_trellis(
     program runs in the workspace; only the phase LLRs and the kept tables
     leave it, as fresh arrays.  Takes clip their indices, which the
     program keeps in range, since numpy buffers `out` under the default
-    mode."""
+    mode.  The loops call `ndarray.take` and `np.maximum.reduce`, what
+    `np.take` and `np.max` dispatch to, without the wrappers' per-call cost."""
     prog = dec.cold[phase] if held is None else dec.warm[phase]
     llrs = np.asarray(llrs, dtype=np.float64).T
     ws = _workspace(prog.peak, llrs.shape[1])
@@ -443,7 +444,7 @@ def phase_llrs_trellis(
     signed, bank = ws[prog.signed], ws[prog.bank]
     np.subtract(0.5, np.asarray(prefix).T, out=signed)
     np.multiply(llrs, signed, out=signed)
-    np.take(signed, prog.cols, axis=0, out=bank, mode="clip")
+    signed.take(prog.cols, axis=0, out=bank, mode="clip")
     bit1, free = bank[prog.minus : prog.absolute], bank[prog.absolute :]
     np.negative(bit1, out=bit1)
     np.abs(free, out=free)
@@ -454,9 +455,9 @@ def phase_llrs_trellis(
     for key, idx0, idx1, out, other in prog.gathers:
         prev = held.pop(key)
         table = ws[out]
-        np.take(prev, idx0, axis=0, out=table, mode="clip")
+        prev.take(idx0, axis=0, out=table, mode="clip")
         if idx1 is not None:  # flipped rows read the translated cosets: a bit select
-            np.take(prev, idx1, axis=0, out=ws[other], mode="clip")
+            prev.take(idx1, axis=0, out=ws[other], mode="clip")
             a, b = table.view(np.uint64), ws[other].view(np.uint64)
             b ^= a
             b &= mask
@@ -465,11 +466,11 @@ def phase_llrs_trellis(
             kept[key] = table.copy()
     for key, left, link_a, right, link_b, at, other, out, shape in prog.steps:
         sums = ws[at]  # (2^v * 2^w, batch)
-        np.take(ws[left], link_a, axis=0, out=sums, mode="clip")
-        np.take(ws[right], link_b, axis=0, out=ws[other], mode="clip")
+        ws[left].take(link_a, axis=0, out=sums, mode="clip")
+        ws[right].take(link_b, axis=0, out=ws[other], mode="clip")
         np.add(sums, ws[other], out=sums)
         if shape[1] > 1:
-            np.max(sums.reshape(*shape, -1), axis=1, out=ws[out])
+            np.maximum.reduce(sums.reshape(*shape, -1), axis=1, out=ws[out])
         if key in prog.keep:
             kept[key] = ws[out].copy()
     table = ws[prog.root]
@@ -656,10 +657,17 @@ def simulate_bler(
             u = np.zeros((b, n), dtype=np.uint8)
             if info.size:
                 u[:, info] = rng.integers(0, 2, size=(b, info.size), dtype=np.uint8)
-            y = 1.0 - 2.0 * encode(spec, u).astype(np.float64)
-            y += sigma * rng.standard_normal((b, n))
-            llrs = 2.0 * y / sigma**2
-            del y  # only the LLRs stay live through the decode
+            # 2 (1 - 2c + sigma z) / sigma^2 in place, by the IEEE operations
+            # of that expression in its order
+            llrs = encode(spec, u).astype(np.float64)
+            llrs *= 2.0
+            np.subtract(1.0, llrs, out=llrs)
+            noise = rng.standard_normal((b, n))
+            noise *= sigma
+            llrs += noise
+            del noise  # only the LLRs stay live through the decode
+            llrs *= 2.0
+            llrs /= sigma**2
             decoded, _ = sc_decode_batch(spec, llrs)
             block_errors += int(np.count_nonzero(np.any(decoded != u, axis=1)))
         results.append(BlerResult(snr_db, trials, block_errors))

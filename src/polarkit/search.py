@@ -12,6 +12,7 @@ rows below it, so the placed rows fully determine which candidates remain.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ ORDER_SEED = 1234
 RESTARTS = 10
 #: A random trial fails after this many bit placements per column.
 PLACEMENTS_PER_COLUMN = 50
+#: `random_trial` draws its generator's 32-bit words this many at a time
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,28 @@ def brute_force_search(
     return StepLimitExceeded(steps)
 
 
+def _words(rng: np.random.Generator) -> Iterator[int]:
+    """The generator's next 32-bit words, numpy's `next_uint32`, drawn
+    `_BLOCK` at a time.  A uint32 draw over the full range returns exactly
+    those words, a half word buffered at entry included."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_BLOCK, dtype=np.uint32).tolist()
+
+
+def _below(n: int, words: Iterator[tuple[int, int]]) -> int:
+    """`Generator.integers(n)` from the (index, word) pairs it would draw:
+    numpy's bounded draw, Lemire's multiply-and-reject rule (Lemire, ACM
+    TOMACS 2019).  n = 1 draws nothing."""
+    if n == 1:
+        return 0
+    m = next(words)[1] * n
+    if m & 0xFFFFFFFF < n:  # only then can the word be rejected
+        threshold = (1 << 32) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words)[1] * n
+    return m >> 32
+
+
 def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> BitMatrix | None:
     """One uniform-sampling construction attempt.
 
@@ -144,7 +169,22 @@ def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> Bi
     and retried.  The trial fails once the placement cap is hit, or at
     once when no word is valid for the next row: such a prefix never
     completes, and retrying it would only spend draws up to the cap.
+
+    Each placement is `rng.integers(len(free))`, reproduced from blocks of
+    the generator's raw words; the generator is left exactly where
+    per-placement calls would leave it.
     """
+    entry = rng.bit_generator.state
+    words = enumerate(_words(rng))
+    kernel = _grow(target, words)
+    used = next(words)[0]  # the index of the next word counts those before it
+    rng.bit_generator.state = entry
+    rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+    return kernel
+
+
+def _grow(target: PartialDistanceProfile, words: Iterator[tuple[int, int]]) -> BitMatrix | None:
+    """The body of `random_trial`, drawing from (index, word) pairs."""
     ell = target.ell
     left = PLACEMENTS_PER_COLUMN * ell  # placements left before the trial fails
     rows: tuple[int, ...] = ()  # bottom row first
@@ -159,7 +199,7 @@ def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> Bi
             for _ in range(want):
                 if not left:
                     return None
-                row |= 1 << free.pop(int(rng.integers(len(free))))
+                row |= 1 << free.pop(_below(len(free), words))
                 left -= 1
             if valid[row]:
                 break

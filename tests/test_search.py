@@ -8,8 +8,15 @@ import pytest
 
 from polarkit.complexity import total_complexity_cached
 from polarkit.gf2 import BitMatrix, coset_distances
-from polarkit.pdp import PartialDistanceProfile, compute_pdp, meets_target, target_profile
+from polarkit.pdp import (
+    PartialDistanceProfile,
+    compute_pdp,
+    meets_target,
+    target_profile,
+    valid_rows,
+)
 from polarkit.search import (
+    _BLOCK,
     PLACEMENTS_PER_COLUMN,
     RESTARTS,
     Infeasible,
@@ -111,6 +118,117 @@ def test_random_trial_matches_env_game():
                 assert fast_rng.bit_generator.state == slow_rng.bit_generator.state, (ell, seed)
                 outcomes.add("cap" if fast is None else "kernel")
     assert outcomes == {"kernel", "cap", "dead end"}
+
+
+def _per_placement_trial(target, rng):
+    """`random_trial` with one `rng.integers` call per placement, as it
+    drew before it took its words in blocks.  Returns the kernel (None on
+    a give-up) and the number of calls that drew a word (those with more
+    than one free position)."""
+    ell = target.ell
+    left = PLACEMENTS_PER_COLUMN * ell
+    draws = 0
+    rows: tuple[int, ...] = ()
+    while len(rows) < ell:
+        want = target.distances[ell - 1 - len(rows)]
+        valid = valid_rows(ell, rows, want)
+        if not valid.any():
+            return None, draws
+        while True:
+            row = 0
+            free = list(range(ell))
+            for _ in range(want):
+                if not left:
+                    return None, draws
+                draws += len(free) > 1
+                row |= 1 << free.pop(int(rng.integers(len(free))))
+                left -= 1
+            if valid[row]:
+                break
+        rows += (row,)
+    return BitMatrix(ell, rows[::-1]), draws
+
+
+def _assert_trial_matches_per_placement(target, make_rng):
+    """`random_trial` on make_rng() builds the per-placement kernel and
+    leaves its generator in the per-placement state; returns the number of
+    word-drawing calls."""
+    fast_rng, slow_rng = make_rng(), make_rng()
+    fast = random_trial(target, fast_rng)
+    slow, draws = _per_placement_trial(target, slow_rng)
+    assert fast == slow
+    assert _state(fast_rng) == _state(slow_rng)
+    return draws
+
+
+def _state(rng):
+    """The bit generator's state with its arrays as lists, to compare."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+BIT_GENERATORS = (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64
+)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_block_draws_match_per_placement_draws(bit_generator):
+    for ell in range(2, 17):
+        for seed in range(4):
+            _assert_trial_matches_per_placement(
+                target_profile(ell), lambda: np.random.Generator(bit_generator([seed, ell]))
+            )
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_block_draws_after_a_buffered_half_word(bit_generator):
+    """One earlier bounded draw leaves half of a 64-bit word buffered in
+    every generator here but MT19937, whose words are 32 bits."""
+
+    def make():
+        rng = np.random.Generator(bit_generator(3))
+        rng.integers(5)
+        return rng
+
+    assert make().bit_generator.state.get("has_uint32", 1) == 1
+    for ell in (8, 12):
+        _assert_trial_matches_per_placement(target_profile(ell), make)
+
+
+def test_block_draws_reject_as_numpy_does():
+    """A buffered word 0 scaled by n = 12 leaves 0 below 2^32 mod 12 = 4:
+    numpy's bounded draw rejects it and draws again."""
+
+    def make():
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+        return rng
+
+    redrawn = make()
+    words = redrawn.integers(0, 1 << 32, size=2, dtype=np.uint32).tolist()
+    drawn = make()
+    assert words[0] == 0 and drawn.integers(12) == words[1] * 12 >> 32
+    assert _state(drawn) == _state(redrawn)  # integers(12) took both words
+    _assert_trial_matches_per_placement(target_profile(12), make)
+
+
+def test_block_draws_refill_blocks_at_ell16():
+    """At ell 16 most trials run into the placement cap, about 800 words:
+    several blocks each."""
+    target = target_profile(16)
+    draws = [
+        _assert_trial_matches_per_placement(target, lambda: np.random.default_rng([9, t]))
+        for t in range(10)
+    ]
+    assert max(draws) > 4 * _BLOCK
 
 
 def test_random_nested_monotone():
