@@ -24,7 +24,11 @@
 #      every 10, seed 1): its training_log.csv and best_kernel.txt, and a
 #      sha256 of the final checkpoint's arrays as np.load reads them (the
 #      .npz zip entries carry timestamps, so its bytes differ between
-#      equal runs);
+#      equal runs), and a sha256 of each of two unpinned self-play
+#      episodes at the default game limit and `MctsConfig()` (ell 12 seed
+#      2 and ell 16 seed 1, the untrained seed-0 network; both stall to
+#      the limit, where the search replays the most): every action,
+#      reward repr and improved policy's bytes;
 #   6. the minor page faults per warmed 256-codeword batch of the (256,128)
 #      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
 #      (ru_maxrss) of the process that measured them, for the work tree and
@@ -129,6 +133,25 @@ with np.load(final) as arrays:
         digest.update(arrays[key].tobytes())
 print(final.name, digest.hexdigest())
 PY
+    python - > "$1/selfplay.txt" <<'PY'
+import hashlib
+
+import numpy as np
+
+from polarkit.zero.env import default_reward_config
+from polarkit.zero.mcts import MctsConfig
+from polarkit.zero.net import Network, NetworkSpec
+from polarkit.zero.train import self_play_episode
+
+for ell, seed in ((12, 2), (16, 1)):
+    record = self_play_episode(Network(NetworkSpec(ell), seed=0), default_reward_config(ell),
+                               MctsConfig(), np.random.default_rng(seed), ell)
+    digest = hashlib.sha256()
+    for transition, policy in zip(record.transitions, record.policies):
+        digest.update(f"{transition.action} {transition.reward!r}\n".encode())
+        digest.update(policy.tobytes())
+    print(f"ell={ell} seed={seed} steps={len(record.transitions)} {digest.hexdigest()}")
+PY
 }
 # prints the minor page faults per 256-codeword batch of the polarkit on
 # PYTHONPATH, for the (256,128) code of kernel $1 at m=$2, and the peak RSS
@@ -202,7 +225,8 @@ seeded_outputs "$now_out"
 PYTHONPATH="$head_src/src" seeded_outputs "$head_out"
 differ=()
 for name in best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json \
-    random-16.json brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256}; do
+    random-16.json brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256} \
+    selfplay.txt; do
     [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
 done
 if ((${#differ[@]})); then
@@ -210,8 +234,9 @@ if ((${#differ[@]})); then
     status=1
 else
     echo "seeded outputs: bler CSVs (best16 m=2, arikan m=8, best12 m=2), random JSONs" \
-        "(ell 8 and 12, all-contiguous and section-tables; ell 16), brute ell=12 and train ell=8 (log," \
-        "best kernel, checkpoint arrays) byte-identical to HEAD"
+        "(ell 8 and 12, all-contiguous and section-tables; ell 16), brute ell=12, train ell=8 (log," \
+        "best kernel, checkpoint arrays) and self-play episodes (ell 12 seed 2, ell 16 seed 1)" \
+        "byte-identical to HEAD"
 fi
 faults=()
 for run in "BEST16 2" "ARIKAN 8"; do

@@ -61,8 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polarkit.complexity import ReuseMode, SectionTable, check_width, phase_costs, section_trees
-from polarkit.gf2 import MAX_COLS, BitMatrix, eliminate, rank, unpack_row
+from polarkit.complexity import ReuseMode, SectionTable, phase_costs, section_trees
+from polarkit.gf2 import MAX_COLS, BitMatrix, check_width, eliminate, rank, unpack_row
 from polarkit.pdp import SingularKernelError
 
 

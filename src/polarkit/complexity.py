@@ -27,9 +27,8 @@ from functools import lru_cache
 from itertools import compress
 
 from polarkit.gf2 import (
-    MAX_ELL,
-    MIN_ELL,
     BitMatrix,
+    check_width,
     eliminate,
     interval_mask,
     is_subcode,
@@ -218,14 +217,6 @@ def _midpoint_sections(ell: int) -> tuple[tuple[int, int, int, tuple[int, ...]],
 
     visit(0, ell)
     return tuple(sections)
-
-
-def check_width(ell: int) -> None:
-    """ValueError unless the model and the decoder support kernel width
-    ell: a section tree splits at least two columns, and a phase's
-    extended rows take ell + 1 <= ``gf2.MAX_COLS``."""
-    if not MIN_ELL <= ell <= MAX_ELL:
-        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
 
 
 def section_trees(kernel: BitMatrix) -> SectionTable:

@@ -28,6 +28,14 @@ MIN_ELL, MAX_ELL = 2, 16
 MAX_COLS = MAX_ELL + 1
 
 
+def check_width(ell: int) -> None:
+    """ValueError unless kernel width ell is supported: a section tree
+    splits at least two columns, and a phase's extended rows take
+    ell + 1 <= ``MAX_COLS``."""
+    if not MIN_ELL <= ell <= MAX_ELL:
+        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
+
+
 def unpack_row(row: int, ncols: int) -> list[int]:
     return [(row >> (ncols - 1 - j)) & 1 for j in range(ncols)]
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from polarkit.gf2 import MAX_ELL, MIN_ELL, BitMatrix, coset_distances
+from polarkit.gf2 import BitMatrix, check_width, coset_distances
 
 
 class SingularKernelError(ValueError):
@@ -20,10 +20,7 @@ class PartialDistanceProfile:
     distances: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not MIN_ELL <= self.ell <= MAX_ELL:
-            raise ValueError(
-                f"profile width {self.ell} outside supported range [{MIN_ELL}, {MAX_ELL}]"
-            )
+        check_width(self.ell)
         if any(not 1 <= d <= self.ell for d in self.distances):
             raise ValueError("every partial distance must lie in [1, ell]")
 
@@ -84,10 +81,7 @@ def error_exponent(pdp: PartialDistanceProfile) -> float:
 
 
 def target_profile(ell: int) -> PartialDistanceProfile:
-    if ell not in _TARGETS:
-        raise ValueError(
-            f"unsupported kernel size ell={ell}; supported range is [{MIN_ELL}, {MAX_ELL}]"
-        )
+    check_width(ell)
     return PartialDistanceProfile(_TARGETS[ell])
 
 

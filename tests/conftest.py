@@ -7,6 +7,7 @@ they check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
@@ -33,7 +34,15 @@ from polarkit.pdp import PartialDistanceProfile, compute_pdp, target_profile
 from polarkit.reference import BEST12
 from polarkit.search import ORDER_SEED, RESTARTS, Infeasible, StepLimitExceeded
 from polarkit.zero.env import EnvState, RewardConfig, legal_actions, step_env, trans_reward
-from polarkit.zero.mcts import C_VISIT, SearchSpec
+from polarkit.zero.mcts import (
+    C_VISIT,
+    MctsConfig,
+    SearchSpec,
+    _completed_policy,
+    _expand,
+    _Node,
+    _sigma,
+)
 from polarkit.zero.train import value_scale_of
 
 
@@ -514,6 +523,69 @@ def oracle_completed_policy(node) -> np.ndarray:
     score -= score.max()
     probs = np.exp(score)
     return probs / probs.sum()
+
+
+def _oracle_visit(node: _Node, i: int, spec: SearchSpec) -> float:
+    """Take the action at position i of node.legal: expand the child on
+    its first visit, descend into it afterwards, and back the return up
+    into node's statistics."""
+    child = node.children[i]
+    if child is None:
+        nxt, reward, done = spec.step(node.state, node.legal[i])
+        child = node.children[i] = _expand(nxt, spec, done)
+        node.rewards[i] = reward
+        ret = reward + child.value
+    else:
+        ret = node.rewards[i] + _oracle_simulate(child, spec)
+    node.n[i] += 1
+    node.q_sum[i] += ret
+    return ret
+
+
+def _oracle_simulate(node: _Node, spec: SearchSpec) -> float:
+    """One descent below the root; returns the backed-up return."""
+    if not node.legal:
+        return 0.0
+    total = 1.0 + sum(node.n)
+    score = [p - k / total for p, k in zip(_completed_policy(node).tolist(), node.n)]
+    # max keeps the first of tied maxima, as np.argmax does
+    i = max(range(len(score)), key=score.__getitem__)
+    return _oracle_visit(node, i, spec)
+
+
+def oracle_mcts_select(
+    state,
+    spec: SearchSpec,
+    cfg: MctsConfig,
+    rng: np.random.Generator,
+) -> tuple[int, np.ndarray]:
+    """`zero.mcts.mcts_select` over a fresh tree per call: one node per
+    path, every descent run out, nothing kept between calls."""
+    logits, value, legal = spec.evaluate(state)
+    if not legal:
+        raise ValueError("no legal action at the root")
+    improved = np.zeros(len(logits))
+    if len(legal) == 1:
+        improved[legal[0]] = 1.0
+        return legal[0], improved
+    root = _Node(state, logits, value, legal)
+    base = logits[legal] + rng.gumbel(size=len(legal))
+    m = min(cfg.sampled_actions, len(legal))
+    # stable sorts break ties by position in legal, first maximum first
+    remaining = np.argsort(-base, kind="stable")[:m]
+    rounds = max(1, math.ceil(math.log2(m)))
+    for _ in range(rounds):
+        per_action = max(1, cfg.simulations // (rounds * len(remaining)))
+        for i in remaining.tolist():
+            for _ in range(per_action):
+                _oracle_visit(root, i, spec)
+        if len(remaining) > 1:
+            # the survivors share the largest visit count, so sigma's max is theirs
+            score = base[remaining] + np.array(_sigma(root))[remaining]
+            remaining = remaining[np.argsort(-score, kind="stable")[: len(remaining) // 2]]
+    # ceil(log2 m) halvings leave a single candidate
+    improved[legal] = _completed_policy(root)
+    return legal[int(remaining[0])], improved
 
 
 #: seed of the `rng` fixture

@@ -1,7 +1,10 @@
-"""Gumbel root search: determinism, degenerate cases, and a toy bandit."""
+"""Gumbel root search: determinism, degenerate cases, a toy bandit, and
+the node table against the fresh-tree oracle on a game whose moves
+commute."""
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +21,7 @@ from polarkit.zero.mcts import (
     _simulate,
     mcts_select,
 )
-from tests.conftest import oracle_completed_policy, oracle_sigma
+from tests.conftest import oracle_completed_policy, oracle_mcts_select, oracle_sigma
 
 
 def _bandit_spec(rewards: dict[int, float]) -> SearchSpec:
@@ -218,3 +221,71 @@ def test_simulate_tie_goes_to_the_first_position():
     node = _node([0.0, 1.0, 1.0, 0.0], 0.0, [[]] * 4)
     _simulate(node, _bandit_spec(dict.fromkeys(range(4), 0.0)))
     assert node.n == [0, 1, 0, 0]
+
+
+# Choose PICKS of BITS bits, one per move.  The state is (chosen set,
+# moves made): every order of the same choices reaches one state, and
+# no state recurs below itself.
+BITS, PICKS = 5, 3
+
+
+def _pick_step(state, action):
+    chosen, moves = state
+    mask = sum(1 << b for b in chosen)
+    reward = math.sin(3.0 * mask + action) - 0.25  # negative rewards too
+    return (chosen | {action}, moves + 1), reward, moves + 1 == PICKS
+
+
+def _pick_evaluate(state):
+    chosen, _ = state
+    mask = sum(1 << b for b in chosen)
+    logits = np.sin(0.7 * mask + 1.3 * np.arange(BITS))
+    return logits, math.cos(mask), [b for b in range(BITS) if b not in chosen]
+
+
+def _counted_pick_spec(calls: dict[str, int]) -> SearchSpec:
+    def step(state, action):
+        calls["step"] += 1
+        return _pick_step(state, action)
+
+    def evaluate(state):
+        calls["evaluate"] += 1
+        return _pick_evaluate(state)
+
+    return SearchSpec(step, evaluate)
+
+
+def _play_picks(select, spec, cfg, seed):
+    """(action, reward repr, improved policy bytes) of each move of one
+    seeded game; the moves themselves are not counted."""
+    rng = np.random.default_rng(seed)
+    state, done, moves = (frozenset(), 0), False, []
+    while not done:
+        action, improved = select(state, spec, cfg, rng)
+        state, reward, done = _pick_step(state, action)
+        moves.append((action, repr(reward), improved.tobytes()))
+    return moves
+
+
+PICK_CONFIGS = [
+    MctsConfig(s, m) for s, m in [(1, 1), (2, 2), (4, 3), (7, 2), (8, 5), (16, 4), (32, 16)]
+]
+
+
+@pytest.mark.parametrize("cfg", PICK_CONFIGS, ids=repr)
+def test_replayed_search_matches_fresh_tree_oracle(cfg):
+    """Transpositions and the previous move's subtree replay recorded
+    returns: every action, reward and improved policy equals the fresh
+    tree's, byte for byte, and never at more `step`/`evaluate` calls."""
+    ours, oracle = dict(step=0, evaluate=0), dict(step=0, evaluate=0)
+    for seed in range(25):
+        before = dict(ours), dict(oracle)
+        got = _play_picks(mcts_select, _counted_pick_spec(ours), cfg, seed)
+        want = _play_picks(oracle_mcts_select, _counted_pick_spec(oracle), cfg, seed)
+        assert got == want, seed
+        for key in ours:
+            assert ours[key] - before[0][key] <= oracle[key] - before[1][key], (seed, key)
+    if cfg.simulations >= 4:  # enough visits to meet a transposition
+        assert ours["evaluate"] < oracle["evaluate"]
+    if cfg.simulations >= 7:  # and to replay a descent below one
+        assert ours["step"] < oracle["step"]

@@ -25,7 +25,7 @@ from polarkit.zero.train import (
     train_loop,
     value_scale_of,
 )
-from tests.conftest import uncached_search_spec
+from tests.conftest import oracle_mcts_select, uncached_search_spec
 
 SMOKE = TrainConfig(
     ell=4,
@@ -195,17 +195,67 @@ def _short_game(ell):
     return reward_cfg, value_scale_of(reward_cfg, ell)
 
 
-def _drive_episode(spec, reward_cfg, mcts_cfg, ell, seed):
-    """(action, reward repr, improved policy) of every step of one seeded
-    episode searched through `spec`."""
+def _drive_episode(spec, reward_cfg, mcts_cfg, ell, seed, select=mcts_select):
+    """(action, reward repr, improved policy bytes) of every step of one
+    seeded episode searched through `spec` by `select`."""
     rng = np.random.default_rng(seed)
     state = reset_env(target_profile(ell), rng)
     steps = []
     while not state.done:
-        action, improved = mcts_select(state, spec, mcts_cfg, rng)
+        action, improved = select(state, spec, mcts_cfg, rng)
         state, reward, _ = step_env(state, action, reward_cfg)
-        steps.append((action, repr(reward), improved.tolist()))
+        steps.append((action, repr(reward), improved.tobytes()))
     return steps
+
+
+@pytest.mark.parametrize("ell", [4, 8, 12, 16])
+@pytest.mark.parametrize("make_spec", [make_search_spec, uncached_search_spec])
+def test_search_matches_fresh_tree_oracle(ell, make_spec):
+    """The node table replays recorded returns across transpositions and
+    moves; every action, reward and improved policy equals the oracle's,
+    which builds a fresh tree per move.  Widths 12 and 16 play the short
+    game."""
+    reward_cfg = _short_game(ell)[0] if ell >= 12 else default_reward_config(ell)
+    network = Network(NetworkSpec(ell), seed=0)
+    for seed in range(3):
+        ours = _drive_episode(make_spec(network, reward_cfg), reward_cfg, MctsConfig(), ell, seed)
+        oracle = _drive_episode(make_spec(network, reward_cfg), reward_cfg, MctsConfig(), ell,
+                                seed, oracle_mcts_select)
+        assert ours == oracle, seed
+
+
+def test_node_table_keeps_two_searches():
+    """After each search of an ell=12 episode, the table holds the nodes
+    that search touched and those of the previous one: no more than each
+    search's root visits, at most simulations + 2 * sampled_actions."""
+    ell, cfg = 12, MctsConfig()
+    reward_cfg = default_reward_config(ell)
+    spec = make_search_spec(Network(NetworkSpec(ell), seed=0), reward_cfg)
+    rng = np.random.default_rng(1)
+    state = reset_env(target_profile(ell), rng)
+    visits = [0]  # root visits of each search; a single legal action runs none
+    while not state.done:
+        width = len(legal_actions(state))
+        action, _ = mcts_select(state, spec, cfg, rng)
+        if width > 1:
+            visits.append(_root_visits(cfg, width))
+        assert visits[-1] <= cfg.simulations + 2 * cfg.sampled_actions
+        assert len(spec.table.current) <= visits[-1]
+        assert len(spec.table.previous) <= visits[-2]
+        state, _, _ = step_env(state, action, reward_cfg)
+    assert state.steps == reward_cfg.game_limit  # the untrained search stalls
+
+
+def _root_visits(cfg, width):
+    """The visits of sequential halving over min(sampled_actions, width)
+    candidates, as `mcts_select` schedules them."""
+    alive = min(cfg.sampled_actions, width)
+    rounds = max(1, math.ceil(math.log2(alive)))
+    total = 0
+    for _ in range(rounds):
+        total += alive * max(1, cfg.simulations // (rounds * alive))
+        alive = max(1, alive // 2)
+    return total
 
 
 def _count_forward(network):
