@@ -33,7 +33,7 @@ def check_width(ell: int) -> None:
     splits at least two columns, and a phase's extended rows take
     ell + 1 <= ``MAX_COLS``."""
     if not MIN_ELL <= ell <= MAX_ELL:
-        raise ValueError(f"kernel size {ell} outside supported range [{MIN_ELL}, {MAX_ELL}]")
+        raise ValueError(f"unsupported kernel size ell={ell}; supported range is [{MIN_ELL}, {MAX_ELL}]")
 
 
 def unpack_row(row: int, ncols: int) -> list[int]:

@@ -205,7 +205,7 @@ def test_decoder_rejects_unsupported_widths(monkeypatch, ell):
     Width 1 has no section to decode over, and width 17's extended rows
     reach the coefficient bits of `_coset_indices`."""
     kernel = random_kernel(ell, np.random.default_rng(3))
-    message = rf"^kernel size {ell} outside supported range \[2, 16\]$"
+    message = rf"^unsupported kernel size ell={ell}; supported range is \[2, 16\]$"
 
     def drawn(*args):
         raise AssertionError("noise drawn")
