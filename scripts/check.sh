@@ -37,7 +37,12 @@
 #   7. a sha256 of the compiled decoders (`codec.build_link_tables`) of
 #      ARIKAN, BEST12, BEST16 and 8 random non-singular kernels per width
 #      2..16 (seed 5), for the work tree and for HEAD, and whether they
-#      match; informational, it gates nothing.
+#      match; informational, it gates nothing;
+#   8. whether the phase LLRs of those decoders are byte-identical to
+#      HEAD's: a sha256, on fixed random LLRs and prefixes, of the phase
+#      LLRs and kept tables of every phase's `cold` program, and of a warm
+#      chain of phases, each decided by the signs of its LLRs and handing
+#      its kept tables and decisions to the next.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
 # difference in those outputs.
@@ -176,16 +181,17 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
 PY
 }
-# prints a sha256 of the compiled decoders of the polarkit on PYTHONPATH:
+# prints two sha256 lines for the decoders of the polarkit on PYTHONPATH:
 # each `build_link_tables` result in a canonical form, arrays as dtype,
-# shape and bytes and slices as start and stop
-decoder_digest() {
+# shape and bytes and slices as start and stop; then the phase LLRs and
+# kept tables of its cold programs and of a warm chain of phases
+decoder_digests() {
     python - <<'PY'
 import hashlib
 
 import numpy as np
 
-from polarkit.codec import build_link_tables
+from polarkit.codec import build_link_tables, phase_llrs_trellis
 from polarkit.gf2 import BitMatrix, rank
 from polarkit.reference import ARIKAN, BEST12, BEST16
 
@@ -209,10 +215,33 @@ for ell in range(2, 17):
         rows = tuple(int(r) for r in rng.integers(1, 1 << ell, size=ell))
         if rank(rows) == ell:
             kernels.append(BitMatrix(ell, rows))
-digest = hashlib.sha256()
+
+
+def outputs(phase_llr, kept):
+    phases.update(phase_llr.tobytes())
+    for key in sorted(kept):
+        phases.update(f"{key}".encode() + kept[key].tobytes())
+
+
+digest, phases = hashlib.sha256(), hashlib.sha256()
+draws = np.random.default_rng(6)
 for kernel in kernels:
-    digest.update(repr(canonical(tuple(build_link_tables(kernel)))).encode())
+    dec = build_link_tables(kernel)
+    digest.update(repr(canonical(tuple(dec))).encode())
+    ell = kernel.ncols
+    bits = np.array([[r >> (ell - 1 - c) & 1 for c in range(ell)] for r in kernel.rows], np.uint8)
+    llrs = draws.normal(scale=2.0, size=(16, ell))
+    u = draws.integers(0, 2, size=(16, ell), dtype=np.uint8)
+    for a in range(ell):  # cold: prefix of random earlier decisions
+        outputs(*phase_llrs_trellis(dec, a, u[:, :a] @ bits[:a] % 2, llrs))
+    prefix, held, flip = np.zeros((16, ell), np.uint8), None, None
+    for a in range(ell):  # warm: each phase decided by its signs
+        phase_llr, held = phase_llrs_trellis(dec, a, prefix, llrs, held, flip)
+        outputs(phase_llr, held)
+        flip = (phase_llr < 0).reshape(1, -1)
+        prefix ^= flip.T * bits[a]
 print(f"{len(kernels)} kernels {digest.hexdigest()}")
+print(f"{len(kernels)} kernels {phases.hexdigest()}")
 PY
 }
 head_src=$(mktemp -d)
@@ -244,10 +273,16 @@ for run in "BEST16 2" "ARIKAN 8"; do
     faults+=("$name m=$m $(batch_faults "$name" "$m") (HEAD $(PYTHONPATH="$head_src/src" batch_faults "$name" "$m"))")
 done
 echo "minor page faults per 256-codeword batch, peak RSS: ${faults[0]}; ${faults[1]}"
-now_digest=$(decoder_digest)
-head_digest=$(PYTHONPATH="$head_src/src" decoder_digest)
+{ read -r now_digest; read -r now_phases; } < <(decoder_digests)
+{ read -r head_digest; read -r head_phases; } < <(PYTHONPATH="$head_src/src" decoder_digests)
 [[ "$now_digest" == "$head_digest" ]] && match="match" || match="differ"
 echo "compiled decoders: $now_digest (HEAD $head_digest): $match"
+if [[ -n "$now_phases" && "$now_phases" == "$head_phases" ]]; then
+    echo "phase LLRs: $now_phases byte-identical to HEAD"
+else
+    echo "phase LLRs: $now_phases (HEAD $head_phases) empty or differ from HEAD"
+    status=1
+fi
 rm -rf "$head_src" "$now_out" "$head_out"
 python - "$now_options" "$head_options" <<'PY'
 import json

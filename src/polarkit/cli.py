@@ -251,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         for key in getattr(args, "outputs", ()):
             if (path := getattr(args, key)) is not None and not Path(path).parent.is_dir():
                 raise ValueError(f"{_flag(key)}: directory {Path(path).parent} does not exist")
+            if path is not None and Path(path).is_dir():
+                raise ValueError(f"{_flag(key)}: {path} is a directory")
         return args.func(args)
     except (OSError, ValueError) as exc:  # KernelFileError, SingularKernelError included
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,11 @@ the max over 2^w sums of the halves' entries, which the section's link
 arrays name (`_links`).  Tables are coset-major, (2^v, rows), so a link
 reads whole contiguous rows.  Each phase tree compiles into a flat step
 list in the post-order of the table's sections (`_program`), whose
-leaves are rows of a bank of prefix-signed half LLRs, with a buffer plan:
-each array that a call forms has a fixed offset in one float64 workspace
-(`_plan`) and is written there through `out=`, so a call allocates only
-the phase LLRs and the tables kept for the next phase.
+leaves are rows of a bank: blocks of ell rows holding the prefix-signed
+half LLRs h, -h and |h| (`_Program`), with a buffer plan: each array that
+a call forms has a fixed offset in one float64 workspace (`_plan`) and is
+written there through `out=`, so a call allocates only the phase LLRs and
+the tables kept for the next phase.
 
 Phases reuse section tables: within a block, a phase gathers the table of
 each node that the `SECTION_TABLES` complexity model reuses from the
@@ -53,7 +54,6 @@ that gathers nothing has one program, which serves as both.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,22 +191,19 @@ class _Gather(NamedTuple):
 
 class _Program(NamedTuple):
     """A phase tree compiled into a flat post-order step list over one
-    workspace of `peak` coset rows.  The call first writes the prefix-signed
-    half LLRs at `signed`, then the leaf bank at `bank`: bank row r is row
-    cols[r] of them, as is (the bit-0 metric of a column in the punctured
-    code, or the known bit's), negated from row `minus` on (its bit-1
-    metric), and as a magnitude from row `absolute` on (a column free in
-    the shortened code: the max of both).  Only the entries that the phase
-    reads are rows.  Where a gather needs it, the `mask` row holds all-one
-    bits for the rows whose previous decision is 1.  `keep` names the nodes
-    whose tables the next phase gathers; `root` is where the phase tree's
-    (2, rows) table ends up.  Every array that a call forms has a fixed
-    offset, so no two arrays that are live at once overlap (`_plan`)."""
+    workspace of `peak` coset rows.  The call first writes the leaf bank
+    at `bank`, blocks of ell rows where row kind * ell + c holds column c's
+    prefix-signed half LLR h as kind 0, h (the bit-0 metric of a column in
+    the punctured code, or the known bit's), kind 1, -h (its bit-1
+    metric), and kind 2, |h| (a column free in the shortened code: the max
+    of both).  The bank has no rows when the steps read no leaf, three
+    blocks when they read a free column, and two otherwise.  Where a gather
+    needs it, the `mask` row holds all-one bits for the rows whose previous
+    decision is 1.  `keep` names the nodes whose tables the next phase
+    gathers; `root` is where the phase tree's (2, rows) table ends up.
+    Every array that a call forms has a fixed offset, so no two arrays that
+    are live at once overlap (`_plan`)."""
 
-    cols: np.ndarray
-    minus: int
-    absolute: int
-    signed: slice
     bank: slice
     mask: slice | None
     gathers: tuple[_Gather, ...]
@@ -289,9 +286,9 @@ def _program(
         spans.append([rows, time, time])
         return len(spans) - 1
 
-    signed = buffer(table.ell, 0)
-    bank = buffer(0, 1, signed)  # its size is known after the loop
-    time = 2
+    ell, blocks = table.ell, 0  # blocks: of the bank, known after the loop
+    bank = buffer(0, 0)
+    time = 1
     mask = buffer(1, time) if any(idx1 is not None for _, _, idx1 in gathers) else None
     tables, planned = {}, []  # tables: the buffer of each gathered or computed section
     for key, idx0, idx1 in gathers:
@@ -300,7 +297,7 @@ def _program(
         other = None if idx1 is None else buffer(len(idx1), time + 2, out, mask)
         time += 1 if idx1 is None else 2
         planned.append((key, idx0, idx1, out, other))
-    steps, bank_links = [], []
+    steps = []
     for j, (x, y, _, halves) in enumerate(sections):
         if not halves or any(a <= x and y <= b for (a, b), _, _ in gathers):
             continue
@@ -308,11 +305,10 @@ def _program(
         for h, link in zip(halves, links[phase, j]):
             hx, hy, _, internal = sections[h]
             link = link.ravel()
-            if not internal:
-                # bank entries coded kind * MAX_COLS + column: kind 0 the
-                # bit-0 metric, 1 the bit-1 metric, 2 the magnitude
-                entries = [2 * MAX_COLS + hx] if s_basis[h] else [hx, MAX_COLS + hx][: 1 + v[h]]
-                bank_links.append(link := np.array(entries)[link])
+            if not internal:  # the bank rows of the leaf's entries
+                free = bool(s_basis[h])
+                link = np.array([2 * ell + hx] if free else [hx, ell + hx][: 1 + v[h]])[link]
+                blocks = max(blocks, 2 + free)
             reads += [tables[hx, hy] if internal else bank, link]
         left, link_a, right, link_b = reads
         sums = buffer(link_a.size, time + 1, left)
@@ -321,19 +317,9 @@ def _program(
         out = tables[x, y] = buffer(shape[0], time, sums) if w[j] else sums
         steps.append(((x, y), left, link_a, right, link_b, sums, other, out, shape))
     assert spans[out][0] == 2  # the last step's table: the root's, never gathered
-    codes = sorted({int(code) for link in bank_links for code in link.flat})
-    spans[bank][0] = len(codes)
-    bank_row = np.zeros(3 * MAX_COLS, dtype=np.int64)
-    bank_row[codes] = range(len(codes))
-    for link in bank_links:  # composed bank links read bank rows
-        link[...] = bank_row[link]
+    spans[bank][0] = blocks * ell
     at = [slice(o, o + rows) for o, (rows, _, _) in zip(_plan(spans), spans)]
-    minus, absolute = (bisect_left(codes, kind * MAX_COLS) for kind in (1, 2))
     return _Program(
-        np.array(codes, dtype=np.int64) % MAX_COLS,
-        minus,
-        absolute,
-        at[signed],
         at[bank],
         None if mask is None else at[mask],
         tuple(
@@ -438,16 +424,18 @@ def phase_llrs_trellis(
     `np.take` and `np.max` dispatch to, without the wrappers' per-call cost."""
     prog = dec.cold[phase] if held is None else dec.warm[phase]
     llrs = np.asarray(llrs, dtype=np.float64).T
+    ell = len(llrs)
     ws = _workspace(prog.peak, llrs.shape[1])
     kept: dict[tuple[int, int], np.ndarray] = {}
-    # the known prefix's codeword offset flips the signs of its 1-columns
-    signed, bank = ws[prog.signed], ws[prog.bank]
-    np.subtract(0.5, np.asarray(prefix).T, out=signed)
-    np.multiply(llrs, signed, out=signed)
-    signed.take(prog.cols, axis=0, out=bank, mode="clip")
-    bit1, free = bank[prog.minus : prog.absolute], bank[prog.absolute :]
-    np.negative(bit1, out=bit1)
-    np.abs(free, out=free)
+    bank = ws[prog.bank]
+    if len(bank):  # else no step reads a leaf
+        signed, bit1, free = bank[:ell], bank[ell : 2 * ell], bank[2 * ell :]
+        # the known prefix's codeword offset flips the signs of its 1-columns
+        np.subtract(0.5, np.asarray(prefix).T, out=signed)
+        np.multiply(llrs, signed, out=signed)
+        np.negative(signed, out=bit1)
+        if len(free):
+            np.abs(signed, out=free)
     if prog.mask is not None:
         mask = ws[prog.mask].view(np.uint64)
         np.copyto(mask, flip)

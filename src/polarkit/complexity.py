@@ -289,7 +289,7 @@ def _preorder(ell: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
 
 @lru_cache(maxsize=1 << 16)
 def total_complexity_cached(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> int:
-    """Total only, memoized; search and self-play revisit kernels often."""
+    """Total only, memoized for self-play, whose search re-reaches finished kernels."""
     return total_complexity(kernel, policy).total
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarkit.complexity import CALIBRATED_MODE, ReuseMode, total_complexity_cached
+from polarkit import complexity
+from polarkit.complexity import CALIBRATED_MODE, ReuseMode
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import PartialDistanceProfile, compute_pdp, valid_rows
 
@@ -230,7 +231,8 @@ def random_agent_search(
         if kernel is None:
             continue
         assert compute_pdp(kernel).distances == target.distances
-        comp = total_complexity_cached(kernel, policy)
+        # not memoized (trials rarely repeat a kernel); perfbench wraps the module's name
+        comp = complexity.total_complexity(kernel, policy).total
         histogram[comp] = histogram.get(comp, 0) + 1
         if best is None or comp < best[0]:
             best = (comp, kernel)

@@ -78,11 +78,6 @@ def test_directory_as_kernel_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_directory_as_out_exit_2(capsys, kernel_file, tmp_path):
-    assert main(["pdp", "--kernel", kernel_file, "--out", str(tmp_path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["complexity"])  # --kernel is required
@@ -651,14 +646,21 @@ FILE_OUTPUTS = [
 
 @pytest.mark.parametrize("command, dest", FILE_OUTPUTS)
 def test_output_into_missing_directory_exit_2_before_work(capsys, tmp_path, command, dest):
+    """A file output into a missing directory, or onto an existing
+    directory, is rejected before the configuration is echoed."""
     flag = "--" + dest.replace("_", "-")
     target = tmp_path / "nodir" / "result.txt"
-    code = main([*_minimal_argv(command, tmp_path), flag, str(target)])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert f"error: {flag}: directory {target.parent} does not exist" in captured.err
-    assert "config" not in captured.err  # rejected before the configuration is echoed
-    assert captured.out == ""
+    argv = _minimal_argv(command, tmp_path)
+    for path, message in (
+        (target, f"directory {target.parent} does not exist"),
+        (tmp_path, f"{tmp_path} is a directory"),
+    ):
+        code = main([*argv, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert f"error: {flag}: {message}" in captured.err
+        assert "config" not in captured.err  # rejected before the configuration is echoed
+        assert captured.out == ""
     assert not target.parent.exists()
 
 

@@ -132,9 +132,15 @@ def test_arikan_phase_metric_closed_form(rng):
 
 def test_trellis_matches_exhaustive_oracle():
     """Acceptance criterion 3's cases (`trellis_oracle_cases`): >= 200 at
-    every width 2..12 and on BEST12.  Every internal section's link arrays
-    are (2^v, 2^w), the model's 2^(w+v) sums."""
+    every width 2..12 and on BEST12, whose `cold` programs include one
+    that reads magnitudes (a bank of three blocks).  Every internal
+    section's link arrays are (2^v, 2^w), the model's 2^(w+v) sums."""
     kernels, deviations = trellis_oracle_cases()
+    assert any(
+        prog.bank.stop - prog.bank.start == 3 * kernel.ncols
+        for kernel in kernels
+        for prog in build_link_tables(kernel).cold
+    )
     for kernel in kernels:
         table = section_trees(kernel)
         for phase, (w, v) in enumerate(zip(table.w, table.v)):
@@ -686,14 +692,13 @@ def test_trellis_summations_per_codeword(monkeypatch, rng):
 def _stack_peak(prog, table: SectionTable) -> int:
     """Coset rows live at once when `prog` runs on fresh arrays with a
     stack, as before the workspace: the bank and the gathered tables all
-    through; the prefix-signed LLRs while the bank forms; and per step the
-    stacked tables, its halves, its sums, and then either the right-link
-    gather or the section's table."""
+    through, and per step the stacked tables, its halves, its sums, and
+    then either the right-link gather or the section's table."""
     sections = table.sections
     index = {section[:2]: j for j, section in enumerate(sections)}
     gathered = {gather.key for gather in prog.gathers}
-    base = len(prog.cols) + sum(len(gather.idx0) for gather in prog.gathers)
-    peak, stack = base + table.ell, []
+    base = prog.bank.stop - prog.bank.start + sum(len(gather.idx0) for gather in prog.gathers)
+    peak, stack = base, []
     for step in prog.steps:
         halves = sections[index[step.key]][3]
         popped = sum(bool(sections[h][3]) and sections[h][:2] not in gathered for h in halves)
@@ -709,8 +714,11 @@ def _check_plan(prog, table: SectionTable, phase: int) -> None:
     each operation tags the rows it writes, then checks that every row it
     reads still holds the tag of the table it means to read.  So every
     buffer is written before it is read, and none is overwritten while
-    live; link indices stay inside the table they read (takes clip)."""
-    sections, w, v = table.sections, table.w[phase], table.v[phase]
+    live; link indices stay inside the table they read (takes clip), and
+    a leaf link reads exactly the bank rows of the leaf's entries, row
+    kind * ell + column for the bit-0 metric (kind 0), the bit-1 metric
+    (1) or the magnitude (2)."""
+    ell, sections, w, v = table.ell, table.sections, table.w[phase], table.v[phase]
     index = {section[:2]: j for j, section in enumerate(sections)}
     tags: list = [None] * prog.peak
 
@@ -724,9 +732,7 @@ def _check_plan(prog, table: SectionTable, phase: int) -> None:
     def size(where: slice) -> int:
         return where.stop - where.start
 
-    assert size(prog.signed) == table.ell and size(prog.bank) == len(prog.cols)
-    run([(prog.signed, "signed")], [])
-    run([(prog.bank, "bank")], [(prog.signed, "signed")])
+    run([(prog.bank, "bank")], [])
     if prog.mask is not None:
         run([(prog.mask, "mask")], [])
     for gather in prog.gathers:
@@ -742,7 +748,11 @@ def _check_plan(prog, table: SectionTable, phase: int) -> None:
         for h, (where, link) in zip(sections[j][3], sides):
             x, y, _, internal = sections[h]
             tag = (x, y) if internal else "bank"
-            assert size(where) == (2 ** v[h] if internal else len(prog.cols))
+            if internal:
+                assert size(where) == 2 ** v[h]
+            else:
+                rows = [2 * ell + x] if table.s_basis[phase][h] else [x, ell + x][: 1 + v[h]]
+                assert where == prog.bank and set(link.tolist()) == set(rows)
             assert link.size == 2 ** (v[j] + w[j])
             assert 0 <= link.min() and link.max() < size(where)
             reads.append((where, tag))
@@ -777,6 +787,46 @@ def test_workspace_plans_keep_live_buffers_apart(rng):
                 assert prog.peak <= _stack_peak(prog, table)
                 below += prog.peak < _stack_peak(prog, table)
     assert below > 0
+
+
+def test_leaf_bank_holds_the_blocks_its_steps_read(rng):
+    """Each program of the `_plan_kernels` has a bank of 0, 2 ell or 3 ell
+    rows: 3 ell exactly when a step reads a leaf column free in the
+    shortened code, and 0 exactly when every leaf lies inside a gathered
+    section.  Given NaN LLRs and prefix, an empty-bank program returns the
+    phase LLRs and kept tables that it returns on numbers."""
+    blocks, empty = set(), 0
+    for kernel in _plan_kernels(rng):
+        dec, table = build_link_tables(kernel), section_trees(kernel)
+        ell, sections = table.ell, table.sections
+        index = {section[:2]: j for j, section in enumerate(sections)}
+        leaves = [section[:2] for section in sections if not section[3]]
+        for programs in (dec.cold, dec.warm):
+            for phase, prog in enumerate(programs):
+                halves = {h for step in prog.steps for h in sections[index[step.key]][3]}
+                free = any(table.s_basis[phase][h] for h in halves if not sections[h][3])
+                rows = prog.bank.stop - prog.bank.start
+                assert rows in (0, 2 * ell, 3 * ell)
+                assert (rows == 3 * ell) == free
+                gathered = [gather.key for gather in prog.gathers]
+                inside = all(any(a <= x and y <= b for a, b in gathered) for x, y in leaves)
+                assert (rows == 0) == inside
+                blocks.add(rows // ell)
+                if rows:
+                    continue
+                empty += 1
+                llrs = rng.normal(size=(5, ell))
+                prefix = rng.integers(0, 2, size=(5, ell), dtype=np.uint8)
+                _, held = phase_llrs_trellis(dec, phase - 1, prefix, llrs)
+                flip = rng.integers(0, 2, size=(1, 5)).astype(bool)
+                want = phase_llrs_trellis(dec, phase, prefix, llrs, dict(held), flip)
+                nan = np.full((5, ell), np.nan)
+                got = phase_llrs_trellis(dec, phase, nan, nan, dict(held), flip)
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1].keys() == want[1].keys()
+                for key in got[1]:
+                    np.testing.assert_array_equal(got[1][key], want[1][key])
+    assert blocks == {0, 2, 3} and empty > 0
 
 
 def test_poisoned_workspace_decodes_bit_identically(monkeypatch, rng):
