@@ -78,6 +78,11 @@ def test_directory_as_kernel_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_directory_as_out_exit_2(capsys, kernel_file, tmp_path):
+    assert main(["pdp", "--kernel", kernel_file, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["complexity"])  # --kernel is required
