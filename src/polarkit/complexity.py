@@ -288,9 +288,9 @@ def _preorder(ell: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
 
 
 @lru_cache(maxsize=1 << 16)
-def total_complexity_cached(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> int:
-    """Total only, memoized for self-play, whose search re-reaches finished kernels."""
-    return total_complexity(kernel, policy).total
+def total_complexity_cached(kernel: BitMatrix) -> int:
+    """Calibrated total only, memoized for self-play, whose search re-reaches finished kernels."""
+    return total_complexity(kernel, CALIBRATED_MODE).total
 
 
 def total_complexity(kernel: BitMatrix, policy: ReuseMode = CALIBRATED_MODE) -> ComplexityReport:

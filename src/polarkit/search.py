@@ -148,17 +148,17 @@ def _words(rng: np.random.Generator) -> Iterator[int]:
         yield from rng.integers(0, 1 << 32, size=_BLOCK, dtype=np.uint32).tolist()
 
 
-def _below(n: int, words: Iterator[tuple[int, int]]) -> int:
-    """`Generator.integers(n)` from the (index, word) pairs it would draw:
-    numpy's bounded draw, Lemire's multiply-and-reject rule (Lemire, ACM
-    TOMACS 2019).  n = 1 draws nothing."""
+def _below(n: int, words: Iterator[int]) -> int:
+    """`Generator.integers(n)` from the words it would draw: numpy's
+    bounded draw, Lemire's multiply-and-reject rule (Lemire, ACM TOMACS
+    2019).  n = 1 draws nothing."""
     if n == 1:
         return 0
-    m = next(words)[1] * n
+    m = next(words) * n
     if m & 0xFFFFFFFF < n:  # only then can the word be rejected
         threshold = (1 << 32) % n
         while m & 0xFFFFFFFF < threshold:
-            m = next(words)[1] * n
+            m = next(words) * n
     return m >> 32
 
 
@@ -172,21 +172,11 @@ def random_trial(target: PartialDistanceProfile, rng: np.random.Generator) -> Bi
     completes, and retrying it would only spend draws up to the cap.
 
     Each placement is `rng.integers(len(free))`, reproduced from blocks of
-    the generator's raw words; the generator is left exactly where
-    per-placement calls would leave it.
+    the generator's raw words: the kernel is the per-placement one, but
+    the generator ends past the last block drawn.
     """
-    entry = rng.bit_generator.state
-    words = enumerate(_words(rng))
-    kernel = _grow(target, words)
-    used = next(words)[0]  # the index of the next word counts those before it
-    rng.bit_generator.state = entry
-    rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
-    return kernel
-
-
-def _grow(target: PartialDistanceProfile, words: Iterator[tuple[int, int]]) -> BitMatrix | None:
-    """The body of `random_trial`, drawing from (index, word) pairs."""
     ell = target.ell
+    words = _words(rng)
     left = PLACEMENTS_PER_COLUMN * ell  # placements left before the trial fails
     rows: tuple[int, ...] = ()  # bottom row first
     while len(rows) < ell:

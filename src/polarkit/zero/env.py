@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from polarkit.complexity import CALIBRATED_MODE, total_complexity_cached
+from polarkit.complexity import total_complexity_cached
 from polarkit.gf2 import BitMatrix
 from polarkit.pdp import PartialDistanceProfile, valid_rows
 from polarkit.reference import RANDOM_SEARCH_REFERENCE
@@ -108,7 +108,7 @@ def reset_env(
     """Install the forced bottom rows, then preset ``PRESET_BITS`` random
     bits of the first free row.  Presets do not count as steps."""
     ell = target.ell
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     reversed_targets = tuple(reversed(target.distances))
     rows = [0] * ell
     forced = forced_row_count(target)
@@ -152,7 +152,7 @@ def step_env(state: EnvState, action: int, cfg: RewardConfig) -> tuple[EnvState,
             i += 1
             if i == state.ell:
                 kernel = BitMatrix(state.ell, tuple(reversed(rows)))
-                reward += trans_reward(total_complexity_cached(kernel, CALIBRATED_MODE), cfg)
+                reward += trans_reward(total_complexity_cached(kernel), cfg)
                 done = True
         else:
             rows[i] = 0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polarkit.complexity import CALIBRATED_MODE, total_complexity_cached
+from polarkit.complexity import total_complexity_cached
 from polarkit.gf2 import BitMatrix
 from polarkit.kernelio import write_kernel
 from polarkit.pdp import target_profile
@@ -191,7 +191,7 @@ def train_loop(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResu
             returns.append(episode_return(list(record.transitions)))
             if record.succeeded:
                 kernel = record.final_state.kernel()
-                comp = total_complexity_cached(kernel, CALIBRATED_MODE)
+                comp = total_complexity_cached(kernel)
                 if best is None or comp < best[0]:
                     best = (comp, kernel)
             rewards = [t.reward for t in record.transitions]

@@ -523,8 +523,7 @@ def test_wide_reports_pinned():
 def test_cached_total_matches_report(rng):
     for _ in range(10):
         kernel = random_kernel(int(rng.integers(2, 7)), rng)
-        for mode in ReuseMode:
-            assert total_complexity_cached(kernel, mode) == total_complexity(kernel, mode).total
+        assert total_complexity_cached(kernel) == total_complexity(kernel, CALIBRATED_MODE).total
 
 
 def test_size_bounds():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from polarkit import search
 from polarkit.complexity import total_complexity_cached
 from polarkit.gf2 import BitMatrix, coset_distances
 from polarkit.pdp import (
@@ -98,10 +99,12 @@ def _env_random_trial(target, rng):
     return (state.kernel() if state.current_row == ell else None), dead_end
 
 
-def test_random_trial_matches_env_game():
-    """The same kernels as the env game, from the same draws: a trial
-    that stops at a dead end has drawn exactly what the game drew before
-    first starting that row, and every other trial all that the game drew."""
+def test_random_trial_matches_env_game(monkeypatch):
+    """The same kernels as the env game, from the same draws: drawing one
+    word at a time, a trial that stops at a dead end has drawn exactly what
+    the game drew before first starting that row, and every other trial all
+    that the game drew."""
+    monkeypatch.setattr(search, "_BLOCK", 1)
     outcomes = set()
     for ell in range(2, 17):
         target = target_profile(ell)
@@ -150,14 +153,15 @@ def _per_placement_trial(target, rng):
 
 
 def _assert_trial_matches_per_placement(target, make_rng):
-    """`random_trial` on make_rng() builds the per-placement kernel and
-    leaves its generator in the per-placement state; returns the number of
-    word-drawing calls."""
+    """`random_trial` on make_rng() builds the per-placement kernel and, in
+    blocks of one word, leaves its generator in the per-placement state;
+    returns the number of word-drawing calls."""
     fast_rng, slow_rng = make_rng(), make_rng()
     fast = random_trial(target, fast_rng)
     slow, draws = _per_placement_trial(target, slow_rng)
     assert fast == slow
-    assert _state(fast_rng) == _state(slow_rng)
+    if search._BLOCK == 1:  # only then are the words drawn exactly those used
+        assert _state(fast_rng) == _state(slow_rng)
     return draws
 
 
@@ -178,18 +182,21 @@ BIT_GENERATORS = (
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
-def test_block_draws_match_per_placement_draws(bit_generator):
-    for ell in range(2, 17):
-        for seed in range(4):
-            _assert_trial_matches_per_placement(
-                target_profile(ell), lambda: np.random.Generator(bit_generator([seed, ell]))
-            )
+def test_block_draws_match_per_placement_draws(bit_generator, monkeypatch):
+    for block in (1, 3, _BLOCK):
+        monkeypatch.setattr(search, "_BLOCK", block)
+        for ell in range(2, 17):
+            for seed in range(4):
+                _assert_trial_matches_per_placement(
+                    target_profile(ell), lambda: np.random.Generator(bit_generator([seed, ell]))
+                )
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
-def test_block_draws_after_a_buffered_half_word(bit_generator):
+def test_block_draws_after_a_buffered_half_word(bit_generator, monkeypatch):
     """One earlier bounded draw leaves half of a 64-bit word buffered in
     every generator here but MT19937, whose words are 32 bits."""
+    monkeypatch.setattr(search, "_BLOCK", 1)
 
     def make():
         rng = np.random.Generator(bit_generator(3))
@@ -201,9 +208,10 @@ def test_block_draws_after_a_buffered_half_word(bit_generator):
         _assert_trial_matches_per_placement(target_profile(ell), make)
 
 
-def test_block_draws_reject_as_numpy_does():
+def test_block_draws_reject_as_numpy_does(monkeypatch):
     """A buffered word 0 scaled by n = 12 leaves 0 below 2^32 mod 12 = 4:
     numpy's bounded draw rejects it and draws again."""
+    monkeypatch.setattr(search, "_BLOCK", 1)
 
     def make():
         rng = np.random.default_rng(11)
