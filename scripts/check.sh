@@ -42,7 +42,10 @@
 #      HEAD's: a sha256, on fixed random LLRs and prefixes, of the phase
 #      LLRs and kept tables of every phase's `cold` program, and of a warm
 #      chain of phases, each decided by the signs of its LLRs and handing
-#      its kept tables and decisions to the next.
+#      its kept tables and decisions to the next;
+#   9. whether the complexity reports of the same kernels are byte-identical
+#      to HEAD's: a sha256 of `total_complexity(kernel, policy).to_json()`
+#      under every reuse policy.
 # Nothing is deselected or skipped, so the script exits nonzero while any
 # test is red -- criterion 1 is, by design (see README) -- and on any
 # difference in those outputs.
@@ -181,17 +184,19 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
 PY
 }
-# prints two sha256 lines for the decoders of the polarkit on PYTHONPATH:
-# each `build_link_tables` result in a canonical form, arrays as dtype,
-# shape and bytes and slices as start and stop; then the phase LLRs and
-# kept tables of its cold programs and of a warm chain of phases
-decoder_digests() {
+# prints three sha256 lines for the kernels of items 7-9, of the polarkit on
+# PYTHONPATH: each `build_link_tables` result in a canonical form, arrays as
+# dtype, shape and bytes and slices as start and stop; then the phase LLRs
+# and kept tables of its cold programs and of a warm chain of phases; then
+# the complexity report of each kernel under each reuse policy
+kernel_digests() {
     python - <<'PY'
 import hashlib
 
 import numpy as np
 
 from polarkit.codec import build_link_tables, phase_llrs_trellis
+from polarkit.complexity import ReuseMode, total_complexity
 from polarkit.gf2 import BitMatrix, rank
 from polarkit.reference import ARIKAN, BEST12, BEST16
 
@@ -240,8 +245,13 @@ for kernel in kernels:
         outputs(phase_llr, held)
         flip = (phase_llr < 0).reshape(1, -1)
         prefix ^= flip.T * bits[a]
+reports = hashlib.sha256()
+for kernel in kernels:
+    for policy in ReuseMode:
+        reports.update(total_complexity(kernel, policy).to_json().encode())
 print(f"{len(kernels)} kernels {digest.hexdigest()}")
 print(f"{len(kernels)} kernels {phases.hexdigest()}")
+print(f"{len(kernels)} kernels, {len(ReuseMode)} policies {reports.hexdigest()}")
 PY
 }
 head_src=$(mktemp -d)
@@ -273,14 +283,21 @@ for run in "BEST16 2" "ARIKAN 8"; do
     faults+=("$name m=$m $(batch_faults "$name" "$m") (HEAD $(PYTHONPATH="$head_src/src" batch_faults "$name" "$m"))")
 done
 echo "minor page faults per 256-codeword batch, peak RSS: ${faults[0]}; ${faults[1]}"
-{ read -r now_digest; read -r now_phases; } < <(decoder_digests)
-{ read -r head_digest; read -r head_phases; } < <(PYTHONPATH="$head_src/src" decoder_digests)
+{ read -r now_digest; read -r now_phases; read -r now_reports; } < <(kernel_digests)
+{ read -r head_digest; read -r head_phases; read -r head_reports; } \
+    < <(PYTHONPATH="$head_src/src" kernel_digests)
 [[ "$now_digest" == "$head_digest" ]] && match="match" || match="differ"
 echo "compiled decoders: $now_digest (HEAD $head_digest): $match"
 if [[ -n "$now_phases" && "$now_phases" == "$head_phases" ]]; then
     echo "phase LLRs: $now_phases byte-identical to HEAD"
 else
     echo "phase LLRs: $now_phases (HEAD $head_phases) empty or differ from HEAD"
+    status=1
+fi
+if [[ -n "$now_reports" && "$now_reports" == "$head_reports" ]]; then
+    echo "complexity reports: $now_reports byte-identical to HEAD"
+else
+    echo "complexity reports: $now_reports (HEAD $head_reports) empty or differ from HEAD"
     status=1
 fi
 rm -rf "$head_src" "$now_out" "$head_out"

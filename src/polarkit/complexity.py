@@ -68,20 +68,21 @@ class SectionTable:
     """
 
     __slots__ = ("kernel", "ell", "sections", "s_basis", "w", "v", "widened")
-    __slots__ += ("_code_bases", "_reps")  # the memos
+    __slots__ += ("_code_bases", "_w_reps", "_v_reps")  # the memos
 
     def __init__(self, kernel: BitMatrix, s_basis: list, w: list, v: list, widened: list):
         self.kernel, self.ell = kernel, kernel.ncols
         self.sections = _midpoint_sections(self.ell)
         self.s_basis, self.w, self.v, self.widened = s_basis, w, v, widened
-        self._code_bases: dict[int, tuple[int, ...]] = {}
-        # keyed (phase, section, 0) for w_reps and (phase, section, 1) for v_reps
-        self._reps: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        # per phase (and section): None until first read
+        self._code_bases: list = [None] * self.ell
+        self._w_reps = [[None] * len(self.sections) for _ in range(self.ell)]
+        self._v_reps = [[None] * len(self.sections) for _ in range(self.ell)]
 
     def code_basis(self, phase: int) -> tuple[int, ...]:
         """Row-echelon basis of the phase's extended rows: rows phase.., each
         with an appended last column that is 1 only on the phase row."""
-        basis = self._code_bases.get(phase)
+        basis = self._code_bases[phase]
         if basis is None:
             rows = self.kernel.rows
             extended = [(rows[phase] << 1) | 1, *(r << 1 for r in rows[phase + 1 :])]
@@ -96,25 +97,33 @@ class SectionTable:
 
     def w_reps(self, phase: int, j: int) -> tuple[int, ...]:
         """Shortened codewords outside the span of the child shortened codes."""
-        reps = self._reps.get((phase, j, 0))
+        reps = self._w_reps[phase][j]
         if reps is None:
-            s_b = self.s_basis[phase]
-            pivots = {r.bit_length() - 1: r for h in self.sections[j][3] for r in s_b[h]}
-            reps = self._reps[phase, j, 0] = _select(pivots, s_b[j], s_b[j], len(s_b[j]))
+            halves, s_b = self.sections[j][3], self.s_basis[phase]
+            if halves and not self.w[phase][j]:  # the child codes span the section's
+                reps = ()
+            else:
+                pivots = {r.bit_length() - 1: r for h in halves for r in s_b[h]}
+                reps = _select(pivots, s_b[j], s_b[j], len(s_b[j]))
+            self._w_reps[phase][j] = reps
         return reps
 
     def v_reps(self, phase: int, j: int) -> tuple[int, ...]:
         """Code rows whose section projection extends the shortened
         projection to the punctured code."""
-        reps = self._reps.get((phase, j, 1))
+        reps = self._v_reps[phase][j]
         if reps is None:
-            s_b = self.s_basis[phase][j]
-            mask = self.sections[j][2]
-            code_basis = self.code_basis(phase)
-            pivots = {r.bit_length() - 1: r for r in s_b}
-            projected = (r & mask for r in code_basis)
-            reps = _select(pivots, code_basis, projected, len(s_b) + self.v[phase][j])
-            self._reps[phase, j, 1] = reps
+            v = self.v[phase][j]
+            if not v:  # the punctured projection is the shortened code
+                reps = ()
+            else:
+                s_b = self.s_basis[phase][j]
+                mask = self.sections[j][2]
+                code_basis = self.code_basis(phase)
+                pivots = {r.bit_length() - 1: r for r in s_b}
+                projected = [r & mask for r in code_basis]
+                reps = _select(pivots, code_basis, projected, len(s_b) + v)
+            self._v_reps[phase][j] = reps
         return reps
 
     def reuse_eligible(self, phase: int, j: int) -> bool:
@@ -124,35 +133,40 @@ class SectionTable:
         representative rows of the phase lie inside the span of the
         previous phase's w/v representatives.  A leaf never is.
 
+        The tests run cheapest first: ``widened``, the section's own
+        shortened code S, a phase-column v-representative, then the span
+        test of the v-representatives alone.  (2) implies an unchanged S,
+        which implies (1), the children's codes being S cut to each half.
+        Proof: a word c of the previous S missing from S needs the phase
+        row, so c with the phase column set is a phase word: on the
+        section c = s + q, s in S_left + S_right, q in span(W, V), which
+        (2) puts in the previous span(W, V).  The previous V is
+        independent modulo its S, so q lies in its span(W), and q and c
+        lie in S.  With S unchanged, W is the previous phase's.
+
         A representative that carries the phase's column (the last bit)
-        decides (2) alone: the previous phase's code can set that column
-        only through its own phase row, which lies outside the span of the
-        later rows of a non-singular kernel.  A ``widened`` section needs
-        such a representative, so it decides before any is built: the
-        v-representatives span the projection modulo the shortened code,
-        and one without the phase column lies in the code of the rows
-        below.  The tests run cheapest first: ``widened``, the child codes,
-        a phase-column v-representative, then the span test."""
+        fails the span test alone: the previous phase's code can set that
+        column only through its own phase row, which lies outside the
+        span of the later rows of a non-singular kernel.  A ``widened``
+        section needs such a representative, so it decides before any is
+        built: the v-representatives span the projection modulo the
+        shortened code, and one without the phase column lies in the code
+        of the rows below."""
         if not 0 < phase < self.ell:
             raise ValueError(f"phase {phase} has no previous phase in a width-{self.ell} table")
-        halves = self.sections[j][3]
-        if not halves or self.widened[phase][j]:
+        if not self.sections[j][3] or self.widened[phase][j]:
             return False
-        prev, s_b = self.s_basis[phase - 1], self.s_basis[phase]
-        if prev[halves[0]] != s_b[halves[0]] or prev[halves[1]] != s_b[halves[1]]:
+        if self.s_basis[phase - 1][j] != self.s_basis[phase][j]:
             return False
         v_reps = self.v_reps(phase, j)
         if any(r & 1 for r in v_reps):
             return False
-        prev_reps = self.w_reps(phase - 1, j) + self.v_reps(phase - 1, j)
-        return is_subcode(self.w_reps(phase, j) + v_reps, prev_reps)
+        return is_subcode(v_reps, self.w_reps(phase - 1, j) + self.v_reps(phase - 1, j))
 
 
 def _select(pivots: dict[int, int], rows: tuple[int, ...], reduced, rank: int) -> tuple[int, ...]:
     """The rows whose ``reduced`` form adds a pivot, read until ``pivots``
     holds ``rank``."""
-    if len(pivots) == rank:
-        return ()
     return tuple(compress(rows, eliminate(pivots, reduced, rank=rank)))
 
 
@@ -310,7 +324,11 @@ def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]
     ``comb_cost``.  Phase 0 reuses nothing.
 
     ``NONE`` reuses nothing.  ``ALL_CONTIGUOUS`` applies
-    ``SectionTable.reuse_eligible``.  The root itself never passes it: its
+    ``SectionTable.reuse_eligible``, which passes only sections whose own
+    shortened code is unchanged, the per-section condition of
+    ``SECTION_TABLES`` below, and then span-tests their v-representatives;
+    it does not track which tables the previous phase holds.  The root
+    itself never passes it: its
     v-representative carries the phase column, which the previous phase
     can form only from its own phase row, and that row lies outside the
     span of the later rows of a non-singular kernel.
@@ -332,10 +350,10 @@ def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]
       pre-comparison sums.  Each sum is the metric of one coset of
       S_left + S_right, so the sums are the section's table for that
       code.  The phase paid for them (the 2^(w+v) term of ``comb_cost``).
-      The model's own reuse condition, "child shortened codes unchanged
-      and the w/v spaces only shrink", is a statement about exactly this
-      table: its entries are indexed by the w/v space over the fixed
-      children.
+      The model's own reuse condition, "shortened code unchanged (so the
+      children's are) and the w/v spaces only shrink", is a statement
+      about exactly this table: its entries are indexed by the w/v space
+      over the fixed children.
     * If it reused the section: the table it read, for its own S.  Its
       subtree was not evaluated, so nothing below it is held.
     * Nothing older: reuse is between consecutive phases, and a table

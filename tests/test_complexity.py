@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from polarkit import codec, complexity
+from polarkit import codec, complexity, pdp, search
 from polarkit.complexity import (
     CALIBRATED_MODE,
     ReuseMode,
@@ -259,20 +259,59 @@ def test_node_dimensions_match_enumeration(rng):
                 assert w[j] == (k_s[j] - sum(k_s[h] for h in halves) if halves else 0)
 
 
-def test_reuse_eligible_matches_literal_rule(rng):
-    """The phase-column shortcut decides exactly as the span test would, on
-    the oracle trees."""
-    decided = 0
-    for _ in range(40):
-        kernel = random_kernel(int(rng.integers(2, 13)), rng)
+def test_reuse_eligible_matches_literal_rule(rng, monkeypatch):
+    """The rule's early rejections (``widened``, the section's own code,
+    a phase-column v-representative) decide exactly as the oracle's
+    child-code clause and span test would, on the oracle trees, at widths
+    2..16.  A section whose own code changed is rejected before any
+    representative is read."""
+    read = []
+    v_reps = SectionTable.v_reps
+
+    def counted(table, phase, j):
+        read.append((phase, j))
+        return v_reps(table, phase, j)
+
+    monkeypatch.setattr(SectionTable, "v_reps", counted)
+    decided = by_section_code = 0
+    for _ in range(60):
+        kernel = random_kernel(int(rng.integers(2, 17)), rng)
         table = section_trees(kernel)
         oracle = [oracle_sections(tree) for tree in oracle_section_trees(kernel)]
         for phase, (prev, nxt) in enumerate(zip(oracle, oracle[1:]), start=1):
             for j, (p, n) in enumerate(zip(prev, nxt, strict=True)):
+                read.clear()
                 got = table.reuse_eligible(phase, j)
                 assert got == oracle_reuse_eligible(p, n), (kernel, phase)
                 decided += bool(p.children)
-    assert decided >= 1000
+                if p.children and not table.widened[phase][j] and p.s_basis != n.s_basis:
+                    assert not got and read == [], (kernel, phase, j)
+                    by_section_code += 1
+    assert decided >= 4000
+    assert by_section_code >= 600
+
+
+def test_changed_section_code_fails_reuse(rng):
+    """The span test implies the rule's section-code clause: wherever the
+    children's shortened codes stay equal but the section's own changed,
+    the literal rule as written (child-code clause, then span test) still
+    rejects.  Arbitrary non-singular kernels and target-profile kernels of
+    the random search, at every width 2..16, on the oracle trees."""
+    kernels = [random_kernel(ell, rng) for ell in range(2, 17) for _ in range(8)]
+    for ell in range(2, 17):
+        target = pdp.target_profile(ell)
+        built = (search.random_trial(target, np.random.default_rng([7, ell, t])) for t in range(4))
+        kernels += [kernel for kernel in built if kernel is not None]
+    pairs = 0
+    for kernel in kernels:
+        oracle = [oracle_sections(tree) for tree in oracle_section_trees(kernel)]
+        for prev, nxt in zip(oracle, oracle[1:]):
+            for p, n in zip(prev, nxt, strict=True):
+                children_equal = all(a.s_basis == b.s_basis for a, b in zip(p.children, n.children))
+                if p.children and children_equal and p.s_basis != n.s_basis:
+                    assert not oracle_reuse_eligible(p, n), kernel
+                    pairs += 1
+    assert pairs >= 1000
 
 
 def test_widened_sections_fail_reuse_by_the_phase_column(rng):
@@ -505,7 +544,7 @@ PINNED_WIDE_REPORTS = "94107b683c8c693f4c3cca404742e3255f0d705accceb135405c90e44
 
 
 def test_wide_reports_pinned():
-    """The literal rule at ell 13..16, beyond the oracle comparison of
+    """The literal rule at ell 13..16, beside the oracle comparison of
     `test_reuse_eligible_matches_literal_rule`: reports of seeded random
     kernels under the policy that reads the representatives."""
     digest = hashlib.sha256()
