@@ -11,49 +11,49 @@
 #      modules is told apart from removed;
 #   4. the settable options, each with its change against HEAD: the CLI
 #      flags of all subcommands and of each one, the train-config keys,
-#      the reuse policies;
-#   5. whether these seeded outputs are nonempty and byte-identical to
-#      HEAD's: the `polarkit bler` CSVs (the (256,128) codes of BEST16 at
-#      m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at m=2, two
-#      SNRs, 600 trials), the `polarkit random` JSON at ell 8 and 12
-#      (300 trials, seed 7) under the all-contiguous and section-tables
-#      policies and at ell 16 (300 trials, seed 7, the default policy;
-#      most of its trials run into the placement cap, so each draws
-#      several blocks of random words), the `polarkit brute` kernel at
-#      ell 12, and a `polarkit train` run (ell 8, 20 episodes, an update
-#      every 10, seed 1): its training_log.csv and best_kernel.txt, and a
-#      sha256 of the final checkpoint's arrays as np.load reads them (the
-#      .npz zip entries carry timestamps, so its bytes differ between
-#      equal runs), and a sha256 of each of two unpinned self-play
-#      episodes at the default game limit and `MctsConfig()` (ell 12 seed
-#      2 and ell 16 seed 1, the untrained seed-0 network; both stall to
-#      the limit, where the search replays the most): every action,
-#      reward repr and improved policy's bytes;
-#   6. the minor page faults per warmed 256-codeword batch of the (256,128)
-#      codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
-#      (ru_maxrss) of the process that measured them, for the work tree and
-#      for HEAD (getrusage over 10 batches after 3 warm-up ones, each code
-#      in a fresh interpreter); informational, it gates nothing;
-#   7. a sha256 of the compiled decoders (`codec.build_link_tables`) of
-#      ARIKAN, BEST12, BEST16 and 8 random non-singular kernels per width
-#      2..16 (seed 5), for the work tree and for HEAD, and whether they
-#      match; informational, it gates nothing;
-#   8. whether the phase LLRs of those decoders are byte-identical to
-#      HEAD's: a sha256, on fixed random LLRs and prefixes, of the phase
-#      LLRs and kept tables of every phase's `cold` program, and of a warm
-#      chain of phases, each decided by the signs of its LLRs and handing
-#      its kept tables and decisions to the next;
-#   9. whether the complexity reports of the same kernels are byte-identical
-#      to HEAD's: a sha256 of `total_complexity(kernel, policy).to_json()`
-#      under every reuse policy.
-# Nothing is deselected or skipped, so the script exits nonzero while any
-# test is red -- criterion 1 is, by design (see README) -- and on any
-# difference in those outputs.
+#      the reuse policies.
+# `artifacts` writes every artifact of the work tree's polarkit and of
+# HEAD's into two directories, and the two arrays below say how each is
+# compared. Nothing is deselected or skipped, so the script exits nonzero
+# while any test is red -- criterion 1 is, by design (see README) -- and on
+# any gated artifact that is empty, missing or differs from HEAD's.
 # Usage: scripts/check.sh
 set -uo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 status=0
+# gated: each must be nonempty and byte-identical to HEAD's, or the exit
+# status is nonzero. The `polarkit bler` CSVs (the (256,128) codes of
+# BEST16 at m=2 and ARIKAN at m=8 and the (144,72) code of BEST12 at m=2,
+# two SNRs, 600 trials); the `polarkit random` JSONs at ell 8 and 12 (300
+# trials, seed 7) under the all-contiguous and section-tables policies and
+# at ell 16 (300 trials, seed 7, the default policy; most of its trials run
+# into the placement cap, so each draws several blocks of random words);
+# the `polarkit brute` kernel at ell 12; a `polarkit train` run (ell 8, 20
+# episodes, an update every 10, seed 1): its training_log.csv and
+# best_kernel.txt, and a sha256 of the final checkpoint's arrays as
+# np.load reads them (the .npz zip entries carry timestamps, so its bytes
+# differ between equal runs); a sha256 of each of two unpinned self-play
+# episodes at the default game limit and `MctsConfig()` (ell 12 seed 2 and
+# ell 16 seed 1, the untrained seed-0 network; both stall to the limit,
+# where the search replays the most): every action, reward repr and
+# improved policy's bytes; for the compiled decoders of ARIKAN, BEST12,
+# BEST16 and 8 random non-singular kernels per width 2..16 (seed 5), a
+# sha256, on fixed random LLRs and prefixes, of the phase LLRs and kept
+# tables of every phase's `cold` program and of a warm chain of phases,
+# each decided by the signs of its LLRs and handing its kept tables and
+# decisions to the next; and a sha256 of `total_complexity(kernel,
+# policy).to_json()` of the same kernels under every reuse policy.
+gated=(best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json
+    random-16.json brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256}
+    selfplay.txt phases.sha256 reports.sha256)
+# shown: each prints its value and "same as HEAD" or HEAD's value, and
+# gates nothing. The minor page faults per warmed 256-codeword batch of the
+# (256,128) codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
+# (ru_maxrss) of the process that measured them (getrusage over 10 batches
+# after 3 warm-up ones, each code in a fresh interpreter); and a sha256 of
+# the compiled decoders (`codec.build_link_tables`) of the kernels above.
+shown=(faults-BEST16.txt faults-ARIKAN.txt decoders.sha256)
 
 python -m pytest --continue-on-collection-errors --no-header -v > test_output.txt 2>&1 || status=1
 tail -n 1 test_output.txt
@@ -75,29 +75,10 @@ for dir in src tests; do
     } | awk -F '\t' '{printf "  %s +%d/-%d\n", $3, $1, $2}'
 done
 
-# prints the settable options of the polarkit on PYTHONPATH as JSON: the
-# CLI flags per subcommand, the train-config keys and the reuse policies
-count_options() {
-    python - <<'PY'
-import argparse
-import json
-from dataclasses import fields
-
-from polarkit.cli import build_parser
-from polarkit.complexity import ReuseMode
-from polarkit.zero.train import TrainConfig
-
-sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-flags = {
-    name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
-    for name, p in sub.choices.items()
-}
-print(json.dumps({"flags": flags, "keys": len(fields(TrainConfig)), "policies": len(ReuseMode)}))
-PY
-}
-# writes into directory $1 the seeded outputs of the polarkit on
-# PYTHONPATH, with each run's configuration echo beside its output
-seeded_outputs() {
+# writes into directory $1 every artifact of the polarkit on PYTHONPATH,
+# each Python part in a fresh interpreter
+artifacts() {
+    # the seeded outputs, with each run's configuration echo beside its output
     python - "$1" <<'PY'
 import sys
 from pathlib import Path
@@ -160,38 +141,16 @@ for ell, seed in ((12, 2), (16, 1)):
         digest.update(policy.tobytes())
     print(f"ell={ell} seed={seed} steps={len(record.transitions)} {digest.hexdigest()}")
 PY
-}
-# prints the minor page faults per 256-codeword batch of the polarkit on
-# PYTHONPATH, for the (256,128) code of kernel $1 at m=$2, and the peak RSS
-# of the process
-batch_faults() {
-    python - "$1" "$2" <<'PY'
-import resource
-import sys
-
-from polarkit import codec, reference
-
-kernel, m = getattr(reference, sys.argv[1]), int(sys.argv[2])
-ell = kernel.ncols
-frozen = codec.select_frozen_set(ell, m, 128, kernel, 2.5, 256, seed=1)
-spec = codec.PolarCodeSpec(ell, m, 128, kernel, frozen)
-for seed in range(3):
-    codec.simulate_bler(spec, [2.5], 256, seed)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for seed in range(3, 13):
-    codec.simulate_bler(spec, [2.5], 256, seed)
-usage = resource.getrusage(resource.RUSAGE_SELF)
-print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
-PY
-}
-# prints three sha256 lines for the kernels of items 7-9, of the polarkit on
-# PYTHONPATH: each `build_link_tables` result in a canonical form, arrays as
-# dtype, shape and bytes and slices as start and stop; then the phase LLRs
-# and kept tables of its cold programs and of a warm chain of phases; then
-# the complexity report of each kernel under each reuse policy
-kernel_digests() {
-    python - <<'PY'
+    # three sha256 files for the kernels of `gated` and `shown`:
+    # decoders.sha256, each `build_link_tables` result in a canonical form,
+    # arrays as dtype, shape and bytes and slices as start and stop;
+    # phases.sha256, the phase LLRs and kept tables of its cold programs and
+    # of a warm chain of phases; reports.sha256, the complexity report of each
+    # kernel under each reuse policy
+    python - "$1" <<'PY'
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -249,63 +208,64 @@ reports = hashlib.sha256()
 for kernel in kernels:
     for policy in ReuseMode:
         reports.update(total_complexity(kernel, policy).to_json().encode())
-print(f"{len(kernels)} kernels {digest.hexdigest()}")
-print(f"{len(kernels)} kernels {phases.hexdigest()}")
-print(f"{len(kernels)} kernels, {len(ReuseMode)} policies {reports.hexdigest()}")
+out, count = Path(sys.argv[1]), f"{len(kernels)} kernels"
+(out / "decoders.sha256").write_text(f"{count} {digest.hexdigest()}\n")
+(out / "phases.sha256").write_text(f"{count} {phases.hexdigest()}\n")
+(out / "reports.sha256").write_text(f"{count}, {len(ReuseMode)} policies {reports.hexdigest()}\n")
 PY
-}
-head_src=$(mktemp -d)
-git archive HEAD src | tar -x -C "$head_src"
-now_options=$(count_options)
-head_options=$(PYTHONPATH="$head_src/src" count_options)
-now_out=$(mktemp -d)
-head_out=$(mktemp -d)
-seeded_outputs "$now_out"
-PYTHONPATH="$head_src/src" seeded_outputs "$head_out"
-differ=()
-for name in best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-tables}.json \
-    random-16.json brute-12.txt train/{training_log.csv,best_kernel.txt,checkpoint.sha256} \
-    selfplay.txt; do
-    [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
-done
-if ((${#differ[@]})); then
-    echo "seeded outputs: ${differ[*]} empty or differ from HEAD"
-    status=1
-else
-    echo "seeded outputs: bler CSVs (best16 m=2, arikan m=8, best12 m=2), random JSONs" \
-        "(ell 8 and 12, all-contiguous and section-tables; ell 16), brute ell=12, train ell=8 (log," \
-        "best kernel, checkpoint arrays) and self-play episodes (ell 12 seed 2, ell 16 seed 1)" \
-        "byte-identical to HEAD"
-fi
-faults=()
-for run in "BEST16 2" "ARIKAN 8"; do
-    read -r name m <<< "$run"
-    faults+=("$name m=$m $(batch_faults "$name" "$m") (HEAD $(PYTHONPATH="$head_src/src" batch_faults "$name" "$m"))")
-done
-echo "minor page faults per 256-codeword batch, peak RSS: ${faults[0]}; ${faults[1]}"
-{ read -r now_digest; read -r now_phases; read -r now_reports; } < <(kernel_digests)
-{ read -r head_digest; read -r head_phases; read -r head_reports; } \
-    < <(PYTHONPATH="$head_src/src" kernel_digests)
-[[ "$now_digest" == "$head_digest" ]] && match="match" || match="differ"
-echo "compiled decoders: $now_digest (HEAD $head_digest): $match"
-if [[ -n "$now_phases" && "$now_phases" == "$head_phases" ]]; then
-    echo "phase LLRs: $now_phases byte-identical to HEAD"
-else
-    echo "phase LLRs: $now_phases (HEAD $head_phases) empty or differ from HEAD"
-    status=1
-fi
-if [[ -n "$now_reports" && "$now_reports" == "$head_reports" ]]; then
-    echo "complexity reports: $now_reports byte-identical to HEAD"
-else
-    echo "complexity reports: $now_reports (HEAD $head_reports) empty or differ from HEAD"
-    status=1
-fi
-rm -rf "$head_src" "$now_out" "$head_out"
-python - "$now_options" "$head_options" <<'PY'
-import json
+    # the minor page faults per 256-codeword batch of the (256,128) code of
+    # each kernel at its m, and the peak RSS of the process
+    for run in "BEST16 2" "ARIKAN 8"; do
+        read -r name m <<< "$run"
+        python - "$name" "$m" > "$1/faults-$name.txt" <<'PY'
+import resource
 import sys
 
-now, head = (json.loads(arg) for arg in sys.argv[1:])
+from polarkit import codec, reference
+
+kernel, m = getattr(reference, sys.argv[1]), int(sys.argv[2])
+ell = kernel.ncols
+frozen = codec.select_frozen_set(ell, m, 128, kernel, 2.5, 256, seed=1)
+spec = codec.PolarCodeSpec(ell, m, 128, kernel, frozen)
+for seed in range(3):
+    codec.simulate_bler(spec, [2.5], 256, seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(3, 13):
+    codec.simulate_bler(spec, [2.5], 256, seed)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
+PY
+    done
+    # the settable options as JSON: the CLI flags per subcommand, the
+    # train-config keys and the reuse policies
+    python - > "$1/options.json" <<'PY'
+import argparse
+import json
+from dataclasses import fields
+
+from polarkit.cli import build_parser
+from polarkit.complexity import ReuseMode
+from polarkit.zero.train import TrainConfig
+
+sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+flags = {
+    name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+    for name, p in sub.choices.items()
+}
+print(json.dumps({"flags": flags, "keys": len(fields(TrainConfig)), "policies": len(ReuseMode)}))
+PY
+}
+head_src=$(mktemp -d) now_out=$(mktemp -d) head_out=$(mktemp -d)
+trap 'rm -rf "$head_src" "$now_out" "$head_out"' EXIT
+git archive HEAD src | tar -x -C "$head_src"
+artifacts "$now_out"
+PYTHONPATH="$head_src/src" artifacts "$head_out"
+python - "$now_out/options.json" "$head_out/options.json" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+now, head = (json.loads(Path(arg).read_text()) for arg in sys.argv[1:])
 flags, head_flags = now["flags"], head["flags"]
 total, head_total = sum(flags.values()), sum(head_flags.values())
 print(f"options: {total} CLI flags ({total - head_total:+d}), "
@@ -315,4 +275,16 @@ print("flags:   " + ", ".join(
     f"{name} {count} ({count - head_flags.get(name, 0):+d})" for name, count in flags.items()
 ))
 PY
+differ=()
+for name in "${gated[@]}"; do
+    [[ -s "$now_out/$name" ]] && cmp -s "$now_out/$name" "$head_out/$name" || differ+=("$name")
+done
+printf 'gated: %d of %d byte-identical to HEAD%s\n' "$((${#gated[@]} - ${#differ[@]}))" \
+    "${#gated[@]}" "${differ[*]:+; empty, missing or differing: ${differ[*]}}"
+((${#differ[@]})) && status=1
+for name in "${shown[@]}"; do
+    now=$(cat "$now_out/$name" 2>/dev/null) head=$(cat "$head_out/$name" 2>/dev/null)
+    [[ -n "$now" && "$now" == "$head" ]] && head="same as HEAD" || head="HEAD ${head:-missing}"
+    echo "$name: ${now:-missing} ($head)"
+done
 exit "$status"
