@@ -49,11 +49,13 @@ gated=(best16.csv arikan.csv best12.csv random-{8,12}-{all-contiguous,section-ta
     selfplay.txt phases.sha256 reports.sha256)
 # shown: each prints its value and "same as HEAD" or HEAD's value, and
 # gates nothing. The minor page faults per warmed 256-codeword batch of the
-# (256,128) codes of BEST16 at m=2 and ARIKAN at m=8, beside the peak RSS
-# (ru_maxrss) of the process that measured them (getrusage over 10 batches
-# after 3 warm-up ones, each code in a fresh interpreter); and a sha256 of
-# the compiled decoders (`codec.build_link_tables`) of the kernels above.
-shown=(faults-BEST16.txt faults-ARIKAN.txt decoders.sha256)
+# (256,128) codes of BEST16 at m=2 and ARIKAN at m=8, and apart from them
+# the peak RSS (ru_maxrss) of the process that measured them, which jitters
+# by a few tenths of a MB between runs of the same code (getrusage over 10
+# batches after 3 warm-up ones, each code in a fresh interpreter); and a
+# sha256 of the compiled decoders (`codec.build_link_tables`) of the
+# kernels above.
+shown=(faults-{BEST16,ARIKAN}.txt rss-{BEST16,ARIKAN}.txt decoders.sha256)
 
 python -m pytest --continue-on-collection-errors --no-header -v > test_output.txt 2>&1 || status=1
 tail -n 1 test_output.txt
@@ -217,13 +219,15 @@ PY
     # each kernel at its m, and the peak RSS of the process
     for run in "BEST16 2" "ARIKAN 8"; do
         read -r name m <<< "$run"
-        python - "$name" "$m" > "$1/faults-$name.txt" <<'PY'
+        python - "$1" "$name" "$m" <<'PY'
 import resource
 import sys
+from pathlib import Path
 
 from polarkit import codec, reference
 
-kernel, m = getattr(reference, sys.argv[1]), int(sys.argv[2])
+out, name, m = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+kernel = getattr(reference, name)
 ell = kernel.ncols
 frozen = codec.select_frozen_set(ell, m, 128, kernel, 2.5, 256, seed=1)
 spec = codec.PolarCodeSpec(ell, m, 128, kernel, frozen)
@@ -233,7 +237,8 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for seed in range(3, 13):
     codec.simulate_bler(spec, [2.5], 256, seed)
 usage = resource.getrusage(resource.RUSAGE_SELF)
-print(f"{(usage.ru_minflt - before) // 10} faults, {usage.ru_maxrss / 1024:.1f} MB")  # KiB on Linux
+(out / f"faults-{name}.txt").write_text(f"{(usage.ru_minflt - before) // 10} faults\n")
+(out / f"rss-{name}.txt").write_text(f"{usage.ru_maxrss / 1024:.1f} MB\n")  # KiB on Linux
 PY
     done
     # the settable options as JSON: the CLI flags per subcommand, the

@@ -274,28 +274,27 @@ def _program(
     """The step list of a phase's section tree when the tables of `gathers`
     are given, one step per internal section outside them in the
     post-order of `table.sections`, and its workspace plan; `links` holds
-    each internal section's `_links` by (phase, section).  Time counts the
-    numpy operations of a call; a buffer lives from the operation that
-    writes it to its last reader."""
+    each internal section's `_links` by (phase, section).  A buffer's time
+    is its index: every write and read of a call happens as some buffer is
+    created, and a buffer lives from its creation to that of its last reader."""
     sections, s_basis, w, v = table.sections, table.s_basis[phase], table.w[phase], table.v[phase]
     spans: list[list[int]] = []  # per buffer: [rows, first use, last use]
 
-    def buffer(rows: int, time: int, *reads: int) -> int:
+    def buffer(rows: int, *reads: int) -> int:
+        time = len(spans)
         for buf in reads:
             spans[buf][2] = time
         spans.append([rows, time, time])
-        return len(spans) - 1
+        return time
 
     ell, blocks = table.ell, 0  # blocks: of the bank, known after the loop
-    bank = buffer(0, 0)
-    time = 1
-    mask = buffer(1, time) if any(idx1 is not None for _, _, idx1 in gathers) else None
+    bank = buffer(0)
+    mask = buffer(1) if any(idx1 is not None for _, _, idx1 in gathers) else None
     tables, planned = {}, []  # tables: the buffer of each gathered or computed section
     for key, idx0, idx1 in gathers:
-        out = tables[key] = buffer(len(idx0), time + 1)
+        out = tables[key] = buffer(len(idx0))
         # the bit select reads both takes and the mask
-        other = None if idx1 is None else buffer(len(idx1), time + 2, out, mask)
-        time += 1 if idx1 is None else 2
+        other = None if idx1 is None else buffer(len(idx1), out, mask)
         planned.append((key, idx0, idx1, out, other))
     steps = []
     for j, (x, y, _, halves) in enumerate(sections):
@@ -311,10 +310,9 @@ def _program(
                 blocks = max(blocks, 2 + free)
             reads += [tables[hx, hy] if internal else bank, link]
         left, link_a, right, link_b = reads
-        sums = buffer(link_a.size, time + 1, left)
-        other = buffer(link_b.size, time + 2, right, sums)
-        time += 3 if w[j] else 2
-        out = tables[x, y] = buffer(shape[0], time, sums) if w[j] else sums
+        sums = buffer(link_a.size, left)
+        other = buffer(link_b.size, right, sums)
+        out = tables[x, y] = buffer(shape[0], sums) if w[j] else sums
         steps.append(((x, y), left, link_a, right, link_b, sums, other, out, shape))
     assert spans[out][0] == 2  # the last step's table: the root's, never gathered
     spans[bank][0] = blocks * ell

@@ -10,12 +10,13 @@ only shrink, which zeroes that subtree's cost.  ``ReuseMode`` selects how
 that condition is judged; ``SECTION_TABLES`` judges it on the section's
 own codes.
 
-``section_trees`` computes every phase's section codes in one pass into
-a flat ``SectionTable`` of plain ints, per phase and per section of the
-midpoint tree; the tree is ``table.sections``, whose entries name their
-halves by position.  ``phase_costs`` costs a phase and decides its reuse
-in one pre-order walk of the table, and documents each policy.  The
-decoder compiles its trellis from the same table, by (phase, section).
+``section_trees`` alone chooses the tree, the midpoint tree, and computes
+every phase's section codes in one pass into a flat ``SectionTable`` of
+plain ints, per phase and per section; the tree is ``table.sections``,
+whose entries name their halves by position.  ``phase_costs`` costs a
+phase and decides its reuse in one walk down the table's post-order, and
+documents each policy.  The decoder compiles its trellis from the same
+table, by (phase, section).
 """
 
 from __future__ import annotations
@@ -55,24 +56,27 @@ CALIBRATED_MODE = ReuseMode.ALL_CONTIGUOUS
 class SectionTable:
     """The section codes of every phase of one kernel (``section_trees``).
 
-    Section j is entry j of ``sections`` (``_midpoint_sections(ell)``),
-    which names its halves by position, so that list is the tree.  Per
-    phase p, ``s_basis[p][j]`` is the reduced echelon basis (a
-    canonical fingerprint) of the section's shortened subcode, in
-    full-width rows; ``w[p][j]`` (0 on leaves) and ``v[p][j]`` are its
-    coset dimensions, the punctured code's dimension being
-    ``len(s_basis[p][j]) + v[p][j]``; and ``widened[p][j]`` says that the
-    phase row's projection lies outside that of the rows below it.  The
-    phase code bases and the w/v representatives are derived on first read
-    and memoized here, so they live as long as the table.
+    Section j is entry j of ``sections``, the tree that ``section_trees``
+    chose, in post-order (halves first); each entry names its halves by
+    position, so that list is the tree, and the subtree of a section (x, y)
+    is the 2(y - x) - 1 entries ending at it.  Per phase p,
+    ``s_basis[p][j]`` is the reduced echelon basis (a canonical
+    fingerprint) of the section's shortened subcode, in full-width rows;
+    ``w[p][j]`` (0 on leaves) and ``v[p][j]`` are its coset dimensions, the
+    punctured code's dimension being ``len(s_basis[p][j]) + v[p][j]``; and
+    ``widened[p][j]`` says that the phase row's projection lies outside
+    that of the rows below it.  The phase code bases and the w/v
+    representatives are derived on first read and memoized here, so they
+    live as long as the table.
     """
 
     __slots__ = ("kernel", "ell", "sections", "s_basis", "w", "v", "widened")
     __slots__ += ("_code_bases", "_w_reps", "_v_reps")  # the memos
 
-    def __init__(self, kernel: BitMatrix, s_basis: list, w: list, v: list, widened: list):
-        self.kernel, self.ell = kernel, kernel.ncols
-        self.sections = _midpoint_sections(self.ell)
+    def __init__(
+        self, kernel: BitMatrix, sections: tuple, s_basis: list, w: list, v: list, widened: list
+    ):
+        self.kernel, self.ell, self.sections = kernel, kernel.ncols, sections
         self.s_basis, self.w, self.v, self.widened = s_basis, w, v, widened
         # per phase (and section): None until first read
         self._code_bases: list = [None] * self.ell
@@ -280,25 +284,7 @@ def section_trees(kernel: BitMatrix) -> SectionTable:
         ws.append(w)
         vs.append(v)
         widened.append(wide)
-    return SectionTable(kernel, s_basis[::-1], ws[::-1], vs[::-1], widened[::-1])
-
-
-@lru_cache(maxsize=None)
-def _preorder(ell: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """The internal sections below the root of the midpoint tree, in
-    pre-order (left to right), as (section, halves, end): the walk skips a
-    section's subtree by going on at position end.  A section of width n
-    has n - 1 internal sections in its subtree, itself included."""
-    sections = _midpoint_sections(ell)
-    order: list[tuple[int, tuple[int, ...], int]] = []
-    stack = list(sections[-1][3][::-1])
-    while stack:
-        j = stack.pop()
-        x, y, _, halves = sections[j]
-        if halves:
-            order.append((j, halves, len(order) + y - x - 1))
-            stack += halves[::-1]
-    return tuple(order)
+    return SectionTable(kernel, sections, s_basis[::-1], ws[::-1], vs[::-1], widened[::-1])
 
 
 @lru_cache(maxsize=1 << 16)
@@ -317,11 +303,11 @@ def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]
     """The cost and reused sections of each phase of ``section_trees``'
     table; the SC decoder reads the ``SECTION_TABLES`` reuse from here.
 
-    A phase is costed in one pre-order walk of its internal sections below
-    the root, which the root's ``comb_cost`` joins: a section whose
-    trellis table is taken from the previous phase is recorded and costs
-    nothing, and its subtree is skipped; every other one charges
-    ``comb_cost``.  Phase 0 reuses nothing.
+    A phase is costed in one walk down ``table.sections`` from below the
+    root, which the root's ``comb_cost`` joins: a section whose trellis
+    table is taken from the previous phase is recorded and costs nothing,
+    and the walk goes on below its subtree; every other internal section
+    charges ``comb_cost``.  Phase 0 reuses nothing.
 
     ``NONE`` reuses nothing.  ``ALL_CONTIGUOUS`` applies
     ``SectionTable.reuse_eligible``, which passes only sections whose own
@@ -371,29 +357,29 @@ def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]
     policy shares; this policy changes only which sections are charged.
     """
     sections = table.sections
-    walk = _preorder(table.ell)
     root = len(sections) - 1
     per_phase = []
     prev_reused: list[int] = []
     for phase, (w, v, s_b) in enumerate(zip(table.w, table.v, table.s_basis)):
         cost = comb_cost(w[root], v[root])
-        reused: list[int] = []
+        reused: list[int] = []  # right to left
         tested = phase > 0 and policy is not ReuseMode.NONE
         prev = table.s_basis[phase - 1]  # not read in phase 0
-        # the walk is below a section that the previous phase reused, whose
-        # subtree it does not hold, up to position `unheld`; those sections
-        # are disjoint, so one such subtree never lies inside another
-        i = unheld = 0
-        while i < len(walk):
-            j, (left, right), end = walk[i]
-            if tested:
+        # positions from `unheld` up lie in the subtree of a section that
+        # the previous phase reused, which it does not hold; those sections
+        # are disjoint, so the walk leaves one such subtree before the next
+        j, unheld = root - 1, root
+        while j >= 0:
+            x, y, _, halves = sections[j]
+            if halves and tested:
                 if policy is ReuseMode.SECTION_TABLES:
                     # shortened rows vanish outside the section, so equal
                     # fingerprints are equal codes on the section's own
                     # columns.  The children's bases have disjoint
                     # supports, left above right, so their concatenation
                     # is the reduced basis of the sum S_left + S_right.
-                    fits = i >= unheld and (
+                    left, right = halves
+                    fits = j < unheld and (
                         s_b[j] == prev[j]
                         or (j not in prev_reused and s_b[j] == prev[left] + prev[right])
                     )
@@ -401,12 +387,14 @@ def phase_costs(table: SectionTable, policy: ReuseMode) -> tuple[PhaseCost, ...]
                     fits = table.reuse_eligible(phase, j)
                 if fits:
                     reused.append(j)
-                    i = end
+                    j -= 2 * (y - x) - 1  # past its subtree
                     continue
                 if j in prev_reused:
-                    unheld = end
-            cost += comb_cost(w[j], v[j])
-            i += 1
+                    unheld = j - 2 * (y - x) + 2
+            if halves:
+                cost += comb_cost(w[j], v[j])
+            j -= 1
+        reused.reverse()
         per_phase.append(PhaseCost(cost, tuple(sections[j][:2] for j in reused)))
         prev_reused = reused
     return tuple(per_phase)

@@ -22,6 +22,7 @@ from polarkit.complexity import (
 from polarkit.gf2 import BitMatrix, interval_mask, is_subcode, row_basis
 from polarkit.pdp import SingularKernelError
 from polarkit.reference import ARIKAN, BEST12, BEST16
+from tests import conftest
 from tests.conftest import (
     RNG_SEED,
     extend_kernel,
@@ -122,6 +123,74 @@ def test_one_walk_matches_two_walk_oracle(rng):
             got = total_complexity(kernel, policy).to_json()
             want = json.dumps(oracle_total_complexity(kernel, policy), indent=2)
             assert got == want, (kernel, policy)
+
+
+def test_walk_tests_only_sections_outside_reused_ones(rng, monkeypatch):
+    """The walk goes down from the root and skips a reused section's
+    subtree, so ``ALL_CONTIGUOUS`` tests each internal non-root section of
+    each phase >= 1 once, unless it lies strictly inside a section the
+    phase reuses, whose representatives it never builds; the other
+    policies never call the rule."""
+    calls = []
+    eligible = SectionTable.reuse_eligible
+
+    def counted(table, phase, j):
+        calls.append((phase, j))
+        return eligible(table, phase, j)
+
+    monkeypatch.setattr(SectionTable, "reuse_eligible", counted)
+    kernels = [BEST12, BEST16] + [random_kernel(ell, rng) for ell in range(2, 17) for _ in range(5)]
+    tested = 0
+    for kernel in kernels:
+        sections = section_trees(kernel).sections
+        for policy in ReuseMode:
+            calls.clear()
+            report = total_complexity(kernel, policy)
+            if policy is not ReuseMode.ALL_CONTIGUOUS:
+                assert calls == [], policy
+                continue
+            want = [
+                (phase, j)
+                for phase, cost in enumerate(report.per_phase[1:], start=1)
+                for j, (x, y, _, halves) in enumerate(sections[:-1])
+                if halves and not any(a <= x and y <= b and b - a > y - x for a, b in cost.reused)
+            ]
+            assert sorted(calls) == want, kernel
+            tested += len(calls)
+    assert tested >= 5000
+
+
+@pytest.fixture(params=[lambda x, y: x + 1, lambda x, y: y - 1], ids=["left", "right"])
+def caterpillar(request, monkeypatch):
+    """A non-midpoint tree in the model and in the oracle: every split
+    takes one column off the section's left end, or off its right end."""
+    monkeypatch.setattr(complexity, "split_point", request.param)
+    monkeypatch.setattr(conftest, "split_point", request.param)
+    complexity._midpoint_sections.cache_clear()
+    yield request.param
+    complexity._midpoint_sections.cache_clear()
+
+
+def test_model_follows_the_table_tree(caterpillar, rng):
+    """The walk reads the tree only from ``table.sections``: on a
+    caterpillar tree the table's post-order puts each section's subtree in
+    the 2(y - x) - 1 positions ending at it, and every policy's report
+    equals the oracle's, which builds the same tree from scratch."""
+    for ell in range(2, 11):
+        for _ in range(6):
+            kernel = random_kernel(ell, rng)
+            sections = section_trees(kernel).sections
+
+            def subtree(j):
+                return [i for h in sections[j][3] for i in subtree(h)] + [j]
+
+            for j, (x, y, _, halves) in enumerate(sections):
+                assert sorted(subtree(j)) == list(range(j - 2 * (y - x) + 2, j + 1))
+                if halves:
+                    assert sections[halves[0]][1] == caterpillar(x, y)
+            for policy in ReuseMode:
+                got = total_complexity(kernel, policy).to_json_dict()
+                assert got == oracle_total_complexity(kernel, policy), (kernel, policy)
 
 
 def test_early_stopped_reps_match_full_selection(rng):
